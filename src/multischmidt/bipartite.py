@@ -16,8 +16,8 @@ from .core import (
     PureState,
     SubsystemSet,
     entropy_bits,
-    numerical_rank,
-    reduce,
+    unfold,
+    weight_rank,
 )
 
 PPT_NEG_TOL = 1e-9
@@ -41,14 +41,9 @@ def coefficient_matrix(state: PureState, left: SubsystemSet) -> np.ndarray:
     """Amplitudes reshaped to a (left block) x (right block) matrix."""
     profile = state.profile
     left.validate_for(profile)
-    m = profile.party_count
-    if len(left) >= m:
+    if len(left) >= profile.party_count:
         raise ValueError("left side must be a proper subset of the parties")
-    left_axes = [i - 1 for i in left.indices]
-    right_axes = [i for i in range(m) if i + 1 not in left]
-    dl = int(np.prod([profile.dims[a] for a in left_axes], dtype=np.int64))
-    dr = int(np.prod([profile.dims[a] for a in right_axes], dtype=np.int64))
-    return state.tensor().transpose(left_axes + right_axes).reshape(dl, dr)
+    return unfold(state.amplitudes, profile.dims, left)
 
 
 def schmidt_decompose(
@@ -64,8 +59,7 @@ def schmidt_decompose(
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     # rank on squared singular values so it agrees with numerical_rank of
     # either reduction (whose eigenvalues are the squares)
-    rank = int(np.count_nonzero(s**2 > tol * s[0] ** 2)) if s[0] > 0 else 0
-    rank = max(rank, 1)
+    rank = max(weight_rank(s**2, tol), 1)
     u, s, vh = u[:, :rank], s[:rank] / np.linalg.norm(s[:rank]), vh[:rank, :]
     for k in range(rank):
         col = u[:, k]
@@ -153,9 +147,3 @@ def mixed_bipartite_schmidt_number(rho: DensityMatrix, budget=None, tol: float =
         raise ValueError("mixed_bipartite_schmidt_number expects a two-party profile")
     return mixed_schmidt_number(rho, budget=budget or DEFAULT_BUDGET, tol=tol)
 
-
-def pure_projector_rank(state: PureState, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Schmidt rank of a bipartite pure state (helper shared with tests)."""
-    if state.party_count != 2:
-        raise ValueError("expects a two-party state")
-    return numerical_rank(reduce(state, SubsystemSet((1,))), tol)

@@ -28,9 +28,10 @@ from .core import (
     PureState,
     SubsystemSet,
     entropy_bits,
+    local_weights,
     numerical_rank,
     reduce,
-    spectrum,
+    weight_rank,
 )
 from .errors import SearchError, UnsupportedStructureError
 from .number import (
@@ -80,11 +81,12 @@ def generalized_eof(coeffs: Union[CoefficientSet, Sequence[float]]) -> float:
     return entropy_bits(np.asarray(values, dtype=np.float64) ** 2)
 
 
-def _scaled_root_values(rho: DensityMatrix, tol: float) -> np.ndarray:
-    """Positive eigenvalues of (1/sqrt 2) rho^(1/2), i.e. sqrt(lambda/2)."""
-    w = spectrum(rho).values
-    keep = w[w > tol * max(float(w[0]), 1e-300)]
-    return np.sqrt(np.clip(keep, 0.0, None) / 2.0)
+def _scaled_root_values(weights: np.ndarray, tol: float) -> np.ndarray:
+    """Positive eigenvalues of (1/sqrt 2) rho^(1/2), i.e. sqrt(lambda/2).
+
+    ``weights`` is the descending spectrum of rho, as from ``local_weights``.
+    """
+    return np.sqrt(weights[: weight_rank(weights, tol)] / 2.0)
 
 
 def _bipartite_set(state: PureState, tol: float) -> CoefficientSet:
@@ -164,11 +166,11 @@ def _party_data(state: PureState, engine: _Engine, tol: float):
     data = []
     for i in range(1, m + 1):
         me = SubsystemSet((i,))
-        own = reduce(state, me)
+        weights = local_weights(state, me)
+        rank = weight_rank(weights, tol)
         rest = reduce(state, me.complement(m))
-        rank = numerical_rank(own, tol)
         sub = engine.mixed_value(rest)
-        data.append({"party": i, "rank": rank, "own": own, "rest": rest, "sub": sub})
+        data.append({"party": i, "rank": rank, "weights": weights, "rest": rest, "sub": sub})
     total = max(d["rank"] + d["sub"].value_hi for d in data)
     maximizers = [d for d in data if d["rank"] + d["sub"].value_hi == total]
     return data, maximizers, total
@@ -179,7 +181,7 @@ def _genuine_three(state: PureState, engine: _Engine, budget, tol) -> Coefficien
     branches = []
     exact = True
     for d in maximizers:
-        sigma = _scaled_root_values(d["own"], tol)
+        sigma = _scaled_root_values(d["weights"], tol)
         rbar = d["sub"].value_hi
         exact = exact and d["sub"].exact
         if rbar == 1:
@@ -219,7 +221,7 @@ def _genuine_four(state: PureState, engine: _Engine, budget, tol) -> Coefficient
     branches = []
     exact = True
     for d in maximizers:
-        sigma = _scaled_root_values(d["own"], tol)
+        sigma = _scaled_root_values(d["weights"], tol)
         rbar = d["sub"].value_hi
         exact = exact and d["sub"].exact
         _, elem_coeffs = _max_entropy_element(d["rest"], rbar, engine, budget, tol)
@@ -266,12 +268,6 @@ def _element_set(state: PureState, engine: _Engine, budget, tol) -> CoefficientS
     return _coefficients(state, engine, budget, tol)
 
 
-def _range_basis(rho: DensityMatrix) -> np.ndarray:
-    w, v = spectrum(rho)
-    keep = [i for i in range(w.size) if w[i] > 1e-12]
-    return v[:, keep]
-
-
 def max_entropy_ensemble_element(
     rho: DensityMatrix,
     rank_target: int,
@@ -288,7 +284,8 @@ def max_entropy_ensemble_element(
 
 
 def _max_entropy_element(rho, rank_target, engine, budget, tol):
-    basis = _range_basis(rho)
+    _, elements = engine._eigen_elements(rho)
+    basis = np.column_stack([s.amplitudes for s in elements])
     kr = basis.shape[1]
     profile = rho.profile
 
@@ -444,11 +441,7 @@ def mixed_generalized_eof(
     ensemble average and the result is flagged inexact.
     """
     engine = _Engine(budget, tol)
-    w, v = spectrum(rho)
-    keep = [i for i in range(w.size) if w[i] > 1e-12]
-    weights = np.array([w[i] for i in keep])
-    weights = weights / weights.sum()
-    states = [PureState(rho.profile, v[:, i] / np.linalg.norm(v[:, i])) for i in keep]
+    weights, states = engine._eigen_elements(rho)
 
     if len(states) == 1:
         val = generalized_eof(_coefficients(states[0], engine, budget, tol))

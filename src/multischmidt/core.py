@@ -8,6 +8,9 @@ Conventions
   party 1 varying slowest.
 - All tolerances are explicit; the numerical rank cutoff is relative to the
   largest eigenvalue and defaults to ``DEFAULT_RANK_TOL``.
+- Pure-state ranks and local spectra come from ``local_weights``, the squared
+  singular values of one amplitude unfolding, counted by ``weight_rank``.
+  ``reduce`` forms reduced density matrices and is for mixed reductions.
 """
 from __future__ import annotations
 
@@ -183,6 +186,18 @@ def _require_hermitian(mat: np.ndarray, atol: float = 1e-8) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
 
 
+def unfold(amplitudes: np.ndarray, dims: tuple[int, ...], side: SubsystemSet) -> np.ndarray:
+    """Amplitude tensor as a (side block) x (rest block) matrix.
+
+    Both blocks keep ascending party order, matching ``reduce`` and
+    ``DimensionProfile.restrict``.
+    """
+    side_axes = [i - 1 for i in side.indices]
+    rest_axes = [a for a in range(len(dims)) if a + 1 not in side]
+    rows = int(np.prod([dims[a] for a in side_axes], dtype=np.int64))
+    return amplitudes.reshape(dims).transpose(side_axes + rest_axes).reshape(rows, -1)
+
+
 def reduce(state: Union[PureState, DensityMatrix], keep: SubsystemSet) -> DensityMatrix:
     """Partial trace over the complement of ``keep``.
 
@@ -199,7 +214,7 @@ def reduce(state: Union[PureState, DensityMatrix], keep: SubsystemSet) -> Densit
     dt = int(np.prod([dims[a] for a in traced_axes], dtype=np.int64)) if traced_axes else 1
 
     if isinstance(state, PureState):
-        psi = state.tensor().transpose(keep_axes + traced_axes).reshape(dk, dt)
+        psi = unfold(state.amplitudes, dims, keep)
         mat = psi @ psi.conj().T
     else:
         t = state.matrix.reshape(dims + dims)
@@ -211,14 +226,28 @@ def reduce(state: Union[PureState, DensityMatrix], keep: SubsystemSet) -> Densit
     return DensityMatrix(profile.restrict(keep), mat)
 
 
-def numerical_rank(mat: MatrixLike, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count eigenvalues above ``tol`` times the largest eigenvalue."""
-    arr = _require_hermitian(as_matrix(mat))
-    w = np.linalg.eigvalsh(arr)
-    top = float(w[-1])
+def local_weights(state: PureState, side: SubsystemSet) -> np.ndarray:
+    """Eigenvalues of the reduction of a pure state onto ``side``, descending.
+
+    They are the squared singular values of the side x rest unfolding, so the
+    reduced density matrix is never formed. Only min(dim_side, dim_rest)
+    values are returned; the reduction's remaining eigenvalues are zero.
+    """
+    mat = unfold(state.amplitudes, state.profile.dims, side)
+    return np.linalg.svd(mat, compute_uv=False) ** 2
+
+
+def weight_rank(weights: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
+    """Count weights above ``tol`` times the largest weight."""
+    top = float(np.max(weights))
     if top <= 0.0:
         return 0
-    return int(np.count_nonzero(w > tol * top))
+    return int(np.count_nonzero(weights > tol * top))
+
+
+def numerical_rank(mat: MatrixLike, tol: float = DEFAULT_RANK_TOL) -> int:
+    """Count eigenvalues above ``tol`` times the largest eigenvalue."""
+    return weight_rank(np.linalg.eigvalsh(_require_hermitian(as_matrix(mat))), tol)
 
 
 class Eigensystem(NamedTuple):

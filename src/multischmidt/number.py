@@ -39,12 +39,16 @@ from .core import (
     DimensionProfile,
     PureState,
     SubsystemSet,
+    local_weights,
     numerical_rank,
     reduce,
     spectrum,
+    unfold,
+    weight_rank,
 )
 from .partitions import enumerate_bipartitions, factorize
 from .seeding import stream
+from .states import apply_local_operators
 
 RECONSTRUCTION_ATOL = 1e-7
 EIGEN_WEIGHT_FLOOR = 1e-12
@@ -142,31 +146,12 @@ def _range_key(basis: np.ndarray, dims: tuple[int, ...]) -> tuple:
     return (dims, _stable_bytes(proj, 9))
 
 
-def _unfold(vec: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
-    m = len(dims)
-    axes = [party - 1] + [a for a in range(m) if a != party - 1]
-    rest = int(np.prod(dims, dtype=np.int64)) // dims[party - 1]
-    return vec.reshape(dims).transpose(axes).reshape(dims[party - 1], rest)
-
-
 def _single_party_spectra(state: PureState) -> list[np.ndarray]:
-    out = []
-    for i in range(1, state.party_count + 1):
-        mat = _unfold(state.amplitudes, state.profile.dims, i)
-        s = np.linalg.svd(mat, compute_uv=False)
-        out.append(s**2)
-    return out
-
-
-def _product_defect(state: PureState) -> float:
-    """Zero iff the state is fully product across all parties."""
-    return float(sum(1.0 - p[0] for p in _single_party_spectra(state)))
+    return [local_weights(state, SubsystemSet((i,))) for i in range(1, state.party_count + 1)]
 
 
 def _is_fully_product(state: PureState, tol: float) -> bool:
-    return all(
-        int(np.count_nonzero(p > tol * p[0])) == 1 for p in _single_party_spectra(state)
-    )
+    return all(weight_rank(p, tol) == 1 for p in _single_party_spectra(state))
 
 
 def _tail(weights: np.ndarray, r: int) -> float:
@@ -259,13 +244,13 @@ class _Engine:
     def _genuine_value(self, state: PureState) -> SchmidtNumberResult:
         m = state.party_count
         if m == 2:
-            r = numerical_rank(reduce(state, SubsystemSet((1,))), self.tol)
+            r = weight_rank(local_weights(state, SubsystemSet((1,))), self.tol)
             return _result(r, r, {"rule": "bipartite-rank", "rank": r})
         lo = hi = 0
         per_party = []
         for i in range(1, m + 1):
             me = SubsystemSet((i,))
-            r_i = numerical_rank(reduce(state, me), self.tol)
+            r_i = weight_rank(local_weights(state, me), self.tol)
             sub = self.mixed_value(reduce(state, me.complement(m)))
             lo = max(lo, r_i + sub.value_lo)
             hi = max(hi, r_i + sub.value_hi)
@@ -423,8 +408,8 @@ class _Engine:
         v1, v2 = v[:, 0], v[:, 1]
         quads = []
         for party in range(1, len(dims) + 1):
-            m1 = _unfold(v1, dims, party)
-            m2 = _unfold(v2, dims, party)
+            side = SubsystemSet((party,))
+            m1, m2 = unfold(v1, dims, side), unfold(v2, dims, side)
             rows, cols = m1.shape
             for r1, r2 in combinations(range(rows), 2):
                 for c1, c2 in combinations(range(cols), 2):
@@ -821,14 +806,7 @@ def slocc_rank_check(
         if np.linalg.cond(arr) > 1e10:
             raise ValueError("operator is too close to singular (condition number > 1e10)")
         ops.append(arr)
-    full = ops[0]
-    for op in ops[1:]:
-        full = np.kron(full, op)
-    vec = full @ state.amplitudes
-    norm = np.linalg.norm(vec)
-    if norm <= 0:
-        raise ValueError("transformed state vanished")
-    transformed = PureState(profile, vec / norm)
+    transformed = apply_local_operators(state, ops)
     engine = _Engine(budget, tol)
     before = engine.pure_value(state)
     after = engine.pure_value(transformed)

@@ -1,6 +1,7 @@
 """Finest product factorization of pure states and separability labels.
 
-A split A|rest is valid iff the reduction onto A has numerical rank 1; the
+A split A|rest is valid iff the A x rest amplitude unfolding has numerical
+rank 1, and its leading singular vectors are then the two factor states; the
 finest partition is obtained by greedy recursive splitting, which is unique
 for pure states. Every multi-party factor of the finest partition is
 genuinely entangled on its own parties.
@@ -14,12 +15,11 @@ import numpy as np
 
 from .core import (
     DEFAULT_RANK_TOL,
-    DensityMatrix,
     PureState,
     SubsystemSet,
-    numerical_rank,
-    reduce,
-    spectrum,
+    local_weights,
+    unfold,
+    weight_rank,
 )
 from .errors import ConsistencyError
 
@@ -86,26 +86,24 @@ def _local_subsets(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _dominant_pure(red: DensityMatrix) -> PureState:
-    w, v = spectrum(red)
-    if float(w[0]) < 1.0 - PURITY_ATOL:
-        raise ConsistencyError(
-            f"expected a pure reduction, largest eigenvalue {float(w[0])}"
-        )
-    vec = v[:, 0]
-    return PureState(red.profile, vec / np.linalg.norm(vec))
-
-
 def _finest(parties: tuple[int, ...], state: PureState, tol: float):
     k = len(parties)
     if k == 1:
         return [(parties, state)]
+    profile = state.profile
     for local in _local_subsets(k):
         side = SubsystemSet(local)
-        if numerical_rank(reduce(state, side), tol) == 1:
+        mat = unfold(state.amplitudes, profile.dims, side)
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        if weight_rank(s**2, tol) == 1:
+            # state = s[0] u[:, 0] (x) vh[0] up to the discarded tail
+            if float(s[0] ** 2) < 1.0 - PURITY_ATOL:
+                raise ConsistencyError(
+                    f"expected a pure reduction, largest eigenvalue {float(s[0] ** 2)}"
+                )
             other = side.complement(k)
-            state_a = _dominant_pure(reduce(state, side))
-            state_b = _dominant_pure(reduce(state, other))
+            state_a = PureState(profile.restrict(side), u[:, 0])
+            state_b = PureState(profile.restrict(other), vh[0])
             parties_a = tuple(parties[i - 1] for i in side.indices)
             parties_b = tuple(parties[i - 1] for i in other.indices)
             return _finest(parties_a, state_a, tol) + _finest(parties_b, state_b, tol)
@@ -141,6 +139,6 @@ def factorize(state: PureState, tol: float = DEFAULT_RANK_TOL) -> PartitionStruc
 def local_rank_vector(state: PureState, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
     """Per-party reduction ranks (the entanglement dimensionality vector)."""
     return tuple(
-        numerical_rank(reduce(state, SubsystemSet((i,))), tol)
+        weight_rank(local_weights(state, SubsystemSet((i,))), tol)
         for i in range(1, state.party_count + 1)
     )

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import multischmidt as ms
 from conftest import brute_partial_trace
+from multischmidt.core import local_weights, weight_rank
 
 
 def ket(label, dims=(2, 2)):
@@ -92,11 +93,20 @@ class TestReduce:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rank_matches_across_complementary_cuts(self, seed):
-        st_ = ms.random_pure(ms.DimensionProfile((2, 3, 2)), seed)
-        for cut in ms.enumerate_bipartitions(3):
-            ra = ms.numerical_rank(ms.reduce(st_, cut))
-            rb = ms.numerical_rank(ms.reduce(st_, cut.complement(3)))
-            assert ra == rb
+        for dims in ((2, 3, 2), (3, 3), (2, 2, 3), (2, 2, 2, 2)):
+            prof = ms.DimensionProfile(dims)
+            m = len(dims)
+            for st_ in (ms.random_pure(prof, seed), ms.random_product(prof, seed)):
+                for cut in ms.enumerate_bipartitions(m):
+                    red = ms.reduce(st_, cut)
+                    ra = ms.numerical_rank(red)
+                    assert ra == ms.numerical_rank(ms.reduce(st_, cut.complement(m)))
+                    # the unfolding SVD gives the same spectrum and rank
+                    w = local_weights(st_, cut)
+                    assert weight_rank(w) == ra
+                    evals = np.linalg.eigvalsh(red.matrix)[::-1]
+                    padded = np.concatenate([w, np.zeros(evals.size - w.size)])
+                    assert np.allclose(padded, evals, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_reduction_composes(self, seed):

@@ -120,6 +120,22 @@ class TestMixedSchmidtNumber:
         res = ms.mixed_schmidt_number(rho, FAST)
         assert (res.value_lo, res.value_hi, res.exact) == (1, 1, True)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="unsound two-party range-span certificate on 3x3 rank-2 ranges (ROADMAP item 2)",
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_schmidt_rank_two_mixture_is_at_most_two(self, seed):
+        rng = np.random.default_rng(seed)
+        states = []
+        for _ in range(2):
+            a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+            b = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+            vec = (a @ b).reshape(-1)
+            states.append(PureState(ms.DimensionProfile((3, 3)), vec / np.linalg.norm(vec)))
+        res = ms.mixed_schmidt_number(mixture(states, [0.5, 0.5]))
+        assert res.value_lo <= 2
+
 
 class TestEnsembleSearch:
     def test_ghz_reduction_product_ensemble(self):

@@ -57,6 +57,20 @@ class TestFactorize:
         assert structure.label == "12|34"
         assert [f.indices for f in structure.factors] == [(1, 2), (3, 4)]
 
+    def test_factor_states_rebuild_the_state(self):
+        pair = ms.random_pure(ms.DimensionProfile((2, 2)), 31)
+        qutrit = ms.random_pure(ms.DimensionProfile((3,)), 32)
+        block = ms.random_pure(ms.DimensionProfile((2, 3)), 33)
+        amps = np.kron(np.kron(pair.amplitudes, qutrit.amplitudes), block.amplitudes)
+        structure = ms.factorize(PureState(ms.DimensionProfile((2, 2, 3, 2, 3)), amps))
+        assert [f.indices for f in structure.factors] == [(1, 2), (3,), (4, 5)]
+        rebuilt = np.ones(1, dtype=complex)
+        for fs in structure.factor_states:
+            rebuilt = np.kron(rebuilt, fs.amplitudes)
+        phase = np.vdot(rebuilt, amps)
+        assert abs(abs(phase) - 1.0) < 1e-10
+        assert np.allclose(phase * rebuilt, amps, rtol=0.0, atol=1e-10)
+
     @pytest.mark.parametrize("seed", range(1000))
     def test_invariant_under_local_unitaries(self, seed):
         prof = ms.qubits(3)
