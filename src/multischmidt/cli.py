@@ -25,10 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import generalized_eof, pure_schmidt_coefficients
+from .coefficients import _coefficients, generalized_eof, pure_schmidt_coefficients
 from .core import DEFAULT_RANK_TOL, DimensionProfile, PureState
 from .errors import UnsupportedStructureError
-from .number import DEFAULT_BUDGET, SearchBudget, pure_schmidt_number
+from .number import DEFAULT_BUDGET, SearchBudget, _Engine, pure_schmidt_number
 from .partitions import factorize, local_rank_vector
 from .states import (
     AcinParameters,
@@ -146,12 +146,14 @@ def analyze_state(state: PureState, budget: SearchBudget, tol: float) -> Analysi
     start = time.perf_counter()
     structure = factorize(state, tol)
     ranks = local_rank_vector(state, tol)
-    number = pure_schmidt_number(state, budget, tol)
+    # one engine, so the number and the coefficients share every reduction
+    engine = _Engine(budget, tol)
+    number = engine.pure_value(state)
     coeffs = None
     note = None
     eof = None
     try:
-        cs = pure_schmidt_coefficients(state, budget, tol)
+        cs = _coefficients(state, engine, budget, tol)
         coeffs = cs.values
         eof = generalized_eof(cs)
         if not cs.exact:

@@ -9,6 +9,12 @@ coefficients by 1/sqrt(2), and keep the branch with the largest combined
 entropy. The union's squares always sum to one and the multiset size equals
 the Schmidt number whenever the latter is exact.
 
+The maximal-entropy element of a two-qubit reduction with target Schmidt
+number 2 is found in closed form: entropy rises with concurrence, and the
+concurrence maximum over the range is the top Takagi value of a 2k x 2k
+eigenproblem. Other element shapes are found by search: Nelder-Mead for two
+parties, proxy-ranked candidates for three.
+
 Supported genuinely entangled sizes are two, three, and four parties; larger
 genuinely entangled states raise ``UnsupportedStructureError``. Non-genuine
 states of any size recurse into their factors.
@@ -45,6 +51,9 @@ from .seeding import stream
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 TIE_ATOL = 1e-9
+_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+# sigma_y (x) sigma_y, the spin flip behind two-qubit concurrence
+_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real
 
 
 @dataclass(frozen=True)
@@ -152,104 +161,54 @@ def _genuine_coefficients(state: PureState, engine: _Engine, budget, tol) -> Coe
     m = state.party_count
     if m == 2:
         return _bipartite_set(state, tol)
-    if m == 3:
-        return _genuine_three(state, engine, budget, tol)
-    if m == 4:
-        return _genuine_four(state, engine, budget, tol)
-    raise UnsupportedStructureError(
-        f"no coefficient construction for genuinely entangled states on {m} parties"
-    )
-
-
-def _party_data(state: PureState, engine: _Engine, tol: float):
-    m = state.party_count
-    data = []
+    if m not in (3, 4):
+        raise UnsupportedStructureError(
+            f"no coefficient construction for genuinely entangled states on {m} parties"
+        )
+    parties = []
     for i in range(1, m + 1):
         me = SubsystemSet((i,))
         weights = local_weights(state, me)
-        rank = weight_rank(weights, tol)
         rest = reduce(state, me.complement(m))
-        sub = engine.mixed_value(rest)
-        data.append({"party": i, "rank": rank, "weights": weights, "rest": rest, "sub": sub})
-    total = max(d["rank"] + d["sub"].value_hi for d in data)
-    maximizers = [d for d in data if d["rank"] + d["sub"].value_hi == total]
-    return data, maximizers, total
-
-
-def _genuine_three(state: PureState, engine: _Engine, budget, tol) -> CoefficientSet:
-    _, maximizers, total = _party_data(state, engine, tol)
+        parties.append((i, weight_rank(weights, tol), weights, rest, engine.mixed_value(rest)))
+    total = max(rank + sub.value_hi for _, rank, _, _, sub in parties)
     branches = []
     exact = True
-    for d in maximizers:
-        sigma = _scaled_root_values(d["weights"], tol)
-        rbar = d["sub"].value_hi
-        exact = exact and d["sub"].exact
+    for party, rank, weights, rest, sub in parties:
+        rbar = sub.value_hi
+        if rank + rbar < total:
+            continue
+        sigma = _scaled_root_values(weights, tol)
+        exact = exact and sub.exact
         if rbar == 1:
-            vals = np.concatenate([sigma, [SQRT_HALF]])
-            elem_note = None
+            # a value-1 reduction has a product witness ensemble
+            gamma = np.ones(1)
         else:
-            _, elem_coeffs = _max_entropy_element(
-                d["rest"], rbar, engine, budget, tol
-            )
-            vals = np.concatenate([sigma, SQRT_HALF * np.asarray(elem_coeffs.values)])
-            elem_note = elem_coeffs.provenance.get("achieved_entropy")
-        branches.append(
-            {
-                "party": d["party"],
-                "entropy": entropy_bits(vals**2),
-                "values": vals,
-                "element_entropy": elem_note,
-                "reduction_value": rbar,
-            }
-        )
-    best = max(b["entropy"] for b in branches)
-    ties = [b["party"] for b in branches if b["entropy"] >= best - TIE_ATOL]
-    chosen = next(b for b in branches if b["party"] == ties[0])
+            _, elem = _max_entropy_element(rest, rbar, engine, budget, tol)
+            exact = exact and elem.exact
+            gamma = np.asarray(elem.values)
+        vals = np.concatenate([sigma, SQRT_HALF * gamma])
+        if m == 3:
+            score = entropy_bits(vals**2)
+        else:
+            score = entropy_bits(sigma**2) + generalized_eof(gamma)
+        branches.append((party, float(score), vals))
+    best = max(score for _, score, _ in branches)
+    ties = [party for party, score, _ in branches if score >= best - TIE_ATOL]
+    selected, _, values = next(b for b in branches if b[0] == ties[0])
     prov = {
-        "rule": "genuine-three",
-        "selected_party": chosen["party"],
+        "rule": "genuine-three" if m == 3 else "genuine-four",
+        "selected_party": selected,
         "ties": ties,
-        "branch_entropies": {b["party"]: float(b["entropy"]) for b in branches},
+        "branch_entropies" if m == 3 else "branch_scores": {p: s for p, s, _ in branches},
         "total_value": int(total),
         "exact": exact,
     }
-    return _make_set(chosen["values"], prov)
-
-
-def _genuine_four(state: PureState, engine: _Engine, budget, tol) -> CoefficientSet:
-    _, maximizers, total = _party_data(state, engine, tol)
-    branches = []
-    exact = True
-    for d in maximizers:
-        sigma = _scaled_root_values(d["weights"], tol)
-        rbar = d["sub"].value_hi
-        exact = exact and d["sub"].exact
-        _, elem_coeffs = _max_entropy_element(d["rest"], rbar, engine, budget, tol)
-        exact = exact and elem_coeffs.exact
-        gamma = np.asarray(elem_coeffs.values)
-        score = entropy_bits(sigma**2) + generalized_eof(elem_coeffs)
-        branches.append(
-            {
-                "party": d["party"],
-                "score": score,
-                "values": np.concatenate([sigma, SQRT_HALF * gamma]),
-            }
-        )
-    best = max(b["score"] for b in branches)
-    ties = [b["party"] for b in branches if b["score"] >= best - TIE_ATOL]
-    chosen = next(b for b in branches if b["party"] == ties[0])
-    prov = {
-        "rule": "genuine-four",
-        "selected_party": chosen["party"],
-        "ties": ties,
-        "branch_scores": {b["party"]: float(b["score"]) for b in branches},
-        "total_value": int(total),
-        "exact": exact,
+    if m == 4:
         # the element entropy is read as the generalized EoF of the element's
         # own construction (its maximal branch)
-        "element_entropy_convention": "max-branch",
-    }
-    return _make_set(chosen["values"], prov)
+        prov["element_entropy_convention"] = "max-branch"
+    return _make_set(values, prov)
 
 
 # ---- constrained max-entropy element search -----------------------------------
@@ -279,6 +238,8 @@ def max_entropy_ensemble_element(
     The search space is the unit sphere of range(rho), exactly the states
     appearing in some pure ensemble of rho. Deterministic given the seed.
     """
+    if rank_target < 1:
+        raise ValueError("target rank must be >= 1")
     engine = _Engine(budget, tol)
     return _max_entropy_element(rho, rank_target, engine, budget, tol)
 
@@ -305,6 +266,14 @@ def _max_entropy_element(rho, rank_target, engine, budget, tol):
         st = make_state(np.ones(1, dtype=np.complex128))
         if not qualifies(st):
             raise SearchError("range is one-dimensional and misses the rank target")
+        return finish(st)
+
+    if profile.dims == (2, 2) and rank_target == 2:
+        # a two-qubit state's entropy rises with its concurrence, whose
+        # maximum over the range is an eigenvalue problem: no search needed
+        st = make_state(_max_concurrence_direction(basis))
+        if not qualifies(st):
+            raise SearchError("every state in the range is a product: no rank-2 element")
         return finish(st)
 
     # exact shortcut: rank-1 targets on a plane range are the product rays
@@ -398,6 +367,23 @@ def _max_entropy_element(rho, rank_target, engine, budget, tol):
     raise SearchError(
         f"no ensemble element of Schmidt number {rank_target} found within budget"
     )
+
+
+def _max_concurrence_direction(basis: np.ndarray) -> np.ndarray:
+    """Unit u maximizing the concurrence |u^T A u| of basis @ u.
+
+    ``basis`` has orthonormal columns in C^4 and A = basis^T (sigma_y (x)
+    sigma_y) basis. For complex symmetric A the maximum over unit u is A's
+    top Takagi value (Wootters, PRL 80, 2245; Uhlmann, PRA 62, 032307). With
+    u = x + iy it is the top eigenvalue of the real symmetric
+    [[Re A, -Im A], [-Im A, -Re A]], whose eigenvector (x, y) attains it even
+    when that eigenvalue is degenerate.
+    """
+    a = basis.T @ _SPIN_FLIP @ basis
+    k = a.shape[0]
+    _, vecs = np.linalg.eigh(np.block([[a.real, -a.imag], [-a.imag, -a.real]]))
+    top = vecs[:, -1]
+    return top[:k] + 1j * top[k:]
 
 
 def _rank_penalty(state: PureState, rank_target: int) -> float:

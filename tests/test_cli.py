@@ -106,6 +106,23 @@ class TestAnalyze:
         assert report.value_hi == 3 and report.exact
         assert report.generalized_eof == pytest.approx(1.5, abs=1e-9)
 
+    def test_number_and_coefficients_share_reductions(self, monkeypatch):
+        from multischmidt.number import _Engine
+
+        calls = []
+        solve = _Engine._mixed_value
+
+        def counted(self, rho):
+            calls.append(rho)
+            return solve(self, rho)
+
+        monkeypatch.setattr(_Engine, "_mixed_value", counted)
+        ms.pure_schmidt_number(ms.w_state(3), ms.DEFAULT_BUDGET, 1e-8)
+        alone = len(calls)
+        calls.clear()
+        analyze_state(ms.w_state(3), ms.DEFAULT_BUDGET, 1e-8)
+        assert alone > 0 and len(calls) == alone
+
 
 class TestReproduce:
     def test_all_rows_pass(self, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import multischmidt as ms
 from multischmidt.core import DensityMatrix, PureState
@@ -17,7 +18,7 @@ class TestPureCoefficients:
     def test_w3(self):
         cs = ms.pure_schmidt_coefficients(ms.w_state(3))
         want = sorted([1 / np.sqrt(3), 1 / np.sqrt(6), 0.5, 0.5], reverse=True)
-        assert np.allclose(cs.values, want, atol=1e-6)
+        assert np.allclose(cs.values, want, rtol=0, atol=1e-12)
 
     def test_product(self):
         cs = ms.pure_schmidt_coefficients(ms.basis_state(ms.qubits(3), (0, 0, 0)))
@@ -85,15 +86,15 @@ class TestPureCoefficients:
             ties = cs.provenance["ties"]
             assert len(ties) == 3  # symmetric states: every party maximizes
             vals = [ents[t] for t in ties]
-            assert max(vals) - min(vals) < 1e-6
+            assert max(vals) - min(vals) < 1e-12
 
 
 class TestMaxEntropyElement:
     def test_w3_reduction_reaches_maximal_entropy(self):
         red = ms.reduce(ms.w_state(3), ms.SubsystemSet((2, 3)))
         elem, cs = ms.max_entropy_ensemble_element(red, 2)
-        assert np.allclose(cs.values, [1 / np.sqrt(2)] * 2, atol=1e-6)
-        assert cs.provenance["achieved_entropy"] == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(cs.values, [1 / np.sqrt(2)] * 2, rtol=0, atol=1e-12)
+        assert cs.provenance["achieved_entropy"] == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_projector_returns_state_itself(self):
         st = ms.random_pure(ms.DimensionProfile((2, 2)), 41)
@@ -127,6 +128,68 @@ class TestMaxEntropyElement:
         )
         with pytest.raises(SearchError):
             ms.max_entropy_ensemble_element(rho, 2, FAST)
+
+    @pytest.mark.parametrize("target", [0, -1])
+    def test_nonpositive_rank_target_rejected(self, target):
+        red = ms.reduce(ms.w_state(3), ms.SubsystemSet((2, 3)))
+        with pytest.raises(ValueError, match="target rank must be >= 1"):
+            ms.max_entropy_ensemble_element(red, target)
+
+
+def _random_pair_density(rank: int, seed: int) -> DensityMatrix:
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    return DensityMatrix(ms.DimensionProfile((2, 2)), rho / np.trace(rho).real)
+
+
+def _pair_entropy(vec: np.ndarray) -> float:
+    p = np.linalg.svd(vec.reshape(2, 2), compute_uv=False) ** 2
+    return ms.entropy_bits(p / p.sum())
+
+
+class TestClosedFormTwoQubitElement:
+    """Two-qubit rank-2 elements come from the top Takagi vector, not a search."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_range_state_beats_it(self, rank, seed):
+        rho = _random_pair_density(rank, seed)
+        _, cs = ms.max_entropy_ensemble_element(rho, 2)
+        got = cs.provenance["achieved_entropy"]
+        assert got <= 1.0 + 1e-12
+        w, v = np.linalg.eigh(rho.matrix)
+        basis = v[:, w > 1e-10]
+        assert basis.shape[1] == rank
+        rng = np.random.default_rng(100 + seed)
+
+        def entropy_at(x: np.ndarray) -> float:
+            u = x[:rank] + 1j * x[rank:]
+            return _pair_entropy(basis @ (u / np.linalg.norm(u)))
+
+        for _ in range(200):
+            assert got >= entropy_at(rng.normal(size=2 * rank)) - 1e-10
+        # reference: Nelder-Mead over the range, best of a few restarts
+        reference = max(
+            -minimize(
+                lambda x: -entropy_at(x),
+                rng.normal(size=2 * rank),
+                method="Nelder-Mead",
+                options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
+            ).fun
+            for _ in range(4)
+        )
+        assert got >= reference - 1e-10
+
+    def test_runs_no_optimizer(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the two-qubit element must not be searched for")
+
+        monkeypatch.setattr("multischmidt.coefficients.minimize", refuse)
+        elem, cs = ms.max_entropy_ensemble_element(_random_pair_density(3, 7), 2)
+        assert len(cs.values) == 2
+        want = _pair_entropy(elem.amplitudes)
+        assert cs.provenance["achieved_entropy"] == pytest.approx(want, abs=1e-12)
 
 
 class TestGeneralizedEof:
