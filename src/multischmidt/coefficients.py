@@ -35,8 +35,8 @@ from .core import (
     SubsystemSet,
     entropy_bits,
     local_weights,
-    numerical_rank,
     reduce,
+    spectrum,
     weight_rank,
 )
 from .errors import SearchError, UnsupportedStructureError
@@ -245,7 +245,8 @@ def max_entropy_ensemble_element(
 
 
 def _max_entropy_element(rho, rank_target, engine, budget, tol):
-    _, elements = engine._eigen_elements(rho)
+    w, v = spectrum(rho)
+    _, elements = engine._eigen_elements(rho, w, v)
     basis = np.column_stack([s.amplitudes for s in elements])
     kr = basis.shape[1]
     profile = rho.profile
@@ -278,7 +279,7 @@ def _max_entropy_element(rho, rank_target, engine, budget, tol):
 
     # exact shortcut: rank-1 targets on a plane range are the product rays
     if rank_target == 1 and kr == 2:
-        route, cand = engine._product_route(rho, numerical_rank(rho, tol))
+        route, cand = engine._product_route(rho, w, v)
         if cand is not None:
             for st in cand.states:
                 if qualifies(st):
@@ -427,7 +428,7 @@ def mixed_generalized_eof(
     ensemble average and the result is flagged inexact.
     """
     engine = _Engine(budget, tol)
-    weights, states = engine._eigen_elements(rho)
+    weights, states = engine._eigen_elements(rho, *spectrum(rho))
 
     if len(states) == 1:
         val = generalized_eof(_coefficients(states[0], engine, budget, tol))

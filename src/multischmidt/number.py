@@ -10,14 +10,14 @@ Mixed states use the convex roof over pure ensembles. Because the roof is
 not computable in general, results are intervals [value_lo, value_hi] with
 an ``exact`` flag:
 
-- value_hi comes from explicit ensembles (eigen-ensemble, exact rank-2
-  product decompositions, or seeded ensemble search over the isometry
+- value_hi comes from explicit ensembles (eigen-ensemble, exact mixtures of
+  minor roots on rank-2 ranges, or seeded ensemble search over the isometry
   parametrization of all decompositions);
 - value_lo combines the partial-transpose test over all bipartitions with a
-  range-span certificate: every ensemble of rho spans range(rho), so if all
-  states of value <= r inside the range lie in a proper subspace, the roof
-  exceeds r. For rank-2 states the certificate scans the projective line of
-  the range exhaustively.
+  range-span certificate. On a rank-2 range the low-value states of two
+  parties are the finite common roots of minor forms, which mix to rho or
+  prove value_lo > r, so two-party rank-2 states are exact. For three or
+  more parties the certificate is a heuristic grid-and-polish scan.
 
 Every worked example in the test suite resolves to a matching lo/hi pair;
 anything the machinery cannot certify is reported inexact, never guessed.
@@ -40,7 +40,7 @@ from .core import (
     PureState,
     SubsystemSet,
     local_weights,
-    numerical_rank,
+    normalized_state,
     reduce,
     spectrum,
     unfold,
@@ -148,10 +148,6 @@ def _range_key(basis: np.ndarray, dims: tuple[int, ...]) -> tuple:
 
 def _single_party_spectra(state: PureState) -> list[np.ndarray]:
     return [local_weights(state, SubsystemSet((i,))) for i in range(1, state.party_count + 1)]
-
-
-def _is_fully_product(state: PureState, tol: float) -> bool:
-    return all(weight_rank(p, tol) == 1 for p in _single_party_spectra(state))
 
 
 def _tail(weights: np.ndarray, r: int) -> float:
@@ -280,8 +276,7 @@ class _Engine:
             self._mixed_cache[key] = hit
         return hit
 
-    def _eigen_elements(self, rho: DensityMatrix):
-        w, v = spectrum(rho)
+    def _eigen_elements(self, rho: DensityMatrix, w: np.ndarray, v: np.ndarray):
         keep = [i for i in range(w.size) if w[i] > EIGEN_WEIGHT_FLOOR]
         weights = np.array([w[i] for i in keep], dtype=np.float64)
         weights = weights / weights.sum()
@@ -296,8 +291,9 @@ class _Engine:
         if m == 1:
             return _result(1, 1, {"rule": "single-party"})
 
-        k = numerical_rank(rho, self.tol)
-        weights, elements = self._eigen_elements(rho)
+        w, v = spectrum(rho)
+        k = weight_rank(w, self.tol)
+        weights, elements = self._eigen_elements(rho, w, v)
         if k == 1 and len(elements) == 1:
             sub = self.pure_value(elements[0])
             trace = {"rule": "rank-one", "pure_trace": sub.branch_trace}
@@ -333,37 +329,41 @@ class _Engine:
 
         # exact product-ensemble routes; they also sharpen lo when products
         # provably cannot mix to rho
-        r1_excluded = False
-        route, cand = self._product_route(rho, k)
+        route, cand = self._product_route(rho, w, v)
         trace["product_route"] = route
         if cand is not None:
             return _result(1, 1, trace | {"rule": "product-ensemble"}, cand)
         if route in ("no-products-in-range", "products-cannot-mix"):
-            r1_excluded = True
             lo = max(lo, 2)
             if lo == hi:
                 trace["rule"] = "product-exclusion-meets-eigen"
                 return _result(lo, hi, trace, witness)
 
-        # range-span certificate: prove nothing below the eigen value exists
-        if lo < hi and k == 2:
-            cert = self._span_certificate(rho, hi - 1)
-            trace["certificate"] = cert["summary"] if cert else None
+        # range-span certificates from the eigen value down: certifying level
+        # r proves lo = r + 1; a two-party certificate is exact, so where it
+        # cannot certify it brings a mixture of value <= r instead
+        plane = k == 2 and w[1] > EIGEN_WEIGHT_FLOOR
+        while lo < hi and plane:
+            cert = self._span_certificate(rho, w, v, hi - 1)
+            trace["certificate"] = cert["summary"] if cert else "cap-reached"
             if cert and cert["certified"]:
                 return _result(hi, hi, trace | {"rule": "range-span-certified"}, witness)
+            if not cert or cert.get("witness") is None:
+                break
+            hi, witness = hi - 1, cert["witness"]
+        if lo == hi:
+            return _result(lo, hi, trace | {"rule": "minor-root-mixture"}, witness)
 
         # ensemble searches, ascending target
         attempts = []
         for r in range(lo, hi):
-            if r == 1 and r1_excluded:
-                continue
             cand = self.search_ensemble(rho, r)
             attempts.append({"target": r, "found": cand is not None})
             if cand is not None:
                 hi = r
                 witness = cand
-                if lo < hi and k == 2:
-                    cert = self._span_certificate(rho, hi - 1)
+                if lo < hi and plane:
+                    cert = self._span_certificate(rho, w, v, hi - 1)
                     if cert and cert["certified"]:
                         lo = hi
                 break
@@ -373,7 +373,7 @@ class _Engine:
 
     # ---- exact product routes --------------------------------------------
 
-    def _product_route(self, rho: DensityMatrix, k: int):
+    def _product_route(self, rho: DensityMatrix, w: np.ndarray, v: np.ndarray):
         """Try to settle whether rho is a mixture of fully product states."""
         mat = rho.matrix
         diag = np.real(np.diag(mat)).copy()
@@ -389,88 +389,62 @@ class _Engine:
             cand = _build_candidate(rho, weights, states)
             if cand is not None:
                 return "diagonal-basis", cand
-        if k == 2:
-            return self._rank2_product_route(rho)
-        return "inconclusive", None
-
-    def _rank2_product_route(self, rho: DensityMatrix):
-        """Exact product analysis on a two-dimensional range.
-
-        Fully product states in span{v1, v2} are the common projective roots
-        of the 2x2 minor quadratics of every single-party unfolding, so they
-        can be enumerated and the mixing weights solved for directly. With
-        clear margins this decides target value 1 definitively either way.
-        """
-        dims = rho.profile.dims
-        w, v = spectrum(rho)
-        if w[1] <= EIGEN_WEIGHT_FLOOR:
+        if weight_rank(w, self.tol) != 2 or w[1] <= EIGEN_WEIGHT_FLOOR:
             return "inconclusive", None
-        v1, v2 = v[:, 0], v[:, 1]
-        quads = []
-        for party in range(1, len(dims) + 1):
-            side = SubsystemSet((party,))
-            m1, m2 = unfold(v1, dims, side), unfold(v2, dims, side)
-            rows, cols = m1.shape
-            for r1, r2 in combinations(range(rows), 2):
-                for c1, c2 in combinations(range(cols), 2):
-                    a = m1[r1, c1] * m1[r2, c2] - m1[r1, c2] * m1[r2, c1]
-                    c = m2[r1, c1] * m2[r2, c2] - m2[r1, c2] * m2[r2, c1]
-                    b = (
-                        m1[r1, c1] * m2[r2, c2]
-                        + m2[r1, c1] * m1[r2, c2]
-                        - m1[r1, c2] * m2[r2, c1]
-                        - m2[r1, c2] * m1[r2, c1]
-                    )
-                    quads.append((a, b, c))
-        scale = max(max(abs(a), abs(b), abs(c)) for a, b, c in quads)
-        if scale < 1e-12:
-            # every range state is fully product; the eigen-ensemble works
-            weights, states = self._eigen_elements(rho)
-            if all(_is_fully_product(s, self.tol) for s in states):
-                cand = _build_candidate(rho, weights, states)
-                if cand is not None:
-                    return "all-product-range", cand
+        rays = self._range_rays(rho, v, 1)
+        if rays is None:
             return "inconclusive", None
-
-        informative = [q for q in quads if max(abs(q[0]), abs(q[1]), abs(q[2])) > 1e-9 * scale]
-        pilot = max(informative, key=lambda q: max(abs(q[0]), abs(q[1]), abs(q[2])))
-        rays = _projective_roots(pilot)
-        tol_q = 1e-8 * scale
-        validated = []
-        for alpha, beta in rays:
-            resid = max(
-                abs(a * alpha * alpha + b * alpha * beta + c * beta * beta)
-                for a, b, c in informative
-            )
-            if resid <= tol_q:
-                vec = alpha * v1 + beta * v2
-                cand_state = PureState(rho.profile, vec / np.linalg.norm(vec))
-                if _is_fully_product(cand_state, self.tol):
-                    validated.append(cand_state)
-            elif resid <= 10.0 * tol_q:
-                return "inconclusive", None  # gray zone: no exact claim
-        validated = _dedupe_states(validated)
-        if not validated:
+        if not rays:
             return "no-products-in-range", None
-        cand = _solve_mixture(rho, validated)
+        cand = _solve_mixture(rho, rays)
         if cand is not None:
             return "rank2-products", cand
         return "products-cannot-mix", None
 
+    def _range_rays(self, rho: DensityMatrix, v: np.ndarray, r: int) -> Optional[list[PureState]]:
+        """The states of value <= r in span{v1, v2} (None when unclear).
+
+        These are the common roots of ``_minor_roots``: a finite set or the
+        whole plane, so _solve_mixture decides target r exactly. Supported:
+        r = 1 (fully product states) for any party count, any r for two.
+        """
+        v1, v2 = v[:, 0], v[:, 1]
+        rays = []
+        # a rank-s ray is a multiple root above level s and accurate only at
+        # level s, so levels go lowest first and _dedupe_states keeps that copy
+        for level in range(1, r + 1):
+            roots = _minor_roots(v1, v2, rho.profile.dims, level)
+            if roots is None:
+                return None
+            rays.extend(normalized_state(rho.profile, a * v1 + b * v2) for a, b in roots)
+        rays = _dedupe_states(rays)
+        if any(weight_rank(p, self.tol) > r for s in rays for p in _single_party_spectra(s)):
+            return None  # the forms and the rank test disagree: no exact claim
+        return rays
+
     # ---- range-span lower bound -------------------------------------------
 
-    def _span_certificate(self, rho: DensityMatrix, r: int) -> Optional[dict]:
+    def _span_certificate(
+        self, rho: DensityMatrix, w: np.ndarray, v: np.ndarray, r: int
+    ) -> Optional[dict]:
         """Certify that no ensemble of rho can consist of value <= r states.
 
-        Scans the projective line of a rank-2 range: grid points are
-        classified by their (integer) pure value; definite zeros must span a
-        proper subspace and no ambiguous point may appear. For three-party
-        elements an exact continuous surrogate is additionally minimized to
-        catch off-grid zeros.
+        Two parties: exact. The rays of ``_range_rays`` mix to rho (returned
+        as ``witness``) or no such ensemble exists; this depends on rho, not
+        just its range, so it is neither cached nor capped. More parties: a
+        heuristic scan of the projective line. Grid points are classified by
+        their (integer) pure value; definite zeros must span a proper
+        subspace and no ambiguous point may appear; for three parties an
+        exact continuous surrogate is also minimized to catch off-grid zeros.
+        Returns None when the MAX_FRESH_CERTS cap refuses a new scan.
         """
-        w, v = spectrum(rho)
-        if numerical_rank(rho, self.tol) != 2 or w[1] <= EIGEN_WEIGHT_FLOOR:
-            return None
+        if rho.party_count == 2:
+            rays = self._range_rays(rho, v, r)
+            if rays is None:
+                return {"certified": False, "summary": {"certified": False, "reason": "ambiguous"}}
+            cand = _solve_mixture(rho, rays) if rays else None
+            summary = {"certified": cand is None, "level": int(r), "minor_roots": len(rays)}
+            return {"certified": cand is None, "witness": cand, "summary": summary}
         basis = v[:, :2]
         key = (_range_key(basis, rho.profile.dims), r)
         if key in self._cert_cache:
@@ -578,13 +552,14 @@ class _Engine:
         """
         if target_r < 1:
             raise ValueError("target rank must be >= 1")
-        weights, elements = self._eigen_elements(rho)
+        w, v = spectrum(rho)
+        weights, elements = self._eigen_elements(rho, w, v)
         if all(self.pure_value(s).value_hi <= target_r for s in elements):
             cand = _build_candidate(rho, weights, elements)
             if cand is not None:
                 return cand
         if target_r == 1:
-            route, cand = self._product_route(rho, numerical_rank(rho, self.tol))
+            route, cand = self._product_route(rho, w, v)
             if cand is not None:
                 return cand
             if route in ("no-products-in-range", "products-cannot-mix"):
@@ -651,26 +626,42 @@ class _Engine:
 # ---- helpers -----------------------------------------------------------------
 
 
-def _projective_roots(quad: tuple[complex, complex, complex]) -> list[tuple[complex, complex]]:
-    a, b, c = quad
-    scale = max(abs(a), abs(b), abs(c))
-    rays: list[tuple[complex, complex]] = []
-    if abs(a) > 1e-12 * scale:
-        for z in np.roots([a, b, c]):
-            # one Newton polish step
-            fp = 2 * a * z + b
-            if abs(fp) > 1e-30:
-                z = z - (a * z * z + b * z + c) / fp
-            rays.append((z, 1.0 + 0.0j))
-    else:
-        rays.append((1.0 + 0.0j, 0.0j))
-        if abs(b) > 1e-12 * scale:
-            rays.append((-c / b, 1.0 + 0.0j))
-    out = []
-    for alpha, beta in rays:
-        norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        out.append((alpha / norm, beta / norm))
-    return out
+def _minor_roots(
+    v1: np.ndarray, v2: np.ndarray, dims: tuple[int, ...], level: int
+) -> Optional[np.ndarray]:
+    """Unit rays (alpha, beta) where the (level+1)-minors of alpha*v1 + beta*v2 vanish.
+
+    The minors of the one unfolding of two parties, or (level 1) of every
+    single-party unfolding. Each is a binary form of degree level + 1 whose
+    coefficients come from an inverse DFT of level + 2 values on the unit
+    circle; the strongest form's roots are kept where all forms vanish.
+    """
+    n = level + 2
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    forms = []
+    for party in range(1, len(dims) + 1) if len(dims) > 2 else (1,):
+        side = SubsystemSet((party,))
+        pencil = z[:, None, None] * unfold(v1, dims, side) + unfold(v2, dims, side)
+        rows = np.array(list(combinations(range(pencil.shape[1]), level + 1)), dtype=int)
+        cols = np.array(list(combinations(range(pencil.shape[2]), level + 1)), dtype=int)
+        minors = pencil[:, rows.reshape(-1, 1, level + 1, 1), cols.reshape(1, -1, 1, level + 1)]
+        # a minor at z_j is sum_k c_k z_j^k, so the DFT over j gives n * c_k
+        forms.append(np.fft.fft(np.linalg.det(minors).reshape(n, -1), axis=0).T / n)
+    forms = np.concatenate(forms)
+    strength = np.max(np.abs(forms), axis=1, initial=0.0)
+    scale = float(np.max(strength, initial=0.0))
+    if scale < 1e-12:
+        return np.eye(2)  # every state of the plane qualifies
+    pilot = forms[np.argmax(strength)][::-1]  # highest power of alpha first
+    lead = int(np.flatnonzero(np.abs(pilot) > 1e-12 * scale)[0])
+    # a dropped degree is a root at infinity
+    rays = np.array([(t, 1.0) for t in np.roots(pilot[lead:])] + [(1.0, 0.0)] * (lead > 0))
+    rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    powers = rays[:, :1] ** np.arange(n) * rays[:, 1:] ** np.arange(n)[::-1]
+    resid = np.max(np.abs(forms[strength > 1e-9 * scale] @ powers.T), axis=0)
+    if np.any((resid > 1e-8 * scale) & (resid <= 1e-7 * scale)):
+        return None  # gray zone: no exact claim
+    return rays[resid <= 1e-8 * scale]
 
 
 def _dedupe_states(states: list[PureState]) -> list[PureState]:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import multischmidt as ms
-from multischmidt.core import DensityMatrix, PureState
+from multischmidt import number
+from multischmidt.core import DEFAULT_RANK_TOL, DensityMatrix, PureState
 
 FAST = ms.SearchBudget(restarts=16, iters=150, seed=0)
 
@@ -13,6 +14,14 @@ def mixture(states, weights):
     for st, w in zip(states, weights):
         mat += w * np.outer(st.amplitudes, st.amplitudes.conj())
     return DensityMatrix(prof, mat)
+
+
+def planted_ket(rng, dims, rank):
+    """A normalized two-party amplitude vector of the given Schmidt rank."""
+    a = rng.normal(size=(dims[0], rank)) + 1j * rng.normal(size=(dims[0], rank))
+    b = rng.normal(size=(rank, dims[1])) + 1j * rng.normal(size=(rank, dims[1]))
+    vec = (a @ b).reshape(-1)
+    return vec / np.linalg.norm(vec)
 
 
 class TestPureSchmidtNumber:
@@ -120,21 +129,67 @@ class TestMixedSchmidtNumber:
         res = ms.mixed_schmidt_number(rho, FAST)
         assert (res.value_lo, res.value_hi, res.exact) == (1, 1, True)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="unsound two-party range-span certificate on 3x3 rank-2 ranges (ROADMAP item 2)",
-    )
     @pytest.mark.parametrize("seed", range(5))
     def test_schmidt_rank_two_mixture_is_at_most_two(self, seed):
         rng = np.random.default_rng(seed)
-        states = []
-        for _ in range(2):
-            a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-            b = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-            vec = (a @ b).reshape(-1)
-            states.append(PureState(ms.DimensionProfile((3, 3)), vec / np.linalg.norm(vec)))
+        states = [
+            PureState(ms.DimensionProfile((3, 3)), planted_ket(rng, (3, 3), 2)) for _ in range(2)
+        ]
         res = ms.mixed_schmidt_number(mixture(states, [0.5, 0.5]))
-        assert res.value_lo <= 2
+        assert (res.value_lo, res.value_hi, res.exact) == (2, 2, True)
+        for st in res.witness_ensemble.states:
+            assert ms.schmidt_decompose(st, ms.SubsystemSet((1,))).rank <= 2
+
+    @pytest.mark.parametrize(
+        "dims, ranks",
+        [
+            (d, (k1, k2))
+            for d in [(2, 4), (3, 3), (3, 4), (4, 4)]
+            for k1 in (1, 2, 3)
+            for k2 in (1, 2, 3)
+            if k1 <= k2 <= min(d)
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_rank_two_mixture_is_exact_and_sound(self, dims, ranks, seed):
+        rng = np.random.default_rng([seed, *ranks, *dims])
+        prof = ms.DimensionProfile(dims)
+        states = [PureState(prof, planted_ket(rng, dims, k)) for k in ranks]
+        rho = mixture(states, [0.4, 0.6])
+        res = ms.mixed_schmidt_number(rho)
+        assert res.exact and res.value_lo <= max(ranks)
+        witness = res.witness_ensemble
+        assert np.linalg.norm(witness.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
+        assert all(ms.pure_schmidt_number(st).value_hi <= res.value_hi for st in witness.states)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_haar_rank_two_mixture_stays_three(self, seed):
+        prof = ms.DimensionProfile((3, 3))
+        rho = mixture([ms.random_pure(prof, 2 * seed), ms.random_pure(prof, 2 * seed + 1)], [0.5, 0.5])
+        res = ms.mixed_schmidt_number(rho)
+        assert (res.value_lo, res.value_hi, res.exact) == (3, 3, True)
+
+    def test_bipartite_rank_two_runs_no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a two-party rank-2 state reached a heuristic")
+
+        monkeypatch.setattr(number, "minimize", refuse)
+        monkeypatch.setattr(number._Engine, "_polish_zero_hunt", refuse)
+        monkeypatch.setattr(number._Engine, "search_ensemble", refuse)
+        rng = np.random.default_rng(7)
+        prof = ms.DimensionProfile((3, 4))
+        for rank, want in ((2, 2), (3, 3)):
+            states = [PureState(prof, planted_ket(rng, (3, 4), rank)) for _ in range(2)]
+            res = ms.mixed_schmidt_number(mixture(states, [0.3, 0.7]))
+            assert (res.value_lo, res.value_hi, res.exact) == (want, want, True)
+            assert "grid" not in res.branch_trace["certificate"]
+
+    def test_certificate_cap_is_reported(self):
+        engine = number._Engine(ms.SearchBudget(restarts=8, iters=20, seed=0), DEFAULT_RANK_TOL)
+        engine._fresh_certs = engine.MAX_FRESH_CERTS
+        res = engine.mixed_value(ms.reduce(ms.w_state(4), ms.SubsystemSet((2, 3, 4))))
+        assert res.branch_trace["certificate"] == "cap-reached"
+        assert res.value_hi == 4
 
 
 class TestEnsembleSearch:
