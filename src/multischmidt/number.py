@@ -11,11 +11,12 @@ not computable in general, results are intervals [value_lo, value_hi] with
 an ``exact`` flag:
 
 - value_hi comes from explicit ensembles (eigen-ensemble, exact mixtures of
-  minor roots on rank-2 ranges, or seeded ensemble search over the isometry
+  range rays on rank-2 ranges, or seeded ensemble search over the isometry
   parametrization of all decompositions);
 - value_lo combines the partial-transpose test over all bipartitions with a
-  range-span certificate. On a rank-2 range the low-value states of two
-  parties are the finite common roots of minor forms, which mix to rho or
+  range-span certificate. On a rank-2 range of two parties the states of
+  value <= r below the generic rank are the finitely many rank-drop rays of
+  the unfolding pencil (its generalized eigenvalues), which mix to rho or
   prove value_lo > r, so two-party rank-2 states are exact. For three or
   more parties the certificate is a heuristic grid-and-polish scan.
 
@@ -25,11 +26,10 @@ anything the machinery cannot certify is reported inexact, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigvals, expm
 from scipy.optimize import minimize, nnls
 
 from .bipartite import ppt_decisive, ppt_entangled, ppt_negativity
@@ -52,6 +52,10 @@ from .states import apply_local_operators
 
 RECONSTRUCTION_ATOL = 1e-7
 EIGEN_WEIGHT_FLOOR = 1e-12
+# a range ray's dropped weights sit below this (relative) or above the rank tol
+ROOT_FLOOR = 1e-20
+# fixed generic members z*M1 + M2 of a range pencil
+_PROBES = np.exp(1j * np.array([1.0, 2.0, 3.0]))
 
 
 @dataclass(frozen=True)
@@ -171,9 +175,9 @@ class _Engine:
     """Memoized evaluator shared by one public call.
 
     Caches pure/mixed results by rounded amplitudes/matrices and range-span
-    certificates by rounded range projectors, so the nested recursion of the
-    genuinely entangled rule (pure -> mixed reductions -> range scans ->
-    pure elements) stays affordable.
+    certificates and range rays by rounded range projectors, so the nested
+    recursion of the genuinely entangled rule (pure -> mixed reductions ->
+    range scans -> pure elements) stays affordable.
     """
 
     # projective-grid resolution of the range-span certificate
@@ -186,6 +190,7 @@ class _Engine:
         self._pure_cache: dict = {}
         self._mixed_cache: dict = {}
         self._cert_cache: dict = {}
+        self._ray_cache: dict = {}
         self._fresh_certs = 0
 
     # ---- pure states -----------------------------------------------------
@@ -339,20 +344,22 @@ class _Engine:
                 trace["rule"] = "product-exclusion-meets-eigen"
                 return _result(lo, hi, trace, witness)
 
-        # range-span certificates from the eigen value down: certifying level
-        # r proves lo = r + 1; a two-party certificate is exact, so where it
-        # cannot certify it brings a mixture of value <= r instead
+        # range-span certificate: prove nothing below the eigen value exists
         plane = k == 2 and w[1] > EIGEN_WEIGHT_FLOOR
-        while lo < hi and plane:
+        if lo < hi and plane:
             cert = self._span_certificate(rho, w, v, hi - 1)
             trace["certificate"] = cert["summary"] if cert else "cap-reached"
             if cert and cert["certified"]:
                 return _result(hi, hi, trace | {"rule": "range-span-certified"}, witness)
-            if not cert or cert.get("witness") is None:
-                break
-            hi, witness = hi - 1, cert["witness"]
-        if lo == hi:
-            return _result(lo, hi, trace | {"rule": "minor-root-mixture"}, witness)
+
+        # two parties: the range rays decide every level exactly, lowest first,
+        # so the first level whose rays mix to rho is the value
+        rays = self._range_rays(rho, v) if plane and m == 2 else None
+        if rays is not None:
+            for r in range(lo, hi):
+                cand = _solve_mixture(rho, [s for s, val in rays if val <= r])
+                if cand is not None:
+                    return _result(r, r, trace | {"rule": "range-ray-mixture"}, cand)
 
         # ensemble searches, ascending target
         attempts = []
@@ -391,35 +398,51 @@ class _Engine:
                 return "diagonal-basis", cand
         if weight_rank(w, self.tol) != 2 or w[1] <= EIGEN_WEIGHT_FLOOR:
             return "inconclusive", None
-        rays = self._range_rays(rho, v, 1)
+        rays = self._range_rays(rho, v)
         if rays is None:
             return "inconclusive", None
-        if not rays:
+        products = [s for s, val in rays if val == 1]
+        if not products:
             return "no-products-in-range", None
-        cand = _solve_mixture(rho, rays)
+        cand = _solve_mixture(rho, products)
         if cand is not None:
             return "rank2-products", cand
         return "products-cannot-mix", None
 
-    def _range_rays(self, rho: DensityMatrix, v: np.ndarray, r: int) -> Optional[list[PureState]]:
-        """The states of value <= r in span{v1, v2} (None when unclear).
+    def _range_rays(self, rho: DensityMatrix, v: np.ndarray) -> Optional[list]:
+        """(state, value) for the rank-drop states of span{v1, v2} and v1, v2.
 
-        These are the common roots of ``_minor_roots``: a finite set or the
-        whole plane, so _solve_mixture decides target r exactly. Supported:
-        r = 1 (fully product states) for any party count, any r for two.
+        A state whose unfolding rank is below the generic rank g of the
+        pencil alpha*M1 + beta*M2 (M1, M2 the unfoldings of v1, v2) is one of
+        its finitely many rank-drop rays, so the rays of value <= r listed
+        here are all there are, and _solve_mixture decides target r exactly:
+        for two parties at any r, for more parties at r = 1 (the pencil of
+        the party of largest generic rank). The value is the largest
+        single-party rank: the Schmidt number for two parties, or when it is
+        1. None when a root's rank drop is too shallow to be accurate.
+        Memoized per range.
         """
+        dims = rho.profile.dims
+        key = _range_key(v[:, :2], dims)
+        if key in self._ray_cache:
+            return self._ray_cache[key]
         v1, v2 = v[:, 0], v[:, 1]
-        rays = []
-        # a rank-s ray is a multiple root above level s and accurate only at
-        # level s, so levels go lowest first and _dedupe_states keeps that copy
-        for level in range(1, r + 1):
-            roots = _minor_roots(v1, v2, rho.profile.dims, level)
-            if roots is None:
-                return None
-            rays.extend(normalized_state(rho.profile, a * v1 + b * v2) for a, b in roots)
-        rays = _dedupe_states(rays)
-        if any(weight_rank(p, self.tol) > r for s in rays for p in _single_party_spectra(s)):
-            return None  # the forms and the rank test disagree: no exact claim
+        drops = np.zeros((0, 2))
+        for i in range(1, len(dims) + 1) if len(dims) > 2 else (1,):
+            side = SubsystemSet((i,))
+            found = _pencil_drops(unfold(v1, dims, side), unfold(v2, dims, side), self.tol)
+            drops = found if len(found) > len(drops) else drops
+        roots = [normalized_state(rho.profile, a * v1 + b * v2) for a, b in drops]
+        spectra = [p for st in roots for p in _single_party_spectra(st)]
+        if any(weight_rank(p, ROOT_FLOOR) != weight_rank(p, self.tol) for p in spectra):
+            rays = None  # a root neither clean nor clearly off: no exact claim
+        else:
+            basis = [normalized_state(rho.profile, v1), normalized_state(rho.profile, v2)]
+            rays = [
+                (st, max(weight_rank(p, self.tol) for p in _single_party_spectra(st)))
+                for st in _dedupe_states(roots + basis)
+            ]
+        self._ray_cache[key] = rays
         return rays
 
     # ---- range-span lower bound -------------------------------------------
@@ -429,22 +452,22 @@ class _Engine:
     ) -> Optional[dict]:
         """Certify that no ensemble of rho can consist of value <= r states.
 
-        Two parties: exact. The rays of ``_range_rays`` mix to rho (returned
-        as ``witness``) or no such ensemble exists; this depends on rho, not
-        just its range, so it is neither cached nor capped. More parties: a
-        heuristic scan of the projective line. Grid points are classified by
-        their (integer) pure value; definite zeros must span a proper
-        subspace and no ambiguous point may appear; for three parties an
-        exact continuous surrogate is also minimized to catch off-grid zeros.
-        Returns None when the MAX_FRESH_CERTS cap refuses a new scan.
+        Returns {"certified", "summary"}, or None when the MAX_FRESH_CERTS cap
+        refuses a new grid scan. Two parties: exact, the value <= r rays of
+        ``_range_rays`` cannot mix to rho. More parties: a heuristic scan of
+        the projective line. Grid points are classified by their (integer)
+        pure value; definite zeros must span a proper subspace and no
+        ambiguous point may appear; for three parties an exact continuous
+        surrogate is also minimized to catch off-grid zeros.
         """
         if rho.party_count == 2:
-            rays = self._range_rays(rho, v, r)
+            rays = self._range_rays(rho, v)
             if rays is None:
                 return {"certified": False, "summary": {"certified": False, "reason": "ambiguous"}}
-            cand = _solve_mixture(rho, rays) if rays else None
-            summary = {"certified": cand is None, "level": int(r), "minor_roots": len(rays)}
-            return {"certified": cand is None, "witness": cand, "summary": summary}
+            low = [s for s, val in rays if val <= r]
+            certified = _solve_mixture(rho, low) is None
+            summary = {"certified": certified, "level": int(r), "range_rays": len(low)}
+            return {"certified": certified, "summary": summary}
         basis = v[:, :2]
         key = (_range_key(basis, rho.profile.dims), r)
         if key in self._cert_cache:
@@ -626,42 +649,24 @@ class _Engine:
 # ---- helpers -----------------------------------------------------------------
 
 
-def _minor_roots(
-    v1: np.ndarray, v2: np.ndarray, dims: tuple[int, ...], level: int
-) -> Optional[np.ndarray]:
-    """Unit rays (alpha, beta) where the (level+1)-minors of alpha*v1 + beta*v2 vanish.
+def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Unit rays (alpha, beta) holding every rank drop of alpha*a + beta*b.
 
-    The minors of the one unfolding of two parties, or (level 1) of every
-    single-party unfolding. Each is a binary form of degree level + 1 whose
-    coefficients come from an inverse DFT of level + 2 values on the unit
-    circle; the strongest form's roots are kept where all forms vanish.
+    Compressed by the leading singular vectors of a generic member, the
+    pencil is a regular g x g one (g its generic rank) whose determinant
+    vanishes wherever the rank falls below g; its g generalized eigenvalues
+    are those rays and possibly others, whose rank the caller tests. A
+    lower-rank ray is generically a semisimple eigenvalue, found to rounding
+    accuracy; the caller's margin test catches the others.
     """
-    n = level + 2
-    z = np.exp(2j * np.pi * np.arange(n) / n)
-    forms = []
-    for party in range(1, len(dims) + 1) if len(dims) > 2 else (1,):
-        side = SubsystemSet((party,))
-        pencil = z[:, None, None] * unfold(v1, dims, side) + unfold(v2, dims, side)
-        rows = np.array(list(combinations(range(pencil.shape[1]), level + 1)), dtype=int)
-        cols = np.array(list(combinations(range(pencil.shape[2]), level + 1)), dtype=int)
-        minors = pencil[:, rows.reshape(-1, 1, level + 1, 1), cols.reshape(1, -1, 1, level + 1)]
-        # a minor at z_j is sum_k c_k z_j^k, so the DFT over j gives n * c_k
-        forms.append(np.fft.fft(np.linalg.det(minors).reshape(n, -1), axis=0).T / n)
-    forms = np.concatenate(forms)
-    strength = np.max(np.abs(forms), axis=1, initial=0.0)
-    scale = float(np.max(strength, initial=0.0))
-    if scale < 1e-12:
-        return np.eye(2)  # every state of the plane qualifies
-    pilot = forms[np.argmax(strength)][::-1]  # highest power of alpha first
-    lead = int(np.flatnonzero(np.abs(pilot) > 1e-12 * scale)[0])
-    # a dropped degree is a root at infinity
-    rays = np.array([(t, 1.0) for t in np.roots(pilot[lead:])] + [(1.0, 0.0)] * (lead > 0))
-    rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
-    powers = rays[:, :1] ** np.arange(n) * rays[:, 1:] ** np.arange(n)[::-1]
-    resid = np.max(np.abs(forms[strength > 1e-9 * scale] @ powers.T), axis=0)
-    if np.any((resid > 1e-8 * scale) & (resid <= 1e-7 * scale)):
-        return None  # gray zone: no exact claim
-    return rays[resid <= 1e-8 * scale]
+    svds = [np.linalg.svd(z * a + b) for z in _PROBES]
+    g = max(weight_rank(s**2, tol) for _, s, _ in svds)
+    u, s, vh = max(svds, key=lambda usv: usv[1][g - 1] / usv[1][0])
+    left, right = u[:, :g].conj().T, vh[:g].conj().T
+    # beta_h * A x = alpha_h * B x, so alpha*A + beta*B is singular at (beta_h, -alpha_h)
+    alpha_h, beta_h = eigvals(left @ a @ right, left @ b @ right, homogeneous_eigvals=True)
+    rays = np.column_stack([beta_h, -alpha_h])
+    return rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
 
 def _dedupe_states(states: list[PureState]) -> list[PureState]:
@@ -674,6 +679,8 @@ def _dedupe_states(states: list[PureState]) -> list[PureState]:
 
 def _solve_mixture(rho: DensityMatrix, states: list[PureState]) -> Optional[EnsembleCandidate]:
     """Nonnegative weights mixing the given pure states into rho, if any."""
+    if not states:
+        return None
     cols = []
     for s in states:
         dyad = np.outer(s.amplitudes, s.amplitudes.conj()).reshape(-1)

@@ -144,11 +144,12 @@ class TestMixedSchmidtNumber:
         "dims, ranks",
         [
             (d, (k1, k2))
-            for d in [(2, 4), (3, 3), (3, 4), (4, 4)]
-            for k1 in (1, 2, 3)
-            for k2 in (1, 2, 3)
+            for d in [(2, 4), (3, 3), (3, 4), (4, 4), (5, 5)]
+            for k1 in (1, 2, 3, 4)
+            for k2 in (1, 2, 3, 4)
             if k1 <= k2 <= min(d)
-        ],
+        ]
+        + [((12, 12), (3, 5)), ((12, 12), (12, 12))],
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_planted_rank_two_mixture_is_exact_and_sound(self, dims, ranks, seed):
