@@ -11,8 +11,9 @@ not computable in general, results are intervals [value_lo, value_hi] with
 an ``exact`` flag:
 
 - value_hi comes from explicit ensembles (eigen-ensemble, exact mixtures of
-  range rays on rank-2 ranges, or seeded ensemble search over the isometry
-  parametrization of all decompositions);
+  range rays on rank-2 ranges, exact product mixtures of 2 x N states of
+  rank <= N from their kernel pencil, or seeded ensemble search over the
+  isometry parametrization of all decompositions);
 - value_lo combines the partial-transpose test over all bipartitions with a
   range-span certificate. On a rank-2 range of two parties the states of
   value <= r below the generic rank are the finitely many rank-drop rays of
@@ -396,7 +397,11 @@ class _Engine:
             cand = _build_candidate(rho, weights, states)
             if cand is not None:
                 return "diagonal-basis", cand
-        if weight_rank(w, self.tol) != 2 or w[1] <= EIGEN_WEIGHT_FLOOR:
+        k = weight_rank(w, self.tol)
+        if k > 2:
+            cand = _qubit_pencil_products(rho, v, k, self.tol)
+            return ("qubit-pencil-products", cand) if cand is not None else ("inconclusive", None)
+        if k != 2 or w[1] <= EIGEN_WEIGHT_FLOOR:
             return "inconclusive", None
         rays = self._range_rays(rho, v)
         if rays is None:
@@ -667,6 +672,36 @@ def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     alpha_h, beta_h = eigvals(left @ a @ right, left @ b @ right, homogeneous_eigvals=True)
     rays = np.column_stack([beta_h, -alpha_h])
     return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+
+
+def _qubit_pencil_products(
+    rho: DensityMatrix, v: np.ndarray, k: int, tol: float
+) -> Optional[EnsembleCandidate]:
+    """A product ensemble of a 2 x N rho of rank k <= N, if one exists.
+
+    a (x) b lies in the range iff a^T C b = 0 for every kernel vector c (C
+    its conjugated unfolding, qubit rows), i.e. iff b is a null vector of
+    a0*K0 + a1*K1. With k <= N that (2N-k) x N pencil has full column rank
+    but at finitely many rays a, its generalized eigenvalues, and a product
+    ensemble of rho can only use the products found there. Only a mixture
+    is reported; it passes the reconstruction check of _build_candidate.
+    """
+    dims = rho.profile.dims
+    if len(dims) != 2 or 2 not in dims or k > max(dims):
+        return None
+    q = dims.index(2)
+    mats = v[:, k:].conj().T.reshape(-1, *dims)
+    if q == 1:
+        mats = mats.transpose(0, 2, 1)
+    k0, k1 = mats[:, 0, :], mats[:, 1, :]
+    products = []
+    for a in _pencil_drops(k0, k1, tol):
+        _, s, vh = np.linalg.svd(a[0] * k0 + a[1] * k1)
+        if weight_rank(s**2, tol) != s.size - 1:
+            continue  # no rank drop, or a continuum of products at this a
+        b = vh[-1].conj()
+        products.append(normalized_state(rho.profile, np.kron(a, b) if q == 0 else np.kron(b, a)))
+    return _solve_mixture(rho, _dedupe_states(products))
 
 
 def _dedupe_states(states: list[PureState]) -> list[PureState]:

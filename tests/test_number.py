@@ -185,6 +185,29 @@ class TestMixedSchmidtNumber:
             assert (res.value_lo, res.value_hi, res.exact) == (want, want, True)
             assert "grid" not in res.branch_trace["certificate"]
 
+    @pytest.mark.parametrize(
+        "dims, rank",
+        [(d, k) for d in [(2, 4), (4, 2), (2, 5), (2, 6)] for k in range(3, max(d) + 1)],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_qubit_party_product_mixture_runs_no_search(self, dims, rank, seed, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a qubit-party product mixture reached a heuristic")
+
+        monkeypatch.setattr(number, "minimize", refuse)
+        monkeypatch.setattr(number._Engine, "search_ensemble", refuse)
+        rng = np.random.default_rng([seed, rank, *dims])
+        prof = ms.DimensionProfile(dims)
+        states = [PureState(prof, planted_ket(rng, dims, 1)) for _ in range(rank)]
+        rho = mixture(states, rng.dirichlet(np.ones(rank)))
+        res = ms.mixed_schmidt_number(rho)
+        assert (res.value_lo, res.value_hi, res.exact) == (1, 1, True)
+        assert res.branch_trace["product_route"] == "qubit-pencil-products"
+        witness = res.witness_ensemble
+        assert np.linalg.norm(witness.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
+        for st in witness.states:
+            assert ms.schmidt_decompose(st, ms.SubsystemSet((1,))).rank == 1
+
     def test_certificate_cap_is_reported(self):
         engine = number._Engine(ms.SearchBudget(restarts=8, iters=20, seed=0), DEFAULT_RANK_TOL)
         engine._fresh_certs = engine.MAX_FRESH_CERTS
