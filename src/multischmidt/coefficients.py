@@ -216,7 +216,7 @@ def _genuine_coefficients(state: PureState, engine: _Engine, budget, tol) -> Coe
 
 def _element_entropy(state: PureState, engine: _Engine, budget, tol) -> float:
     if state.party_count == 2:
-        p = _single_party_spectra(state)[0]
+        p = _single_party_spectra(state.tensor())[0]
         return entropy_bits(p)
     return generalized_eof(_coefficients(state, engine, budget, tol))
 
@@ -308,7 +308,7 @@ def _max_entropy_element(rho, rank_target, engine, budget, tol):
         # construction per point; rank by a cheap proxy instead and spend
         # the real objective on the best qualifying few
         def proxy(st: PureState) -> float:
-            return float(np.mean([entropy_bits(p) for p in _single_party_spectra(st)]))
+            return float(np.mean([entropy_bits(p) for p in _single_party_spectra(st.tensor())]))
 
         ranked = sorted(starts, key=lambda u: -proxy(make_state(u)))
         qualifying = []
@@ -388,7 +388,7 @@ def _max_concurrence_direction(basis: np.ndarray) -> np.ndarray:
 
 
 def _rank_penalty(state: PureState, rank_target: int) -> float:
-    spectra = _single_party_spectra(state)
+    spectra = _single_party_spectra(state.tensor())
     if rank_target == 1:
         return float(sum(1.0 - p[0] for p in spectra))
     if state.party_count == 2:

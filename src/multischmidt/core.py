@@ -11,10 +11,13 @@ Conventions
 - Pure-state ranks and local spectra come from ``local_weights``, the squared
   singular values of one amplitude unfolding, counted by ``weight_rank``.
   ``reduce`` forms reduced density matrices and is for mixed reductions.
+- A ``DensityMatrix`` carries the eigensystem its validation computed;
+  ``spectrum`` and ``numerical_rank`` reuse it instead of decomposing again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Union
 
 import numpy as np
@@ -24,6 +27,11 @@ HERM_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 DEFAULT_RANK_TOL = 1e-8
+
+
+class Eigensystem(NamedTuple):
+    values: np.ndarray  # descending real eigenvalues
+    vectors: np.ndarray  # columns are the matching orthonormal eigenvectors
 
 
 @dataclass(frozen=True)
@@ -141,10 +149,15 @@ def normalized_state(profile: DimensionProfile, amplitudes: np.ndarray) -> PureS
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A Hermitian, positive semidefinite, trace-one operator."""
+    """A Hermitian, positive semidefinite, trace-one operator.
+
+    ``eigensystem`` is the read-only descending decomposition of the
+    symmetrized matrix, computed once by validation.
+    """
 
     profile: DimensionProfile
     matrix: np.ndarray
+    eigensystem: Eigensystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.profile.total_dim
@@ -157,11 +170,14 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-        wmin = float(np.linalg.eigvalsh(mat)[0])
+        eig = _descending_eigh((mat + mat.conj().T) / 2.0)
+        wmin = float(eig.values[-1])
         if wmin < -PSD_ATOL:
             raise ValueError(f"matrix has negative eigenvalue {wmin}")
-        mat.setflags(write=False)
+        for arr in (mat, *eig):
+            arr.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "eigensystem", eig)
 
     @property
     def party_count(self) -> int:
@@ -169,10 +185,6 @@ class DensityMatrix:
 
 
 MatrixLike = Union[np.ndarray, DensityMatrix]
-
-
-def as_matrix(operand: MatrixLike) -> np.ndarray:
-    return operand.matrix if isinstance(operand, DensityMatrix) else np.asarray(operand)
 
 
 def _require_hermitian(mat: np.ndarray, atol: float = 1e-8) -> np.ndarray:
@@ -194,7 +206,7 @@ def unfold(amplitudes: np.ndarray, dims: tuple[int, ...], side: SubsystemSet) ->
     """
     side_axes = [i - 1 for i in side.indices]
     rest_axes = [a for a in range(len(dims)) if a + 1 not in side]
-    rows = int(np.prod([dims[a] for a in side_axes], dtype=np.int64))
+    rows = math.prod(dims[a] for a in side_axes)
     return amplitudes.reshape(dims).transpose(side_axes + rest_axes).reshape(rows, -1)
 
 
@@ -210,8 +222,8 @@ def reduce(state: Union[PureState, DensityMatrix], keep: SubsystemSet) -> Densit
     keep_axes = [i - 1 for i in keep.indices]
     traced_axes = [i for i in range(m) if i + 1 not in keep]
     dims = profile.dims
-    dk = int(np.prod([dims[a] for a in keep_axes], dtype=np.int64))
-    dt = int(np.prod([dims[a] for a in traced_axes], dtype=np.int64)) if traced_axes else 1
+    dk = math.prod(dims[a] for a in keep_axes)
+    dt = math.prod(dims[a] for a in traced_axes)
 
     if isinstance(state, PureState):
         psi = unfold(state.amplitudes, dims, keep)
@@ -247,19 +259,24 @@ def weight_rank(weights: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
 
 def numerical_rank(mat: MatrixLike, tol: float = DEFAULT_RANK_TOL) -> int:
     """Count eigenvalues above ``tol`` times the largest eigenvalue."""
-    return weight_rank(np.linalg.eigvalsh(_require_hermitian(as_matrix(mat))), tol)
+    if isinstance(mat, DensityMatrix):
+        return weight_rank(mat.eigensystem.values, tol)
+    return weight_rank(np.linalg.eigvalsh(_require_hermitian(mat)), tol)
 
 
-class Eigensystem(NamedTuple):
-    values: np.ndarray  # descending real eigenvalues
-    vectors: np.ndarray  # columns are the matching orthonormal eigenvectors
+def _descending_eigh(arr: np.ndarray) -> Eigensystem:
+    w, v = np.linalg.eigh(arr)
+    return Eigensystem(np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1]))
 
 
 def spectrum(mat: MatrixLike) -> Eigensystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    arr = _require_hermitian(as_matrix(mat))
-    w, v = np.linalg.eigh(arr)
-    return Eigensystem(np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1]))
+    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+
+    A DensityMatrix returns its cached, read-only eigensystem.
+    """
+    if isinstance(mat, DensityMatrix):
+        return mat.eigensystem
+    return _descending_eigh(_require_hermitian(mat))
 
 
 def scaled_root(rho: DensityMatrix) -> np.ndarray:

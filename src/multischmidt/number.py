@@ -151,8 +151,13 @@ def _range_key(basis: np.ndarray, dims: tuple[int, ...]) -> tuple:
     return (dims, _stable_bytes(proj, 9))
 
 
-def _single_party_spectra(state: PureState) -> list[np.ndarray]:
-    return [local_weights(state, SubsystemSet((i,))) for i in range(1, state.party_count + 1)]
+def _single_party_spectra(psi: np.ndarray) -> list[np.ndarray]:
+    """Squared singular values of each single-party unfolding of a tensor."""
+    out = []
+    for i, d in enumerate(psi.shape):
+        rest = [a for a in range(psi.ndim) if a != i]
+        out.append(np.linalg.svd(psi.transpose([i] + rest).reshape(d, -1), compute_uv=False) ** 2)
+    return out
 
 
 def _tail(weights: np.ndarray, r: int) -> float:
@@ -438,13 +443,13 @@ class _Engine:
             found = _pencil_drops(unfold(v1, dims, side), unfold(v2, dims, side), self.tol)
             drops = found if len(found) > len(drops) else drops
         roots = [normalized_state(rho.profile, a * v1 + b * v2) for a, b in drops]
-        spectra = [p for st in roots for p in _single_party_spectra(st)]
+        spectra = [p for st in roots for p in _single_party_spectra(st.tensor())]
         if any(weight_rank(p, ROOT_FLOOR) != weight_rank(p, self.tol) for p in spectra):
             rays = None  # a root neither clean nor clearly off: no exact claim
         else:
             basis = [normalized_state(rho.profile, v1), normalized_state(rho.profile, v2)]
             rays = [
-                (st, max(weight_rank(p, self.tol) for p in _single_party_spectra(st)))
+                (st, max(weight_rank(p, self.tol) for p in _single_party_spectra(st.tensor())))
                 for st in _dedupe_states(roots + basis)
             ]
         self._ray_cache[key] = rays
@@ -484,9 +489,9 @@ class _Engine:
         dims = rho.profile.dims
         v1, v2 = basis[:, 0], basis[:, 1]
 
-        def point(t: float, ph: float) -> PureState:
+        def ray(t: float, ph: float) -> np.ndarray:
             vec = np.cos(t) * v1 + np.exp(1j * ph) * np.sin(t) * v2
-            return PureState(rho.profile, vec / np.linalg.norm(vec))
+            return (vec / np.linalg.norm(vec)).reshape(dims)
 
         nt, nph = self.CERT_GRID
         zeros: list[np.ndarray] = []
@@ -496,7 +501,7 @@ class _Engine:
             for ph in np.linspace(0.0, 2.0 * np.pi, nph, endpoint=False):
                 samples.append((float(t), float(ph)))
         for t, ph in samples:
-            st = point(t, ph)
+            st = PureState(rho.profile, ray(t, ph))
             res = self.pure_value(st)
             if res.value_hi <= r:
                 zeros.append(st.amplitudes)
@@ -512,7 +517,7 @@ class _Engine:
         absorb = min(1e-2, 0.25 * float(np.sqrt(w[1] / w[0])))
         polished_ok = True
         if not ambiguous and len(dims) == 3:
-            polished_ok = self._polish_zero_hunt(point, dims, r, zeros, absorb)
+            polished_ok = self._polish_zero_hunt(ray, r, zeros, absorb)
 
         if ambiguous or not polished_ok:
             cert = {"certified": False, "summary": {"certified": False, "reason": "ambiguous"}}
@@ -534,19 +539,17 @@ class _Engine:
         self._cert_cache[key] = cert
         return cert
 
-    def _polish_zero_hunt(
-        self, point, dims, r: int, zeros: list[np.ndarray], absorb: float
-    ) -> bool:
+    def _polish_zero_hunt(self, ray, r: int, zeros: list[np.ndarray], absorb: float) -> bool:
         """Minimize the continuous low-value surrogate to catch off-grid zeros.
 
-        Returns False when a genuinely new zero direction turns up (the
-        certificate must then fail); zeros converging into the span of the
-        grid zeros are absorbed.
+        ``ray(t, ph)`` is the normalized amplitude tensor of a point of the
+        range. Returns False when a genuinely new zero direction turns up
+        (the certificate must then fail); zeros converging into the span of
+        the grid zeros are absorbed.
         """
 
         def g(x: np.ndarray) -> float:
-            st = point(float(x[0]), float(x[1]))
-            return _low_value_surrogate(st, r, self.tol)
+            return _low_value_surrogate(ray(float(x[0]), float(x[1])), r)
 
         rng = stream(self.budget.seed, "cert-polish", r)
         starts = [(rng.uniform(0.05, np.pi / 2 - 0.05), rng.uniform(0, 2 * np.pi)) for _ in range(8)]
@@ -559,7 +562,8 @@ class _Engine:
             )
             if res.fun > 1e-10:
                 continue
-            st = point(float(res.x[0]), float(res.x[1]))
+            psi = ray(float(res.x[0]), float(res.x[1]))
+            st = PureState(DimensionProfile(psi.shape), psi)
             val = self.pure_value(st)
             if val.value_lo > r:
                 continue  # surrogate slack; not an actual low-value state
@@ -757,8 +761,7 @@ def _angle_to_span(vec: np.ndarray, span_vectors: list[np.ndarray]) -> float:
 
 def _element_tail(vec: np.ndarray, profile: DimensionProfile, target_r: int) -> float:
     """Smooth surrogate for 'value <= target_r' of one ensemble element."""
-    state = PureState(profile, vec / np.linalg.norm(vec))
-    spectra = _single_party_spectra(state)
+    spectra = _single_party_spectra((vec / np.linalg.norm(vec)).reshape(profile.dims))
     if target_r == 1:
         return float(sum(1.0 - p[0] for p in spectra))
     if profile.party_count == 2:
@@ -767,28 +770,29 @@ def _element_tail(vec: np.ndarray, profile: DimensionProfile, target_r: int) -> 
     return float(sum(_tail(p, target_r - 1) for p in spectra))
 
 
-def _low_value_surrogate(state: PureState, r: int, tol: float) -> float:
+def _low_value_surrogate(psi: np.ndarray, r: int) -> float:
     """Continuous nonnegative function vanishing on all states of value <= r.
 
-    Exact zero set for three-qubit states; a sound relaxation (necessary
-    conditions only) elsewhere. Used by the range-span certificate to hunt
-    for off-grid low-value states.
+    ``psi`` is a normalized amplitude tensor. Exact zero set for three-qubit
+    states; a sound relaxation (necessary conditions only) elsewhere. Used
+    by the range-span certificate to hunt for off-grid low-value states.
     """
-    spectra = _single_party_spectra(state)
+    spectra = _single_party_spectra(psi)
     if r == 1:
         return float(sum(1.0 - p[0] for p in spectra))
-    m = state.party_count
+    m = psi.ndim
     # biseparable branch: some party splits off and the rest stays rank <= r
     split = min(
         (1.0 - spectra[i][0]) + sum(_tail(spectra[j], r) for j in range(m) if j != i)
         for i in range(m)
     )
-    if state.profile.dims == (2, 2, 2) and r >= 3:
-        # genuinely entangled branch: value 3 iff every pair reduction is PPT
-        npt_mass = 0.0
-        for i in range(1, 4):
-            red = reduce(state, SubsystemSet((i,)).complement(3))
-            npt_mass += ppt_negativity(red, SubsystemSet((1,)))
+    if psi.shape == (2, 2, 2) and r >= 3:
+        # genuinely entangled branch: value 3 iff every pair reduction is PPT;
+        # the reductions onto parties {2,3}, {1,3}, {1,2} as one (3, 4, 4) stack
+        cols = np.stack([psi.transpose(1, 2, 0), psi.transpose(0, 2, 1), psi]).reshape(3, 4, 2)
+        pairs = cols @ cols.conj().swapaxes(-1, -2)
+        pairs = (pairs + pairs.conj().swapaxes(-1, -2)) / 2.0
+        npt_mass = ppt_negativity(pairs.reshape(3, 2, 2, 2, 2), SubsystemSet((1,)))
         return float(min(split, npt_mass))
     ge_proxy = float(sum(_tail(p, r - 1) for p in spectra))
     return float(min(split, ge_proxy))

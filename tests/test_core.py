@@ -157,6 +157,50 @@ class TestRankAndSpectrum:
         assert abs(float(np.sum(ms.spectrum(red).values)) - 1.0) < 1e-9
 
 
+def _cached_eigensystem_inputs():
+    """Reductions of seeded states, plus public matrices with a 1e-12 anti-Hermitian part."""
+    out = []
+    for seed in range(4):
+        st_ = ms.random_pure(ms.DimensionProfile((2, 3, 2)), seed)
+        for keep in ((1,), (1, 2), (2, 3), (1, 3)):
+            out.append(ms.reduce(st_, ms.SubsystemSet(keep)))
+        out.append(st_.density())
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        herm = g @ g.conj().T
+        skew = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        mat = herm / np.trace(herm).real + 1e-12 * (skew - skew.conj().T)
+        out.append(ms.DensityMatrix(ms.DimensionProfile((2, 3)), mat))
+    return out
+
+
+class TestCachedEigensystem:
+    @pytest.mark.parametrize("k", range(24))
+    def test_spectrum_is_bit_identical_to_the_matrix_path(self, k):
+        rho = _cached_eigensystem_inputs()[k]
+        cached, direct = ms.spectrum(rho), ms.spectrum(rho.matrix)
+        for a, b in zip(cached, direct):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_anti_hermitian_input_is_kept_as_given(self):
+        rho = _cached_eigensystem_inputs()[5]
+        assert float(np.max(np.abs(rho.matrix - rho.matrix.conj().T))) > 0.0
+
+    def test_cached_arrays_are_read_only(self):
+        vals, vecs = ms.spectrum(ms.reduce(ms.w_state(3), ms.SubsystemSet((1, 2))))
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+        with pytest.raises(ValueError):
+            vecs[0, 0] = 0.0
+
+    @pytest.mark.parametrize("k", range(24))
+    def test_numerical_rank_is_unchanged(self, k):
+        rho = _cached_eigensystem_inputs()[k]
+        for tol in (1e-8, 1e-3):
+            assert ms.numerical_rank(rho, tol) == ms.numerical_rank(rho.matrix, tol)
+
+
 class TestScaledRoot:
     def test_maximally_mixed_qubit(self):
         rho = ms.DensityMatrix(ms.DimensionProfile((2,)), np.eye(2) / 2)
