@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -96,23 +95,15 @@ def _grouped_dims(rho: DensityMatrix, cut: SubsystemSet) -> tuple[int, int]:
 
 def partial_transpose(rho: DensityMatrix, cut: SubsystemSet) -> np.ndarray:
     """Partial transpose over the ``cut`` group of the bipartition cut|rest."""
-    _grouped_dims(rho, cut)  # validates the cut
-    dims = rho.profile.dims
-    return _stacked_partial_transpose(rho.matrix.reshape(1, *dims, *dims), cut)[0]
-
-
-def _stacked_partial_transpose(ops: np.ndarray, cut: SubsystemSet) -> np.ndarray:
-    """Partial transposes over ``cut`` of operators shaped (k, N_1..N_m, N_1..N_m).
-
-    The result is (k, D, D), rows and columns grouped cut|rest.
-    """
-    m = (ops.ndim - 1) // 2
-    order = [*cut.indices, *(a for a in range(1, m + 1) if a not in cut)]
-    # the row and column axes of the cut parties trade places
-    rows = [m + a if a in cut else a for a in order]
-    cols = [a if a in cut else m + a for a in order]
-    n = math.prod(ops.shape[1 : m + 1])
-    return ops.transpose([0] + rows + cols).reshape(-1, n, n)
+    profile = rho.profile
+    m = profile.party_count
+    cut_axes = [i - 1 for i in cut.indices]
+    rest_axes = [i for i in range(m) if i + 1 not in cut]
+    da, db = _grouped_dims(rho, cut)
+    t = rho.matrix.reshape(profile.dims + profile.dims)
+    perm = cut_axes + rest_axes + [m + a for a in cut_axes] + [m + a for a in rest_axes]
+    blk = t.transpose(perm).reshape(da, db, da, db)
+    return blk.transpose(2, 1, 0, 3).reshape(da * db, da * db)
 
 
 def ppt_entangled(rho: DensityMatrix, cut: SubsystemSet, tol: float = PPT_NEG_TOL) -> bool:
@@ -132,20 +123,11 @@ def ppt_decisive(rho: DensityMatrix, cut: SubsystemSet) -> bool:
     return tuple(sorted((da, db))) in ((2, 2), (2, 3))
 
 
-def ppt_negativity(rho: Union[DensityMatrix, np.ndarray], cut: SubsystemSet) -> float:
-    """Total magnitude of negative partial-transpose eigenvalues.
-
-    ``rho`` is a DensityMatrix, or a stack of operators shaped
-    (k, N_1..N_m, N_1..N_m) whose negativities are summed; one ``eigvalsh``
-    call serves the whole stack.
-    """
-    if isinstance(rho, DensityMatrix):
-        pt = partial_transpose(rho, cut)[None]
-    else:
-        pt = _stacked_partial_transpose(rho, cut)
-    w = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
-    # summed per operator, in order, as separate calls would sum them
-    return float(-sum(np.sum(x[x < 0.0]) for x in w))
+def ppt_negativity(rho: DensityMatrix, cut: SubsystemSet) -> float:
+    """Total magnitude of negative partial-transpose eigenvalues."""
+    pt = partial_transpose(rho, cut)
+    w = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
+    return float(-np.sum(w[w < 0.0]))
 
 
 def mixed_bipartite_schmidt_number(rho: DensityMatrix, budget=None, tol: float = DEFAULT_RANK_TOL):

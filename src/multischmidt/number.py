@@ -15,14 +15,24 @@ an ``exact`` flag:
   rank <= N from their kernel pencil, or seeded ensemble search over the
   isometry parametrization of all decompositions);
 - value_lo combines the partial-transpose test over all bipartitions with a
-  range-span certificate. On a rank-2 range of two parties the states of
-  value <= r below the generic rank are the finitely many rank-drop rays of
-  the unfolding pencil (its generalized eigenvalues), which mix to rho or
-  prove value_lo > r, so two-party rank-2 states are exact. For three or
-  more parties the certificate is a heuristic grid-and-polish scan.
+  range-span certificate on rank-2 ranges: every ensemble of rho spans its
+  range, so level r is excluded when the states of value <= r on the range
+  line cannot mix to rho. Wherever those states are finitely many and all
+  listed, nonnegative least squares decides each level exactly. The list
+  holds the rank drops of every cut's unfolding pencil (its generalized
+  eigenvalues), which include every state that factorizes. Two parties need
+  nothing more. On three qubits the genuinely entangled states of value 3
+  are the zeros of the Coffman-Kundu-Wootters gap (S/3)^2 - |H|^2, found
+  from a Sylvester eliminant as a 28 x 28 generalized eigenproblem. On four
+  or more parties range-only bounds compose: where party i's slices span a
+  fixed plane P_i, every other state has value >= g_i + (the least value of
+  a rank-2 state with range P_i), a bound from one exact solve on P_i; above
+  that composed bound the result stays an interval. Only three-party lines
+  that are not all qubits keep a heuristic grid-and-polish scan.
 
-Every worked example in the test suite resolves to a matching lo/hi pair;
-anything the machinery cannot certify is reported inexact, never guessed.
+Every worked example in the test suite resolves to a matching lo/hi pair.
+Apart from that grid, anything the machinery cannot prove is reported
+inexact, never guessed.
 """
 from __future__ import annotations
 
@@ -33,7 +43,7 @@ import numpy as np
 from scipy.linalg import eigvals, expm
 from scipy.optimize import minimize, nnls
 
-from .bipartite import ppt_decisive, ppt_entangled, ppt_negativity
+from .bipartite import ppt_decisive, ppt_entangled
 from .core import (
     DEFAULT_RANK_TOL,
     DensityMatrix,
@@ -57,6 +67,11 @@ EIGEN_WEIGHT_FLOOR = 1e-12
 ROOT_FLOOR = 1e-20
 # fixed generic members z*M1 + M2 of a range pencil
 _PROBES = np.exp(1j * np.array([1.0, 2.0, 3.0]))
+# a three-qubit state's relative CKW gap is a zero below CKW_FLOOR and clearly
+# off above CKW_MARGIN; polynomial coefficients below CKW_ATOL vanish
+CKW_FLOOR = 1e-12
+CKW_MARGIN = 1e-6
+CKW_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -180,13 +195,13 @@ def _hermitian_from(theta: np.ndarray, n: int) -> np.ndarray:
 class _Engine:
     """Memoized evaluator shared by one public call.
 
-    Caches pure/mixed results by rounded amplitudes/matrices and range-span
-    certificates and range rays by rounded range projectors, so the nested
+    Caches pure/mixed results by rounded amplitudes/matrices and range rays
+    and grid certificates by rounded range projectors, so the nested
     recursion of the genuinely entangled rule (pure -> mixed reductions ->
-    range scans -> pure elements) stays affordable.
+    range rays -> pure rays) stays affordable.
     """
 
-    # projective-grid resolution of the range-span certificate
+    # projective-grid resolution of the non-qubit three-party certificate
     CERT_GRID = (21, 16)
     MAX_FRESH_CERTS = 12
 
@@ -358,14 +373,17 @@ class _Engine:
             if cert and cert["certified"]:
                 return _result(hi, hi, trace | {"rule": "range-span-certified"}, witness)
 
-        # two parties: the range rays decide every level exactly, lowest first,
-        # so the first level whose rays mix to rho is the value
-        rays = self._range_rays(rho, v) if plane and m == 2 else None
-        if rays is not None:
-            for r in range(lo, hi):
+        # the range rays decide every level up to their top exactly, lowest
+        # first: the first level whose rays mix to rho is the value, and each
+        # level whose rays cannot mix is a proved lower bound
+        found = self._range_rays(rho.profile, v) if plane and not _grid_shape(rho) else None
+        if found is not None:
+            rays, top = found
+            for r in range(lo, min(hi, top + 1)):
                 cand = _solve_mixture(rho, [s for s, val in rays if val <= r])
                 if cand is not None:
                     return _result(r, r, trace | {"rule": "range-ray-mixture"}, cand)
+                lo = r + 1
 
         # ensemble searches, ascending target
         attempts = []
@@ -408,52 +426,150 @@ class _Engine:
             return ("qubit-pencil-products", cand) if cand is not None else ("inconclusive", None)
         if k != 2 or w[1] <= EIGEN_WEIGHT_FLOOR:
             return "inconclusive", None
-        rays = self._range_rays(rho, v)
-        if rays is None:
+        found = self._range_rays(rho.profile, v)
+        if found is None:
             return "inconclusive", None
+        rays, top = found
         products = [s for s, val in rays if val == 1]
-        if not products:
-            return "no-products-in-range", None
         cand = _solve_mixture(rho, products)
         if cand is not None:
             return "rank2-products", cand
-        return "products-cannot-mix", None
+        if top < 1:
+            return "inconclusive", None
+        return ("products-cannot-mix" if products else "no-products-in-range"), None
 
-    def _range_rays(self, rho: DensityMatrix, v: np.ndarray) -> Optional[list]:
-        """(state, value) for the rank-drop states of span{v1, v2} and v1, v2.
+    def _range_rays(self, profile: DimensionProfile, v: np.ndarray) -> Optional[tuple]:
+        """(rays, top) for the range line span{v1, v2} (orthonormal columns of v).
 
-        A state whose unfolding rank is below the generic rank g of the
-        pencil alpha*M1 + beta*M2 (M1, M2 the unfoldings of v1, v2) is one of
-        its finitely many rank-drop rays, so the rays of value <= r listed
-        here are all there are, and _solve_mixture decides target r exactly:
-        for two parties at any r, for more parties at r = 1 (the pencil of
-        the party of largest generic rank). The value is the largest
-        single-party rank: the Schmidt number for two parties, or when it is
-        1. None when a root's rank drop is too shallow to be accurate.
-        Memoized per range.
+        ``rays`` are (state, value) pairs that include every state of value
+        <= top on the line, each with its exact value, so _solve_mixture over
+        the rays of value <= r decides level r exactly for every r <= top.
+        They are v1, v2 and the rank drops of every cut's unfolding pencil
+        alpha*M1 + beta*M2 (M1, M2 the unfoldings of v1, v2): a state whose
+        rank at a cut is below the pencil's generic rank g is one of its
+        finitely many rank-drop rays. Every state that factorizes, so every
+        state that is not genuinely entangled, is such a drop wherever all
+        cuts have g >= 2. What bounds the genuinely entangled rest:
+
+        - two parties: the Schmidt rank, g everywhere off the drops;
+        - three qubits: value <= 3 iff the CKW gap vanishes (_ckw_states);
+        - otherwise the range composition of _composed_bound.
+
+        None when a root is too shallow to be accurate. Memoized per range.
         """
-        dims = rho.profile.dims
-        key = _range_key(v[:, :2], dims)
-        if key in self._ray_cache:
-            return self._ray_cache[key]
-        v1, v2 = v[:, 0], v[:, 1]
-        drops = np.zeros((0, 2))
-        for i in range(1, len(dims) + 1) if len(dims) > 2 else (1,):
-            side = SubsystemSet((i,))
-            found = _pencil_drops(unfold(v1, dims, side), unfold(v2, dims, side), self.tol)
-            drops = found if len(found) > len(drops) else drops
-        roots = [normalized_state(rho.profile, a * v1 + b * v2) for a, b in drops]
-        spectra = [p for st in roots for p in _single_party_spectra(st.tensor())]
-        if any(weight_rank(p, ROOT_FLOOR) != weight_rank(p, self.tol) for p in spectra):
-            rays = None  # a root neither clean nor clearly off: no exact claim
-        else:
-            basis = [normalized_state(rho.profile, v1), normalized_state(rho.profile, v2)]
+        key = _range_key(v[:, :2], profile.dims)
+        if key not in self._ray_cache:
+            self._ray_cache[key] = self._line_rays(profile, v[:, 0], v[:, 1])
+        return self._ray_cache[key]
+
+    def _line_rays(self, profile: DimensionProfile, v1: np.ndarray, v2: np.ndarray):
+        dims = profile.dims
+        m = len(dims)
+        if m == 2:
+            cuts = [SubsystemSet((1,))]
+        else:  # single parties first, then the cuts of two or more on each side
+            single = [SubsystemSet((i,)) for i in range(1, m + 1)]
+            cuts = single + [c for c in enumerate_bipartitions(m) if 1 < len(c) < m - 1]
+        generic, drops = [], []
+        for cut in cuts:
+            g, found = _pencil_drops(unfold(v1, dims, cut), unfold(v2, dims, cut), self.tol)
+            generic.append(g)
+            drops.extend(found)
+        roots = [normalized_state(profile, a * v1 + b * v2) for a, b in drops]
+        for st in roots:
+            for cut in cuts:
+                p = local_weights(st, cut)
+                if weight_rank(p, ROOT_FLOOR) != weight_rank(p, self.tol):
+                    return None  # a root neither clean nor clearly off: no exact claim
+        states = roots + [normalized_state(profile, v1), normalized_state(profile, v2)]
+        if m == 2:
             rays = [
-                (st, max(weight_rank(p, self.tol) for p in _single_party_spectra(st.tensor())))
-                for st in _dedupe_states(roots + basis)
+                (st, weight_rank(local_weights(st, cuts[0]), self.tol)) for st in _dedupe_states(states)
             ]
-        self._ray_cache[key] = rays
-        return rays
+            return rays, generic[0] - 1
+        if min(generic) == 1:
+            # every point factorizes at that cut; a cut of g >= 2 still lists
+            # every fully product state
+            top = 1 if max(generic) > 1 else 0
+        elif dims == (2, 2, 2):
+            ckw = self._ckw_states(profile, v1, v2, roots)
+            top = 2 if ckw is None else 3
+            states += ckw or []
+        else:
+            top = self._composed_bound(profile, v1, v2, generic[:m]) - 1
+        rays = []
+        for st in _dedupe_states(states):
+            res = self.pure_value(st)
+            if res.value_lo < res.value_hi:
+                top = min(top, res.value_lo - 1)
+            rays.append((st, res.value_hi))
+        return rays, top
+
+    def _ckw_states(self, profile: DimensionProfile, v1: np.ndarray, v2: np.ndarray, roots):
+        """The states of value <= 3 on a three-qubit line beyond its drops ``roots``.
+
+        A genuinely entangled three-qubit state has value 2 + (value of a pair
+        reduction) at each party, so its value is <= 3 iff every pair
+        reduction is separable. By Coffman-Kundu-Wootters,
+        sum_i 4 det(rho_i) - 3 tau = 2 sum_pairs C^2 with tau = 4 |Det psi|,
+        so that holds iff the gap P = (S/3)^2 - |H|^2 vanishes (S the summed
+        det(rho_i), H Cayley's hyperdeterminant). Fully product states are
+        zeros too; biseparable states are not (their value 2 comes from the
+        party drops). Zeros pass a margin test like ROOT_FLOOR's (_ckw_zeros)
+        and must have pure value <= 3. None when they cannot be listed: P
+        vanishes on the whole line (all of it has value <= 3), a singular
+        eliminant, or a zero without a clear margin.
+        """
+        singles = [SubsystemSet((i,)) for i in (1, 2, 3)]
+        products = [
+            (np.vdot(v1, st.amplitudes), np.vdot(v2, st.amplitudes))
+            for st in _dedupe_states(roots)
+            if all(weight_rank(local_weights(st, side), self.tol) == 1 for side in singles)
+        ]
+        zeros = _ckw_zeros(v1, v2, products)
+        if zeros is None:
+            return None
+        out = [normalized_state(profile, a * v1 + b * v2) for a, b in zeros]
+        return out if all(self.pure_value(st).value_hi <= 3 for st in out) else None
+
+    def _composed_bound(self, profile: DimensionProfile, v1, v2, generic: list[int]) -> int:
+        """A lower bound on the value of every state of the line off its rank drops.
+
+        Such a state psi is genuinely entangled, so its value is at least
+        g_i + R(rho_i') at each party i, with g_i the party's generic local
+        rank, rho_i' psi's reduction onto the other parties and R >= 1.
+        range(rho_i') is the span of psi's party-i slices. Where the slices of
+        v1 and v2 together span only a plane P_i, that range is P_i at every
+        point of local rank 2, and the bound of _plane_bound on the value of
+        every rank-2 state with range P_i holds there.
+        """
+        dims = profile.dims
+        bound = 0
+        for i, g in enumerate(generic):
+            side = SubsystemSet((i + 1,))
+            slices = np.concatenate([unfold(v1, dims, side), unfold(v2, dims, side)])
+            _, s, vh = np.linalg.svd(slices, full_matrices=False)
+            least = 1
+            if g == 2 and weight_rank(s**2, ROOT_FLOOR) == 2:
+                rest = DimensionProfile(dims[:i] + dims[i + 1 :])
+                least = self._plane_bound(rest, vh[:2].T)
+            bound = max(bound, g + least)
+        return bound
+
+    def _plane_bound(self, profile: DimensionProfile, basis: np.ndarray) -> int:
+        """The least value any rank-2 state whose range is span(basis) can have.
+
+        Its ensembles span the range, so while the states of value <= s in the
+        range span fewer than 2 dimensions, its value exceeds s.
+        """
+        found = self._range_rays(profile, basis)
+        if found is None:
+            return 1
+        rays, top = found
+        for s in range(1, top + 1):
+            if sum(val <= s for _, val in rays) >= 2:
+                return s
+        return top + 1
 
     # ---- range-span lower bound -------------------------------------------
 
@@ -463,17 +579,24 @@ class _Engine:
         """Certify that no ensemble of rho can consist of value <= r states.
 
         Returns {"certified", "summary"}, or None when the MAX_FRESH_CERTS cap
-        refuses a new grid scan. Two parties: exact, the value <= r rays of
-        ``_range_rays`` cannot mix to rho. More parties: a heuristic scan of
-        the projective line. Grid points are classified by their (integer)
-        pure value; definite zeros must span a proper subspace and no
-        ambiguous point may appear; for three parties an exact continuous
-        surrogate is also minimized to catch off-grid zeros.
+        refuses a new grid scan. Exact wherever ``_range_rays`` lists every
+        state of value <= r on the range line (two parties, three qubits,
+        range composition for four or more parties): certified iff those
+        states cannot mix to rho, and inconclusive above the rays' top. The
+        non-qubit three-party shapes keep a heuristic scan of the projective
+        line: grid points are classified by their (integer) pure value,
+        definite zeros must span a proper subspace and no ambiguous point may
+        appear, and a continuous surrogate is minimized to catch off-grid
+        zeros.
         """
-        if rho.party_count == 2:
-            rays = self._range_rays(rho, v)
-            if rays is None:
+        if not _grid_shape(rho):
+            found = self._range_rays(rho.profile, v)
+            if found is None:
                 return {"certified": False, "summary": {"certified": False, "reason": "ambiguous"}}
+            rays, top = found
+            if r > top:
+                summary = {"certified": False, "level": int(r), "reason": "inconclusive"}
+                return {"certified": False, "summary": summary}
             low = [s for s, val in rays if val <= r]
             certified = _solve_mixture(rho, low) is None
             summary = {"certified": certified, "level": int(r), "range_rays": len(low)}
@@ -515,11 +638,7 @@ class _Engine:
         # state whose eigenvalue ratio exceeds the layer width squared, so the
         # absorption cannot hide a decomposition the certificate should block.
         absorb = min(1e-2, 0.25 * float(np.sqrt(w[1] / w[0])))
-        polished_ok = True
-        if not ambiguous and len(dims) == 3:
-            polished_ok = self._polish_zero_hunt(ray, r, zeros, absorb)
-
-        if ambiguous or not polished_ok:
+        if ambiguous or not self._polish_zero_hunt(ray, r, zeros, absorb):
             cert = {"certified": False, "summary": {"certified": False, "reason": "ambiguous"}}
             self._cert_cache[key] = cert
             return cert
@@ -533,7 +652,7 @@ class _Engine:
                 "level": int(r),
                 "grid": [nt, nph],
                 "zero_span": int(span_dim),
-                "surrogate_polish": bool(len(dims) == 3),
+                "surrogate_polish": True,
             },
         }
         self._cert_cache[key] = cert
@@ -658,8 +777,8 @@ class _Engine:
 # ---- helpers -----------------------------------------------------------------
 
 
-def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Unit rays (alpha, beta) holding every rank drop of alpha*a + beta*b.
+def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
+    """The generic rank g of alpha*a + beta*b and unit rays (alpha, beta) holding its drops.
 
     Compressed by the leading singular vectors of a generic member, the
     pencil is a regular g x g one (g its generic rank) whose determinant
@@ -675,7 +794,149 @@ def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     # beta_h * A x = alpha_h * B x, so alpha*A + beta*B is singular at (beta_h, -alpha_h)
     alpha_h, beta_h = eigvals(left @ a @ right, left @ b @ right, homogeneous_eigvals=True)
     rays = np.column_stack([beta_h, -alpha_h])
-    return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    return g, rays / np.linalg.norm(rays, axis=1, keepdims=True)
+
+
+def _grid_shape(rho: DensityMatrix) -> bool:
+    """Three parties, not all qubits: the range line is still scanned on a grid."""
+    return rho.party_count == 3 and rho.profile.dims != (2, 2, 2)
+
+
+def _polar(x: np.ndarray, y: np.ndarray):
+    """b(x, y) in det(x + t*y) = det(x) + t*b(x, y) + t^2*det(y), for 2 x 2 blocks."""
+    return (
+        x[..., 0, 0] * y[..., 1, 1]
+        + x[..., 1, 1] * y[..., 0, 0]
+        - x[..., 0, 1] * y[..., 1, 0]
+        - x[..., 1, 0] * y[..., 0, 1]
+    )
+
+
+def _det_line(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of det(x + z*y) in ascending powers of z, for 2 x 2 blocks."""
+    return np.stack([_polar(x, x) / 2.0, _polar(x, y), _polar(y, y) / 2.0], axis=-1)
+
+
+def _ckw_polynomials(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S and H of the three-qubit line psi(z) = v1 + z*v2 as coefficient arrays.
+
+    S = sum_i det(rho_i) has bidegree (2, 2) in z and w = conj(z):
+    S = sum_ab sig[a, b] z^a w^b. By Cauchy-Binet det(rho_i) is the summed
+    |2 x 2 minor|^2 of party i's 2 x 4 unfolding. H = h[0] + ... + h[4] z^4
+    is Cayley's hyperdeterminant: with the party-1 slices X, Y,
+    det(X + tY) = a + bt + ct^2 and H = b^2 - 4ac.
+    """
+    t1, t2 = v1.reshape(2, 2, 2), v2.reshape(2, 2, 2)
+    pairs = np.array([(j, k) for j in range(4) for k in range(j + 1, 4)])
+    minors = []
+    for i in range(3):
+        u1 = np.moveaxis(t1, i, 0).reshape(2, 4)[:, pairs].transpose(1, 0, 2)
+        u2 = np.moveaxis(t2, i, 0).reshape(2, 4)[:, pairs].transpose(1, 0, 2)
+        minors.append(_det_line(u1, u2))
+    minors = np.concatenate(minors)
+    x1, y1, x2, y2 = t1[0], t1[1], t2[0], t2[1]
+    b = np.array([_polar(x1, y1), _polar(x1, y2) + _polar(x2, y1), _polar(x2, y2)])
+    h = np.convolve(b, b) - 4.0 * np.convolve(_det_line(x1, x2), _det_line(y1, y2))
+    return minors.T @ minors.conj(), h
+
+
+def _ckw_form(sig: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Coefficients of F(z, w) = S(z, w)^2/9 - H(z)*conj(H)(w), as sig for S."""
+    n = sig.shape[0]
+    f = -np.outer(h, h.conj())
+    for a in range(n):
+        for b in range(n):
+            f[a : a + n, b : b + n] += sig[a, b] * sig / 9.0
+    return f
+
+
+def _ckw_zeros(v1: np.ndarray, v2: np.ndarray, products: list) -> Optional[np.ndarray]:
+    """Unit rays (beta, alpha) holding every zero of the CKW gap on span{v1, v2}.
+
+    With S and H from _ckw_polynomials, the gap on psi(z) = v1 + z*v2 is
+    F(z, conj z) for F = S^2/9 - H(z)*conj(H)(w). ``products`` lists the
+    fully product states of the line as rays (a, b) of a*v1 + b*v2. At each
+    of them S vanishes on z = b/a and on w = conj(b/a) and H to second order,
+    which would give every z a common root w; those factors are divided out
+    first. What is left is >= 0 on w = conj(z), so its zeros are critical
+    points, where its z- and w-derivatives share a root w. Their Sylvester
+    matrix in w (7 x 7 with no product on the line), a polynomial in z, is
+    singular there; its companion linearization is a generalized eigenproblem
+    (28 x 28), whose eigenvalue z is the state beta*v1 + alpha*v2. Of those
+    critical points, the zeros are kept. An empty list when H vanishes (the
+    gap S^2/9 is then zero only at fully product states); None when the gap
+    vanishes on the whole line, the eliminant is singular or a critical
+    point is neither clearly a zero nor clearly off.
+    """
+    sig0, h0 = _ckw_polynomials(v1, v2)
+    if np.max(np.abs(h0)) <= CKW_ATOL:
+        return np.zeros((0, 2))
+    if np.max(np.abs(_ckw_form(sig0, h0))) <= CKW_ATOL:
+        return None
+    if len(products) > 2:
+        return None
+    sig, h = sig0, h0
+    for a, b in products:
+        sig = _deflate(_deflate(sig, a, b, 0), np.conj(a), np.conj(b), 1)
+        h = _deflate(_deflate(h, a, b, 0), a, b, 0)
+    f = _ckw_form(sig, h)
+    n = f.shape[0] - 1  # degree in z and in w
+    if n == 0:
+        return np.zeros((0, 2))
+    fz = f[1:] * np.arange(1, n + 1)[:, None]
+    fw = f[:, 1:] * np.arange(1, n + 1)
+    size = 2 * n - 1
+    syl = np.zeros((n + 1, size, size), dtype=np.complex128)  # by powers of z
+    for row in range(n - 1):
+        syl[:n, row, row : row + n + 1] = fz[:, ::-1]
+    for row in range(n):
+        syl[:, n - 1 + row, row : row + n] = fw[:, ::-1]
+    members = [np.tensordot(z ** np.arange(n + 1), syl, axes=1) for z in _PROBES]
+    spectra = [np.linalg.svd(mat, compute_uv=False) for mat in members]
+    if all(s[-1] <= CKW_ATOL * s[0] for s in spectra):  # singular: det M(z) == 0
+        return None
+    # x = (v, zv, .., z^(n-1) v): x_(k+1) = z x_k, and M(z) v = 0 in the last block row
+    lhs = np.eye(n * size, k=size, dtype=np.complex128)
+    lhs[-size:] = -syl[:n].transpose(1, 0, 2).reshape(size, n * size)
+    rhs = np.eye(n * size, dtype=np.complex128)
+    rhs[-size:, -size:] = syl[n]
+    alpha, beta = eigvals(lhs, rhs, homogeneous_eigvals=True)
+    rays = np.column_stack([beta, alpha])
+    norms = np.linalg.norm(rays, axis=1, keepdims=True)
+    if not np.all(np.isfinite(rays)) or np.any(norms == 0.0):
+        return None
+    rays = rays / norms
+    # the gap relative to (S/3)^2, 1 - (3|H|/S)^2 in [0, 1], does not shrink
+    # near fully product states (S = 0, where it is 0) as the gap does
+    quad = rays[:, :1] ** np.arange(2, -1, -1) * rays[:, 1:] ** np.arange(3)  # z^k ~ alpha^k
+    quart = rays[:, :1] ** np.arange(4, -1, -1) * rays[:, 1:] ** np.arange(5)
+    s = np.maximum(np.einsum("na,ab,nb->n", quad, sig0, quad.conj()).real, 0.0)
+    ratio = 3.0 * np.abs(quart @ h0) / np.maximum(s, CKW_ATOL)
+    gap = np.where(s > CKW_ATOL, 1.0 - ratio**2, 0.0)
+    if np.any((gap > CKW_FLOOR) & (gap < CKW_MARGIN)):
+        return None  # a zero without a clear margin
+    return rays[gap <= CKW_FLOOR]
+
+
+def _deflate(c: np.ndarray, a: complex, b: complex, axis: int) -> np.ndarray:
+    """Quotient of polynomials (ascending coefficients along ``axis``) by a*z - b.
+
+    The division runs from the end where it is stable: from the top when
+    |b/a| <= 1, else from the bottom. The remainder, zero up to rounding, is
+    dropped.
+    """
+    c = np.moveaxis(c, axis, 0)
+    n = c.shape[0] - 1
+    q = np.zeros((n,) + c.shape[1:], dtype=np.complex128)
+    if abs(a) >= abs(b):
+        q[n - 1] = c[n] / a
+        for k in range(n - 1, 0, -1):
+            q[k - 1] = (c[k] + b * q[k]) / a
+    else:
+        q[0] = -c[0] / b
+        for k in range(1, n):
+            q[k] = (a * q[k - 1] - c[k]) / b
+    return np.moveaxis(q, 0, axis)
 
 
 def _qubit_pencil_products(
@@ -699,7 +960,7 @@ def _qubit_pencil_products(
         mats = mats.transpose(0, 2, 1)
     k0, k1 = mats[:, 0, :], mats[:, 1, :]
     products = []
-    for a in _pencil_drops(k0, k1, tol):
+    for a in _pencil_drops(k0, k1, tol)[1]:
         _, s, vh = np.linalg.svd(a[0] * k0 + a[1] * k1)
         if weight_rank(s**2, tol) != s.size - 1:
             continue  # no rank drop, or a continuum of products at this a
@@ -773,9 +1034,9 @@ def _element_tail(vec: np.ndarray, profile: DimensionProfile, target_r: int) -> 
 def _low_value_surrogate(psi: np.ndarray, r: int) -> float:
     """Continuous nonnegative function vanishing on all states of value <= r.
 
-    ``psi`` is a normalized amplitude tensor. Exact zero set for three-qubit
-    states; a sound relaxation (necessary conditions only) elsewhere. Used
-    by the range-span certificate to hunt for off-grid low-value states.
+    ``psi`` is a normalized amplitude tensor of three parties, not all
+    qubits. A sound relaxation (necessary conditions only), used by the
+    grid certificate to hunt for off-grid low-value states.
     """
     spectra = _single_party_spectra(psi)
     if r == 1:
@@ -786,14 +1047,6 @@ def _low_value_surrogate(psi: np.ndarray, r: int) -> float:
         (1.0 - spectra[i][0]) + sum(_tail(spectra[j], r) for j in range(m) if j != i)
         for i in range(m)
     )
-    if psi.shape == (2, 2, 2) and r >= 3:
-        # genuinely entangled branch: value 3 iff every pair reduction is PPT;
-        # the reductions onto parties {2,3}, {1,3}, {1,2} as one (3, 4, 4) stack
-        cols = np.stack([psi.transpose(1, 2, 0), psi.transpose(0, 2, 1), psi]).reshape(3, 4, 2)
-        pairs = cols @ cols.conj().swapaxes(-1, -2)
-        pairs = (pairs + pairs.conj().swapaxes(-1, -2)) / 2.0
-        npt_mass = ppt_negativity(pairs.reshape(3, 2, 2, 2, 2), SubsystemSet((1,)))
-        return float(min(split, npt_mass))
     ge_proxy = float(sum(_tail(p, r - 1) for p in spectra))
     return float(min(split, ge_proxy))
 

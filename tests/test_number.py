@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hyp
 from scipy.stats import unitary_group
 
 import multischmidt as ms
@@ -7,6 +9,8 @@ from multischmidt import number
 from multischmidt.core import DEFAULT_RANK_TOL, DensityMatrix, PureState, local_weights
 
 FAST = ms.SearchBudget(restarts=16, iters=150, seed=0)
+# one L-BFGS restart of 30 iterations per target
+SHORT = ms.SearchBudget(restarts=8, iters=60, seed=0)
 
 
 def mixture(states, weights):
@@ -186,6 +190,22 @@ class TestMixedSchmidtNumber:
             assert (res.value_lo, res.value_hi, res.exact) == (want, want, True)
             assert "grid" not in res.branch_trace["certificate"]
 
+    def test_qubit_range_lines_run_no_heuristic(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a qubit range line reached a heuristic")
+
+        monkeypatch.setattr(number, "minimize", refuse)
+        monkeypatch.setattr(number._Engine, "_polish_zero_hunt", refuse)
+        monkeypatch.setattr(number._Engine, "search_ensemble", refuse)
+        for state, want in ((ms.w_state(4), 6), (ms.w_state(5), 8)):
+            res = ms.pure_schmidt_number(state)
+            assert (res.value_lo, res.value_hi, res.exact) == (want, want, True)
+        rng = np.random.default_rng(11)
+        states = [lu_ghz(rng), lu_ghz(rng)]
+        w = rng.uniform(0.2, 0.8)
+        res = ms.mixed_schmidt_number(mixture(states, [w, 1.0 - w]))
+        assert (res.value_lo, res.value_hi, res.exact) == (3, 3, True)
+
     @pytest.mark.parametrize(
         "dims, rank",
         [(d, k) for d in [(2, 4), (4, 2), (2, 5), (2, 6)] for k in range(3, max(d) + 1)],
@@ -210,20 +230,28 @@ class TestMixedSchmidtNumber:
             assert ms.schmidt_decompose(st, ms.SubsystemSet((1,))).rank == 1
 
     def test_certificate_cap_is_reported(self):
+        # W_3 on the qubit levels of a (2,2,3) profile mixed with |000>: a
+        # non-qubit three-party line, which the grid certificate still scans
+        prof = ms.DimensionProfile((2, 2, 3))
+        w3 = sum(ms.basis_state(prof, idx).amplitudes for idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+        zero = ms.basis_state(prof, (0, 0, 0))
+        rho = mixture([PureState(prof, w3 / np.sqrt(3)), zero], [0.75, 0.25])
         engine = number._Engine(ms.SearchBudget(restarts=8, iters=20, seed=0), DEFAULT_RANK_TOL)
         engine._fresh_certs = engine.MAX_FRESH_CERTS
-        res = engine.mixed_value(ms.reduce(ms.w_state(4), ms.SubsystemSet((2, 3, 4))))
+        res = engine.mixed_value(rho)
         assert res.branch_trace["certificate"] == "cap-reached"
         assert res.value_hi == 4
 
 
-def lu_ghz(rng):
-    """sqrt(c)|000> + sqrt(1-c)|111>, c ~ U(0.3, 0.7), under three Haar unitaries."""
+def lu_ghz(rng, m=3):
+    """sqrt(c)|0..0> + sqrt(1-c)|1..1>, c ~ U(0.3, 0.7), under m Haar unitaries."""
     c = rng.uniform(0.3, 0.7)
-    vec = np.zeros(8, dtype=complex)
-    vec[0], vec[7] = np.sqrt(c), np.sqrt(1.0 - c)
-    u = [unitary_group.rvs(2, random_state=rng) for _ in range(3)]
-    return PureState(ms.qubits(3), np.kron(np.kron(u[0], u[1]), u[2]) @ vec)
+    vec = np.zeros(2**m, dtype=complex)
+    vec[0], vec[-1] = np.sqrt(c), np.sqrt(1.0 - c)
+    op = np.ones((1, 1))
+    for _ in range(m):
+        op = np.kron(op, unitary_group.rvs(2, random_state=rng))
+    return PureState(ms.qubits(m), op @ vec)
 
 
 def planted_three_qubit(kind, seed):
@@ -258,34 +286,111 @@ class TestThreeQubitCertificateSoundness:
         if witness is not None:
             assert np.linalg.norm(witness.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "unsound three-party range-span certificate: a rank-2 mixture of two LU-GHZ "
-            "states (value 3 each, so the mixture is <= 3) is reported [4,4] "
-            "range-span-certified with zero_span 0; the 21x16 grid misses both isolated "
-            "zeros at (t, phi) ~ (0.654, 3.310) and (0.534, 0.169), and all 8 polish "
-            "starts settle in spurious surrogate minima (0.087-0.18)"
-        ),
-    )
     def test_lu_ghz_mixture_is_at_most_three(self):
         rng = np.random.default_rng(11)
         states = [lu_ghz(rng), lu_ghz(rng)]
         w = rng.uniform(0.2, 0.8)
         assert all(ms.pure_schmidt_number(st).value_hi == 3 for st in states)
-        res = ms.mixed_schmidt_number(mixture(states, [w, 1.0 - w]))
+        rho = mixture(states, [w, 1.0 - w])
+        res = ms.mixed_schmidt_number(rho)
+        assert (res.value_lo, res.value_hi, res.exact) == (3, 3, True)
+        witness = res.witness_ensemble
+        assert np.linalg.norm(witness.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
+        assert all(ms.pure_schmidt_number(st).value_hi <= 3 for st in witness.states)
+
+    @pytest.mark.parametrize("kind", ["lu-ghz", "slocc-w"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_line_through_a_product_state_is_exact(self, kind, seed):
+        # S and H vanish at the product state, which the CKW solve must divide
+        # out: otherwise its eliminant is singular for every z
+        rng = np.random.default_rng([seed, 555])
+        states = [planted_element(kind, rng), planted_element("product", rng)]
+        res = ms.mixed_schmidt_number(mixture(states, [0.5, 0.5]), FAST)
+        assert res.exact and res.value_lo <= PLANTED_VALUE[kind]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lu_ghz4_mixture_is_at_most_three(self, seed):
+        # no party's slices span a fixed plane on these lines, so the composed
+        # bound decides only levels 1 and 2 and the search gets one short try
+        rng = np.random.default_rng([seed, 44])
+        states = [lu_ghz(rng, 4), lu_ghz(rng, 4)]
+        w = rng.uniform(0.2, 0.8)
+        res = ms.mixed_schmidt_number(mixture(states, [w, 1.0 - w]), SHORT)
         assert res.value_lo <= 3
 
 
+PLANTED_VALUE = {"product": 1, "biseparable": 2, "lu-ghz": 3, "slocc-w": 4}
+
+
+def planted_element(kind, rng):
+    """A three-qubit state of the given class; its value is PLANTED_VALUE[kind]."""
+    prof = ms.qubits(3)
+    seed = int(rng.integers(2**31))
+    if kind == "lu-ghz":
+        return lu_ghz(rng)
+    if kind == "slocc-w":
+        return ms.apply_local_operators(ms.w_state(3), ms.random_local_invertible(prof, seed))
+    if kind == "biseparable":
+        one = ms.random_pure(ms.qubits(1), seed).amplitudes
+        pair = ms.random_pure(ms.qubits(2), seed + 1).amplitudes
+        tensor = np.moveaxis(np.kron(one, pair).reshape(2, 2, 2), 0, int(rng.integers(3)))
+        return PureState(prof, tensor.reshape(-1))
+    return ms.random_product(prof, seed)
+
+
+@given(
+    kinds=hyp.tuples(*[hyp.sampled_from(sorted(PLANTED_VALUE))] * 2),
+    seed=hyp.integers(0, 2**16),
+    w=hyp.floats(0.2, 0.8),
+)
+def test_planted_three_qubit_mixture_is_exact_and_sound(kinds, seed, w):
+    rng = np.random.default_rng([seed, 2222])
+    rho = mixture([planted_element(kind, rng) for kind in kinds], [w, 1.0 - w])
+    res = ms.mixed_schmidt_number(rho, FAST)
+    assert res.exact and res.value_lo <= max(PLANTED_VALUE[kind] for kind in kinds)
+    witness = res.witness_ensemble
+    assert np.linalg.norm(witness.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
+    assert all(ms.pure_schmidt_number(st).value_hi <= res.value_hi for st in witness.states)
+
+
+def wootters_lambdas(rho):
+    """Descending square roots of the eigenvalues of R = rho (Y x Y) rho^* (Y x Y)."""
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    ev = np.linalg.eigvals(rho @ yy @ rho.conj() @ yy).real
+    return np.sqrt(np.clip(np.sort(ev)[::-1], 0.0, None))
+
+
 def concurrence_margin(rho):
-    """lambda_1 - lambda_2 - lambda_3 - lambda_4 of Wootters' R = rho (Y x Y) rho^* (Y x Y).
+    """lambda_1 - lambda_2 - lambda_3 - lambda_4 of Wootters' R.
 
     The concurrence is its positive part, so it is > 0 iff rho is entangled.
     """
-    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
-    ev = np.linalg.eigvals(rho @ yy @ rho.conj() @ yy).real
-    lam = np.sqrt(np.clip(np.sort(ev)[::-1], 0.0, None))
+    lam = wootters_lambdas(rho)
     return lam[0] - lam[1] - lam[2] - lam[3]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ckw_polynomials_match_wootters_concurrences(seed):
+    """S and H at a seeded point of a seeded line satisfy Coffman-Kundu-Wootters.
+
+    For a normalized three-qubit state, sum_i 4 det(rho_i) - 3 tau =
+    2 sum_pairs C^2 with tau = 4 |H|. A pair reduction has rank <= 2, so R
+    has at most two nonzero eigenvalues and C = lambda_1 - lambda_2.
+    """
+    rng = np.random.default_rng([seed, 333])
+    v1, v2 = (rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(2))
+    z = complex(rng.normal(), rng.normal())
+    sig, h = number._ckw_polynomials(v1, v2)
+    norm2 = np.linalg.norm(v1 + z * v2) ** 2
+    s = (z ** np.arange(3)) @ sig @ (np.conj(z) ** np.arange(3)) / norm2**2
+    tau = 4.0 * abs(np.polyval(h[::-1], z)) / norm2**2
+    state = PureState(ms.qubits(3), (v1 + z * v2) / np.sqrt(norm2))
+    c2 = 0.0
+    for pair in ((1, 2), (1, 3), (2, 3)):
+        lam = wootters_lambdas(ms.reduce(state, ms.SubsystemSet(pair)).matrix)
+        c2 += (lam[0] - lam[1]) ** 2
+    assert abs(s.imag) <= 1e-12
+    assert abs(4.0 * s.real - 3.0 * tau - 2.0 * c2) <= 1e-12
 
 
 class TestWoottersOracle:
@@ -332,20 +437,19 @@ def reference_surrogate(state, r):
         (1.0 - spectra[i][0]) + sum(tail(spectra[j], r) for j in range(m) if j != i)
         for i in range(m)
     )
-    if state.profile.dims == (2, 2, 2) and r >= 3:
-        npt = 0.0
-        for i in range(1, 4):
-            red = ms.reduce(state, ms.SubsystemSet((i,)).complement(3))
-            pt = ms.partial_transpose(red, ms.SubsystemSet((1,)))
-            w = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
-            npt -= float(np.sum(w[w < 0.0]))
-        return min(split, npt)
     return min(split, sum(tail(p, r - 1) for p in spectra))
 
 
 class TestLowValueSurrogate:
-    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 3, 3)])
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "dims, r",
+        [
+            pytest.param(dims, r, id=f"{r}-dims{k}")
+            for k, dims in enumerate([(2, 2, 2), (2, 2, 3), (2, 3, 3)])
+            for r in (1, 2, 3)
+            if dims != (2, 2, 2) or r < 3  # no grid scans a three-qubit line at level 3
+        ],
+    )
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_public_reference(self, dims, r, seed):
         st_ = ms.random_pure(ms.DimensionProfile(dims), seed)
