@@ -8,8 +8,12 @@ Conventions
   party 1 varying slowest.
 - All tolerances are explicit; the numerical rank cutoff is relative to the
   largest eigenvalue and defaults to ``DEFAULT_RANK_TOL``.
-- Pure-state ranks and local spectra come from ``local_weights``, the squared
-  singular values of one amplitude unfolding, counted by ``weight_rank``.
+- Pure-state ranks and local spectra are the squared singular values of
+  amplitude unfoldings (``local_weights`` for one cut), counted by
+  ``weight_rank``. They are computed once per pure state: ``factorize``
+  hands on the spectra of the cuts it decomposed, a two-party value is its
+  Schmidt rank from one SVD, and ``unfold`` takes a stack of states, so
+  states of one shape share one SVD (the margin test of a range line).
   ``reduce`` forms reduced density matrices and is for mixed reductions.
 - A ``DensityMatrix`` carries the eigensystem its validation computed;
   ``spectrum`` and ``numerical_rank`` reuse it instead of decomposing again.
@@ -121,6 +125,8 @@ class PureState:
                 f"{self.profile.total_dim}"
             )
         norm = float(np.linalg.norm(amps))
+        if not math.isfinite(norm):  # a NaN or infinite amplitude
+            raise ValueError("amplitudes must be finite")
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
         amps.setflags(write=False)
@@ -142,6 +148,8 @@ def normalized_state(profile: DimensionProfile, amplitudes: np.ndarray) -> PureS
     """Build a PureState from an unnormalized amplitude vector."""
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     norm = np.linalg.norm(amps)
+    if not np.isfinite(norm):
+        raise ValueError("amplitudes must be finite")
     if norm <= 0:
         raise ValueError("cannot normalize the zero vector")
     return PureState(profile, amps / norm)
@@ -164,6 +172,8 @@ class DensityMatrix:
         mat = np.ascontiguousarray(self.matrix, dtype=np.complex128).copy()
         if mat.shape != (n, n):
             raise ValueError(f"matrix shape {mat.shape} does not match profile dimension {n}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix entries must be finite")
         herm_err = float(np.max(np.abs(mat - mat.conj().T))) if n else 0.0
         if herm_err > HERM_ATOL:
             raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {herm_err}")
@@ -202,12 +212,16 @@ def unfold(amplitudes: np.ndarray, dims: tuple[int, ...], side: SubsystemSet) ->
     """Amplitude tensor as a (side block) x (rest block) matrix.
 
     Both blocks keep ascending party order, matching ``reduce`` and
-    ``DimensionProfile.restrict``.
+    ``DimensionProfile.restrict``. Leading axes of ``amplitudes`` before the
+    last stack several states, giving a stack of unfoldings.
     """
-    side_axes = [i - 1 for i in side.indices]
-    rest_axes = [a for a in range(len(dims)) if a + 1 not in side]
-    rows = math.prod(dims[a] for a in side_axes)
-    return amplitudes.reshape(dims).transpose(side_axes + rest_axes).reshape(rows, -1)
+    lead = amplitudes.shape[:-1]
+    k = len(lead)
+    side_axes = [k + i - 1 for i in side.indices]
+    rest_axes = [k + a for a in range(len(dims)) if a + 1 not in side]
+    rows = math.prod(dims[a - k] for a in side_axes)
+    tensor = amplitudes.reshape(lead + tuple(dims))
+    return tensor.transpose(list(range(k)) + side_axes + rest_axes).reshape(lead + (rows, -1))
 
 
 def reduce(state: Union[PureState, DensityMatrix], keep: SubsystemSet) -> DensityMatrix:

@@ -30,6 +30,14 @@ an ``exact`` flag:
   that composed bound the result stays an interval. Only three-party lines
   that are not all qubits keep a heuristic grid-and-polish scan.
 
+Spectra are computed once per pure state. A two-party pure state's value is
+its Schmidt rank, from one SVD, and the eigen elements of a two-party mixed
+state get theirs from one stacked SVD. With three or more parties the
+max-party rule reads each local rank off the cut spectra that factorize has
+already computed. The margin test of a range line's rank drops takes one
+stacked SVD per cut, whose spectra also give the drops' product test and
+two-party values.
+
 Every worked example in the test suite resolves to a matching lo/hi pair.
 Apart from that grid, anything the machinery cannot prove is reported
 inexact, never guessed.
@@ -50,14 +58,13 @@ from .core import (
     DimensionProfile,
     PureState,
     SubsystemSet,
-    local_weights,
     normalized_state,
     reduce,
     spectrum,
     unfold,
     weight_rank,
 )
-from .partitions import enumerate_bipartitions, factorize
+from .partitions import FULLY_SEPARABLE, enumerate_bipartitions, factorize
 from .seeding import stream
 from .states import apply_local_operators
 
@@ -230,6 +237,11 @@ class _Engine:
             raise ValueError("state must have at least one party")
         if m == 1:
             return _result(1, 1, {"rule": "single-party"})
+        if m == 2:
+            r = _schmidt_ranks(state.amplitudes[None], state.profile.dims, self.tol)[0]
+            if r == 1:
+                return _result(1, 1, {"rule": "fully-separable", "partition": FULLY_SEPARABLE})
+            return _result(r, r, {"rule": "bipartite-rank", "rank": r})
 
         structure = factorize(state, self.tol)
         entangled = structure.entangled_factors()
@@ -246,7 +258,7 @@ class _Engine:
                     "factor_trace": sub.branch_trace,
                 }
                 return _result(sub.value_lo, sub.value_hi, trace)
-            return self._genuine_value(state)
+            return self._genuine_value(state, structure.cut_weights)
         # two or more entangled factors: values add
         lo = hi = 0
         parts = []
@@ -263,17 +275,19 @@ class _Engine:
         }
         return _result(lo, hi, trace)
 
-    def _genuine_value(self, state: PureState) -> SchmidtNumberResult:
+    def _genuine_value(self, state: PureState, cut_weights: dict) -> SchmidtNumberResult:
+        """The max-party rule; ``cut_weights`` are factorize's spectra of every cut.
+
+        Party i's local rank is read off the cut {i} or, for i > 1, off its
+        complement, whose unfolding has the same singular values.
+        """
         m = state.party_count
-        if m == 2:
-            r = weight_rank(local_weights(state, SubsystemSet((1,))), self.tol)
-            return _result(r, r, {"rule": "bipartite-rank", "rank": r})
         lo = hi = 0
         per_party = []
         for i in range(1, m + 1):
-            me = SubsystemSet((i,))
-            r_i = weight_rank(local_weights(state, me), self.tol)
-            sub = self.mixed_value(reduce(state, me.complement(m)))
+            rest = SubsystemSet((i,)).complement(m)
+            r_i = weight_rank(cut_weights[(1,) if i == 1 else rest.indices], self.tol)
+            sub = self.mixed_value(reduce(state, rest))
             lo = max(lo, r_i + sub.value_lo)
             hi = max(hi, r_i + sub.value_hi)
             per_party.append(
@@ -327,8 +341,11 @@ class _Engine:
             return _result(sub.value_lo, sub.value_hi, trace, witness)
         trace["rank"] = k
 
-        element_results = [self.pure_value(s) for s in elements]
-        eigen_hi = max(r.value_hi for r in element_results)
+        if m == 2:
+            stack = np.stack([s.amplitudes for s in elements])
+            eigen_hi = max(_schmidt_ranks(stack, rho.profile.dims, self.tol))
+        else:
+            eigen_hi = max(self.pure_value(s).value_hi for s in elements)
         witness = _build_candidate(rho, weights, elements)
         hi = eigen_hi
         trace["eigen_hi"] = eigen_hi
@@ -476,23 +493,28 @@ class _Engine:
             generic.append(g)
             drops.extend(found)
         roots = [normalized_state(profile, a * v1 + b * v2) for a, b in drops]
-        for st in roots:
-            for cut in cuts:
-                p = local_weights(st, cut)
-                if weight_rank(p, ROOT_FLOOR) != weight_rank(p, self.tol):
-                    return None  # a root neither clean nor clearly off: no exact claim
         states = roots + [normalized_state(profile, v1), normalized_state(profile, v2)]
+        # one stacked decomposition per cut serves every state of the line
+        stack = np.stack([st.amplitudes for st in states])
+        spectra = [np.linalg.svd(unfold(stack, dims, cut), compute_uv=False) ** 2 for cut in cuts]
+        ranks = [_stack_ranks(p, self.tol) for p in spectra]
+        n = len(roots)
+        if any(np.any(_stack_ranks(p[:n], ROOT_FLOOR) != r[:n]) for p, r in zip(spectra, ranks)):
+            return None  # a root neither clean nor clearly off: no exact claim
         if m == 2:
-            rays = [
-                (st, weight_rank(local_weights(st, cuts[0]), self.tol)) for st in _dedupe_states(states)
-            ]
+            rays = [(states[j], int(ranks[0][j])) for j in _dedupe_index(states)]
             return rays, generic[0] - 1
         if min(generic) == 1:
             # every point factorizes at that cut; a cut of g >= 2 still lists
             # every fully product state
             top = 1 if max(generic) > 1 else 0
-        elif dims == (2, 2, 2):
-            ckw = self._ckw_states(profile, v1, v2, roots)
+        elif dims == (2, 2, 2):  # the cuts are the three single parties
+            products = [
+                roots[j]
+                for j in _dedupe_index(roots)
+                if all(r[j] == 1 for r in ranks)
+            ]
+            ckw = self._ckw_states(profile, v1, v2, products)
             top = 2 if ckw is None else 3
             states += ckw or []
         else:
@@ -505,8 +527,8 @@ class _Engine:
             rays.append((st, res.value_hi))
         return rays, top
 
-    def _ckw_states(self, profile: DimensionProfile, v1: np.ndarray, v2: np.ndarray, roots):
-        """The states of value <= 3 on a three-qubit line beyond its drops ``roots``.
+    def _ckw_states(self, profile: DimensionProfile, v1: np.ndarray, v2: np.ndarray, products):
+        """The states of value <= 3 on a three-qubit line beyond its drops.
 
         A genuinely entangled three-qubit state has value 2 + (value of a pair
         reduction) at each party, so its value is <= 3 iff every pair
@@ -515,18 +537,14 @@ class _Engine:
         so that holds iff the gap P = (S/3)^2 - |H|^2 vanishes (S the summed
         det(rho_i), H Cayley's hyperdeterminant). Fully product states are
         zeros too; biseparable states are not (their value 2 comes from the
-        party drops). Zeros pass a margin test like ROOT_FLOOR's (_ckw_zeros)
-        and must have pure value <= 3. None when they cannot be listed: P
-        vanishes on the whole line (all of it has value <= 3), a singular
-        eliminant, or a zero without a clear margin.
+        party drops). ``products`` are the line's fully product drops. Zeros
+        pass a margin test like ROOT_FLOOR's (_ckw_zeros) and must have pure
+        value <= 3. None when they cannot be listed: P vanishes on the whole
+        line (all of it has value <= 3), a singular eliminant, or a zero
+        without a clear margin.
         """
-        singles = [SubsystemSet((i,)) for i in (1, 2, 3)]
-        products = [
-            (np.vdot(v1, st.amplitudes), np.vdot(v2, st.amplitudes))
-            for st in _dedupe_states(roots)
-            if all(weight_rank(local_weights(st, side), self.tol) == 1 for side in singles)
-        ]
-        zeros = _ckw_zeros(v1, v2, products)
+        rays = [(np.vdot(v1, st.amplitudes), np.vdot(v2, st.amplitudes)) for st in products]
+        zeros = _ckw_zeros(v1, v2, rays)
         if zeros is None:
             return None
         out = [normalized_state(profile, a * v1 + b * v2) for a, b in zeros]
@@ -969,12 +987,28 @@ def _qubit_pencil_products(
     return _solve_mixture(rho, _dedupe_states(products))
 
 
-def _dedupe_states(states: list[PureState]) -> list[PureState]:
-    out: list[PureState] = []
-    for s in states:
-        if all(abs(np.vdot(t.amplitudes, s.amplitudes)) < 1.0 - 1e-9 for t in out):
-            out.append(s)
+def _dedupe_index(states: list[PureState]) -> list[int]:
+    """Indices of the states kept when later near-duplicate rays are dropped."""
+    out: list[int] = []
+    for j, s in enumerate(states):
+        if all(abs(np.vdot(states[i].amplitudes, s.amplitudes)) < 1.0 - 1e-9 for i in out):
+            out.append(j)
     return out
+
+
+def _dedupe_states(states: list[PureState]) -> list[PureState]:
+    return [states[j] for j in _dedupe_index(states)]
+
+
+def _stack_ranks(weights: np.ndarray, tol: float) -> np.ndarray:
+    """``weight_rank`` of each row of a stack of descending weight vectors."""
+    return np.count_nonzero(weights > tol * weights[..., :1], axis=-1)
+
+
+def _schmidt_ranks(amplitudes: np.ndarray, dims: tuple[int, ...], tol: float) -> list[int]:
+    """Schmidt ranks of a stack of two-party amplitude vectors, from one SVD."""
+    s = np.linalg.svd(amplitudes.reshape(-1, *dims), compute_uv=False)
+    return _stack_ranks(s**2, tol).tolist()
 
 
 def _solve_mixture(rho: DensityMatrix, states: list[PureState]) -> Optional[EnsembleCandidate]:

@@ -8,7 +8,7 @@ genuinely entangled on its own parties.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -36,7 +36,10 @@ class PartitionStructure:
     ``factors`` partition {1..m}; ``factor_states`` carry the extracted pure
     state of each factor on its restricted profile; a factor is flagged
     entangled iff it has two or more parties (finest factors cannot be
-    internally product).
+    internally product). ``cut_weights`` maps each side (a party tuple
+    holding party 1) of every cut of the whole state that was decomposed to
+    the squared singular values of its unfolding; for a genuinely entangled
+    state that is every cut.
     """
 
     party_count: int
@@ -44,6 +47,7 @@ class PartitionStructure:
     factor_states: tuple[PureState, ...]
     entangled: tuple[bool, ...]
     label: str
+    cut_weights: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def is_fully_separable(self) -> bool:
@@ -86,7 +90,8 @@ def _local_subsets(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _finest(parties: tuple[int, ...], state: PureState, tol: float):
+def _finest(parties: tuple[int, ...], state: PureState, tol: float, record=None):
+    """Finest factors of ``state``; ``record`` collects the weights of its cuts."""
     k = len(parties)
     if k == 1:
         return [(parties, state)]
@@ -95,11 +100,14 @@ def _finest(parties: tuple[int, ...], state: PureState, tol: float):
         side = SubsystemSet(local)
         mat = unfold(state.amplitudes, profile.dims, side)
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        if weight_rank(s**2, tol) == 1:
+        weights = s**2
+        if record is not None:
+            record[local] = weights
+        if weight_rank(weights, tol) == 1:
             # state = s[0] u[:, 0] (x) vh[0] up to the discarded tail
-            if float(s[0] ** 2) < 1.0 - PURITY_ATOL:
+            if float(weights[0]) < 1.0 - PURITY_ATOL:
                 raise ConsistencyError(
-                    f"expected a pure reduction, largest eigenvalue {float(s[0] ** 2)}"
+                    f"expected a pure reduction, largest eigenvalue {float(weights[0])}"
                 )
             other = side.complement(k)
             state_a = PureState(profile.restrict(side), u[:, 0])
@@ -122,7 +130,8 @@ def structure_label(factors: tuple[SubsystemSet, ...], m: int) -> str:
 def factorize(state: PureState, tol: float = DEFAULT_RANK_TOL) -> PartitionStructure:
     """Finest product factorization of a normalized pure state."""
     m = state.party_count
-    leaves = _finest(tuple(range(1, m + 1)), state, tol)
+    cut_weights: dict = {}
+    leaves = _finest(tuple(range(1, m + 1)), state, tol, cut_weights)
     leaves.sort(key=lambda item: item[0][0])
     factors = tuple(SubsystemSet(p) for p, _ in leaves)
     states = tuple(s for _, s in leaves)
@@ -133,6 +142,7 @@ def factorize(state: PureState, tol: float = DEFAULT_RANK_TOL) -> PartitionStruc
         factor_states=states,
         entangled=entangled,
         label=structure_label(factors, m),
+        cut_weights=cut_weights,
     )
 
 

@@ -53,6 +53,12 @@ class TestStateFiles:
         assert main(["analyze", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_file_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"dims": [2], "amplitudes": [[1.0, 0.0], [NaN, 0.0]]}')
+        assert main(["analyze", str(bad)]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_unnormalized_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(

@@ -40,6 +40,19 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             ms.PureState(prof, np.array([1.0, 1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_input_rejected(self, bad):
+        prof = ms.DimensionProfile((2, 2))
+        amps = np.array([1.0, 0.0, 0.0, bad], dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            ms.PureState(prof, amps)
+        with pytest.raises(ValueError, match="finite"):
+            ms.normalized_state(prof, amps)
+        mat = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        mat[3, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ms.DensityMatrix(prof, mat)
+
     def test_pure_state_amplitudes_are_read_only(self):
         st_ = ms.w_state(3)
         with pytest.raises(ValueError):
