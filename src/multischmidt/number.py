@@ -26,9 +26,10 @@ an ``exact`` flag:
   from a Sylvester eliminant as a 28 x 28 generalized eigenproblem. On four
   or more parties range-only bounds compose: where party i's slices span a
   fixed plane P_i, every other state has value >= g_i + (the least value of
-  a rank-2 state with range P_i), a bound from one exact solve on P_i; above
-  that composed bound the result stays an interval. Only three-party lines
-  that are not all qubits keep a heuristic grid-and-polish scan.
+  a rank-2 state with range P_i), a bound from one exact solve on P_i. The
+  same composition serves three parties that are not all qubits, whose
+  planes P_i are two-party ranges. Above the composed bound the result
+  stays an interval.
 
 Spectra are computed once per pure state. A two-party pure state's value is
 its Schmidt rank, from one SVD, and the eigen elements of a two-party mixed
@@ -39,8 +40,7 @@ stacked SVD per cut, whose spectra also give the drops' product test and
 two-party values.
 
 Every worked example in the test suite resolves to a matching lo/hi pair.
-Apart from that grid, anything the machinery cannot prove is reported
-inexact, never guessed.
+Anything the machinery cannot prove is reported inexact, never guessed.
 """
 from __future__ import annotations
 
@@ -75,10 +75,10 @@ ROOT_FLOOR = 1e-20
 # fixed generic members z*M1 + M2 of a range pencil
 _PROBES = np.exp(1j * np.array([1.0, 2.0, 3.0]))
 # a three-qubit state's relative CKW gap is a zero below CKW_FLOOR and clearly
-# off above CKW_MARGIN; polynomial coefficients below CKW_ATOL vanish
+# off above CKW_MARGIN; CKW_FLOOR also floors S on unit rays and the CKW
+# eliminant's relative singular values
 CKW_FLOOR = 1e-12
 CKW_MARGIN = 1e-6
-CKW_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -203,23 +203,17 @@ class _Engine:
     """Memoized evaluator shared by one public call.
 
     Caches pure/mixed results by rounded amplitudes/matrices and range rays
-    and grid certificates by rounded range projectors, so the nested
-    recursion of the genuinely entangled rule (pure -> mixed reductions ->
-    range rays -> pure rays) stays affordable.
+    by rounded range projectors, so the nested recursion of the genuinely
+    entangled rule (pure -> mixed reductions -> range rays -> pure rays)
+    stays affordable.
     """
-
-    # projective-grid resolution of the non-qubit three-party certificate
-    CERT_GRID = (21, 16)
-    MAX_FRESH_CERTS = 12
 
     def __init__(self, budget: SearchBudget, tol: float):
         self.budget = budget
         self.tol = tol
         self._pure_cache: dict = {}
         self._mixed_cache: dict = {}
-        self._cert_cache: dict = {}
         self._ray_cache: dict = {}
-        self._fresh_certs = 0
 
     # ---- pure states -----------------------------------------------------
 
@@ -385,15 +379,15 @@ class _Engine:
         # range-span certificate: prove nothing below the eigen value exists
         plane = k == 2 and w[1] > EIGEN_WEIGHT_FLOOR
         if lo < hi and plane:
-            cert = self._span_certificate(rho, w, v, hi - 1)
-            trace["certificate"] = cert["summary"] if cert else "cap-reached"
-            if cert and cert["certified"]:
+            cert = self._span_certificate(rho, v, hi - 1)
+            trace["certificate"] = cert["summary"]
+            if cert["certified"]:
                 return _result(hi, hi, trace | {"rule": "range-span-certified"}, witness)
 
         # the range rays decide every level up to their top exactly, lowest
         # first: the first level whose rays mix to rho is the value, and each
         # level whose rays cannot mix is a proved lower bound
-        found = self._range_rays(rho.profile, v) if plane and not _grid_shape(rho) else None
+        found = self._range_rays(rho.profile, v) if plane else None
         if found is not None:
             rays, top = found
             for r in range(lo, min(hi, top + 1)):
@@ -410,10 +404,6 @@ class _Engine:
             if cand is not None:
                 hi = r
                 witness = cand
-                if lo < hi and plane:
-                    cert = self._span_certificate(rho, w, v, hi - 1)
-                    if cert and cert["certified"]:
-                        lo = hi
                 break
         trace["search_attempts"] = attempts
         trace["rule"] = "interval"
@@ -544,7 +534,7 @@ class _Engine:
         without a clear margin.
         """
         rays = [(np.vdot(v1, st.amplitudes), np.vdot(v2, st.amplitudes)) for st in products]
-        zeros = _ckw_zeros(v1, v2, rays)
+        zeros = _ckw_zeros(v1, v2, rays, self.tol)
         if zeros is None:
             return None
         out = [normalized_state(profile, a * v1 + b * v2) for a, b in zeros]
@@ -591,91 +581,29 @@ class _Engine:
 
     # ---- range-span lower bound -------------------------------------------
 
-    def _span_certificate(
-        self, rho: DensityMatrix, w: np.ndarray, v: np.ndarray, r: int
-    ) -> Optional[dict]:
+    def _span_certificate(self, rho: DensityMatrix, v: np.ndarray, r: int) -> dict:
         """Certify that no ensemble of rho can consist of value <= r states.
 
-        Returns {"certified", "summary"}, or None when the MAX_FRESH_CERTS cap
-        refuses a new grid scan. Exact wherever ``_range_rays`` lists every
-        state of value <= r on the range line (two parties, three qubits,
-        range composition for four or more parties): certified iff those
-        states cannot mix to rho, and inconclusive above the rays' top. The
-        non-qubit three-party shapes keep a heuristic scan of the projective
-        line: grid points are classified by their (integer) pure value,
-        definite zeros must span a proper subspace and no ambiguous point may
-        appear, and a continuous surrogate is minimized to catch off-grid
-        zeros.
+        Returns {"certified", "summary"}. ``_range_rays`` lists every state of
+        value <= r on the range line up to the rays' top (pencil drops; the
+        CKW zeros on three qubits; the range composition on three or more
+        parties not all qubits): certified iff those states cannot mix to
+        rho. Above the top the summary is "inconclusive", and "ambiguous"
+        when a root is too shallow to list the rays at all.
         """
-        if not _grid_shape(rho):
-            found = self._range_rays(rho.profile, v)
-            if found is None:
-                return {"certified": False, "summary": {"certified": False, "reason": "ambiguous"}}
-            rays, top = found
-            if r > top:
-                summary = {"certified": False, "level": int(r), "reason": "inconclusive"}
-                return {"certified": False, "summary": summary}
-            low = [s for s, val in rays if val <= r]
-            certified = _solve_mixture(rho, low) is None
-            summary = {"certified": certified, "level": int(r), "range_rays": len(low)}
-            return {"certified": certified, "summary": summary}
-        basis = v[:, :2]
-        key = (_range_key(basis, rho.profile.dims), r)
-        if key in self._cert_cache:
-            return self._cert_cache[key]
-        if self._fresh_certs >= self.MAX_FRESH_CERTS:
-            return None
-        self._fresh_certs += 1
+        found = self._range_rays(rho.profile, v)
+        if found is None:
+            return {"certified": False, "summary": {"certified": False, "reason": "ambiguous"}}
+        rays, top = found
+        if r > top:
+            summary = {"certified": False, "level": int(r), "reason": "inconclusive"}
+            return {"certified": False, "summary": summary}
+        low = [s for s, val in rays if val <= r]
+        certified = _solve_mixture(rho, low) is None
+        summary = {"certified": certified, "level": int(r), "range_rays": len(low)}
+        return {"certified": certified, "summary": summary}
 
-        dims = rho.profile.dims
-        v1, v2 = basis[:, 0], basis[:, 1]
-
-        def ray(t: float, ph: float) -> np.ndarray:
-            vec = np.cos(t) * v1 + np.exp(1j * ph) * np.sin(t) * v2
-            return (vec / np.linalg.norm(vec)).reshape(dims)
-
-        nt, nph = self.CERT_GRID
-        zeros: list[np.ndarray] = []
-        ambiguous = False
-        samples = [(0.0, 0.0), (np.pi / 2.0, 0.0)]
-        for t in np.linspace(0.0, np.pi / 2.0, nt + 2)[1:-1]:
-            for ph in np.linspace(0.0, 2.0 * np.pi, nph, endpoint=False):
-                samples.append((float(t), float(ph)))
-        for t, ph in samples:
-            st = PureState(rho.profile, ray(t, ph))
-            res = self.pure_value(st)
-            if res.value_hi <= r:
-                zeros.append(st.amplitudes)
-            elif res.value_lo <= r:
-                ambiguous = True
-                break
-
-        # Rank tolerance blurs classification in a boundary layer of angular
-        # width ~sqrt(tol) around true zeros; polished zeros inside that layer
-        # are absorbed. Mixing nearly parallel rays cannot rebuild a rank-2
-        # state whose eigenvalue ratio exceeds the layer width squared, so the
-        # absorption cannot hide a decomposition the certificate should block.
-        absorb = min(1e-2, 0.25 * float(np.sqrt(w[1] / w[0])))
-        if ambiguous or not self._polish_zero_hunt(ray, r, zeros, absorb):
-            cert = {"certified": False, "summary": {"certified": False, "reason": "ambiguous"}}
-            self._cert_cache[key] = cert
-            return cert
-
-        span_dim = _span_rank(zeros) if zeros else 0
-        certified = span_dim < 2
-        cert = {
-            "certified": certified,
-            "summary": {
-                "certified": certified,
-                "level": int(r),
-                "grid": [nt, nph],
-                "zero_span": int(span_dim),
-                "surrogate_polish": True,
-            },
-        }
-        self._cert_cache[key] = cert
-        return cert
-
+    # unreachable (every rank-2 range takes _range_rays); the benchmark hooks it
     def _polish_zero_hunt(self, ray, r: int, zeros: list[np.ndarray], absorb: float) -> bool:
         """Minimize the continuous low-value surrogate to catch off-grid zeros.
 
@@ -717,7 +645,10 @@ class _Engine:
         Tries the eigen-ensemble, the exact product routes (target 1), then
         seeded smooth optimization over the isometry parametrization of all
         decompositions; candidates pass a hard per-element re-verification.
-        Absence of a result is not a proof of impossibility.
+        The optimization is skipped where its surrogate (_element_tail)
+        vanishes on every state: three or more parties with target_r - 1 at
+        least every local rank bound. Absence of a result is not a proof of
+        impossibility.
         """
         if target_r < 1:
             raise ValueError("target rank must be >= 1")
@@ -733,6 +664,9 @@ class _Engine:
                 return cand
             if route in ("no-products-in-range", "products-cannot-mix"):
                 return None
+        dims, total = rho.profile.dims, rho.profile.total_dim
+        if len(dims) >= 3 and all(target_r - 1 >= min(d, total // d) for d in dims):
+            return None  # _element_tail vanishes identically: nothing to minimize
         return self._optimized_ensemble(rho, target_r, weights, elements)
 
     def _optimized_ensemble(self, rho, target_r, weights, elements):
@@ -815,11 +749,6 @@ def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[int, np.nda
     return g, rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
 
-def _grid_shape(rho: DensityMatrix) -> bool:
-    """Three parties, not all qubits: the range line is still scanned on a grid."""
-    return rho.party_count == 3 and rho.profile.dims != (2, 2, 2)
-
-
 def _polar(x: np.ndarray, y: np.ndarray):
     """b(x, y) in det(x + t*y) = det(x) + t*b(x, y) + t^2*det(y), for 2 x 2 blocks."""
     return (
@@ -868,7 +797,7 @@ def _ckw_form(sig: np.ndarray, h: np.ndarray) -> np.ndarray:
     return f
 
 
-def _ckw_zeros(v1: np.ndarray, v2: np.ndarray, products: list) -> Optional[np.ndarray]:
+def _ckw_zeros(v1: np.ndarray, v2: np.ndarray, products: list, tol: float) -> Optional[np.ndarray]:
     """Unit rays (beta, alpha) holding every zero of the CKW gap on span{v1, v2}.
 
     With S and H from _ckw_polynomials, the gap on psi(z) = v1 + z*v2 is
@@ -884,12 +813,15 @@ def _ckw_zeros(v1: np.ndarray, v2: np.ndarray, products: list) -> Optional[np.nd
     critical points, the zeros are kept. An empty list when H vanishes (the
     gap S^2/9 is then zero only at fully product states); None when the gap
     vanishes on the whole line, the eliminant is singular or a critical
-    point is neither clearly a zero nor clearly off.
+    point is neither clearly a zero nor clearly off. H and F vanish when
+    their coefficients are below ``tol`` times the line's scale: the largest
+    S coefficient for H, its square for F.
     """
     sig0, h0 = _ckw_polynomials(v1, v2)
-    if np.max(np.abs(h0)) <= CKW_ATOL:
+    scale = np.max(np.abs(sig0))
+    if np.max(np.abs(h0)) <= tol * scale:
         return np.zeros((0, 2))
-    if np.max(np.abs(_ckw_form(sig0, h0))) <= CKW_ATOL:
+    if np.max(np.abs(_ckw_form(sig0, h0))) <= tol * scale**2:
         return None
     if len(products) > 2:
         return None
@@ -911,7 +843,7 @@ def _ckw_zeros(v1: np.ndarray, v2: np.ndarray, products: list) -> Optional[np.nd
         syl[:, n - 1 + row, row : row + n] = fw[:, ::-1]
     members = [np.tensordot(z ** np.arange(n + 1), syl, axes=1) for z in _PROBES]
     spectra = [np.linalg.svd(mat, compute_uv=False) for mat in members]
-    if all(s[-1] <= CKW_ATOL * s[0] for s in spectra):  # singular: det M(z) == 0
+    if all(s[-1] <= CKW_FLOOR * s[0] for s in spectra):  # singular: det M(z) == 0
         return None
     # x = (v, zv, .., z^(n-1) v): x_(k+1) = z x_k, and M(z) v = 0 in the last block row
     lhs = np.eye(n * size, k=size, dtype=np.complex128)
@@ -929,8 +861,8 @@ def _ckw_zeros(v1: np.ndarray, v2: np.ndarray, products: list) -> Optional[np.nd
     quad = rays[:, :1] ** np.arange(2, -1, -1) * rays[:, 1:] ** np.arange(3)  # z^k ~ alpha^k
     quart = rays[:, :1] ** np.arange(4, -1, -1) * rays[:, 1:] ** np.arange(5)
     s = np.maximum(np.einsum("na,ab,nb->n", quad, sig0, quad.conj()).real, 0.0)
-    ratio = 3.0 * np.abs(quart @ h0) / np.maximum(s, CKW_ATOL)
-    gap = np.where(s > CKW_ATOL, 1.0 - ratio**2, 0.0)
+    ratio = 3.0 * np.abs(quart @ h0) / np.maximum(s, CKW_FLOOR)
+    gap = np.where(s > CKW_FLOOR, 1.0 - ratio**2, 0.0)
     if np.any((gap > CKW_FLOOR) & (gap < CKW_MARGIN)):
         return None  # a zero without a clear margin
     return rays[gap <= CKW_FLOOR]
@@ -1042,12 +974,7 @@ def _build_candidate(rho: DensityMatrix, weights, states) -> Optional[EnsembleCa
     return cand if err <= RECONSTRUCTION_ATOL else None
 
 
-def _span_rank(vectors: list[np.ndarray], tol: float = 1e-8) -> int:
-    stack = np.column_stack(vectors)
-    s = np.linalg.svd(stack, compute_uv=False)
-    return int(np.count_nonzero(s > tol * s[0])) if s.size and s[0] > 0 else 0
-
-
+# unreachable, called only by _polish_zero_hunt
 def _angle_to_span(vec: np.ndarray, span_vectors: list[np.ndarray]) -> float:
     q, _ = np.linalg.qr(np.column_stack(span_vectors))
     resid = vec - q @ (q.conj().T @ vec)
@@ -1065,6 +992,7 @@ def _element_tail(vec: np.ndarray, profile: DimensionProfile, target_r: int) -> 
     return float(sum(_tail(p, target_r - 1) for p in spectra))
 
 
+# unreachable, called only by _polish_zero_hunt
 def _low_value_surrogate(psi: np.ndarray, r: int) -> float:
     """Continuous nonnegative function vanishing on all states of value <= r.
 

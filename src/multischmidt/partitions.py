@@ -26,8 +26,6 @@ from .errors import ConsistencyError
 FULLY_SEPARABLE = "FullySeparable"
 GENUINELY_ENTANGLED = "GenuinelyEntangled"
 
-PURITY_ATOL = 1e-8
-
 
 @dataclass(frozen=True)
 class PartitionStructure:
@@ -104,8 +102,9 @@ def _finest(parties: tuple[int, ...], state: PureState, tol: float, record=None)
         if record is not None:
             record[local] = weights
         if weight_rank(weights, tol) == 1:
-            # state = s[0] u[:, 0] (x) vh[0] up to the discarded tail
-            if float(weights[0]) < 1.0 - PURITY_ATOL:
+            # state = s[0] u[:, 0] (x) vh[0] up to the discarded tail, whose
+            # weights are each <= tol * weights[0]
+            if 1.0 - float(weights[0]) > weights.size * tol:
                 raise ConsistencyError(
                     f"expected a pure reduction, largest eigenvalue {float(weights[0])}"
                 )

@@ -5,6 +5,8 @@ import hypothesis
 import numpy as np
 import pytest
 
+import multischmidt as ms
+
 hypothesis.settings.register_profile(
     "ci", deadline=None, max_examples=40, derandomize=True
 )
@@ -55,6 +57,18 @@ def brute_partial_trace(vec, dims, keep):
                 acc += vec[flat(mi)] * np.conj(vec[flat(mj)])
             out[kflat(ki), kflat(kj)] = acc
     return out
+
+
+def near_bell_times_zero():
+    """Bell (x) |0> plus relative complex Gaussian noise of norm 1e-3, renormalized.
+
+    Its 12|3 cut has rank 1 under a tolerance above the noise weight (~1e-7)
+    but not under the default 1e-8.
+    """
+    clean = np.kron(ms.bell_state().amplitudes, [1.0, 0.0])
+    gen = np.random.default_rng(0)
+    noise = gen.normal(size=8) + 1j * gen.normal(size=8)
+    return ms.normalized_state(ms.qubits(3), clean + 1e-3 * noise / np.linalg.norm(noise))
 
 
 @pytest.fixture

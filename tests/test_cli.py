@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import multischmidt as ms
+from conftest import near_bell_times_zero
 from multischmidt.cli import (
     analyze_state,
     load_state_file,
@@ -52,6 +53,13 @@ class TestStateFiles:
         bad.write_text('{"dims": [2, 2], "amplitudes": [[1.0, 0.0]]}')
         assert main(["analyze", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-4"])
+    def test_loose_tol_on_a_near_product_state(self, tmp_path, capsys, tol):
+        path = tmp_path / "near.json"
+        save_state_file(str(path), near_bell_times_zero())
+        assert main(["analyze", str(path), "--tol", tol, *FAST_FLAGS]) == 0
+        assert "12|3" in capsys.readouterr().out
 
     def test_non_finite_file_rejected(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"

@@ -229,18 +229,20 @@ class TestMixedSchmidtNumber:
         for st in witness.states:
             assert ms.schmidt_decompose(st, ms.SubsystemSet((1,))).rank == 1
 
-    def test_certificate_cap_is_reported(self):
+    def test_qutrit_party_line_is_certified_by_its_range_rays(self, monkeypatch):
         # W_3 on the qubit levels of a (2,2,3) profile mixed with |000>: a
-        # non-qubit three-party line, which the grid certificate still scans
+        # three-party line with a qutrit party
+        def refuse(*args, **kwargs):
+            raise AssertionError("a three-party line reached the grid polish")
+
+        monkeypatch.setattr(number._Engine, "_polish_zero_hunt", refuse)
         prof = ms.DimensionProfile((2, 2, 3))
         w3 = sum(ms.basis_state(prof, idx).amplitudes for idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
         zero = ms.basis_state(prof, (0, 0, 0))
         rho = mixture([PureState(prof, w3 / np.sqrt(3)), zero], [0.75, 0.25])
-        engine = number._Engine(ms.SearchBudget(restarts=8, iters=20, seed=0), DEFAULT_RANK_TOL)
-        engine._fresh_certs = engine.MAX_FRESH_CERTS
-        res = engine.mixed_value(rho)
-        assert res.branch_trace["certificate"] == "cap-reached"
-        assert res.value_hi == 4
+        res = ms.mixed_schmidt_number(rho, ms.SearchBudget(restarts=8, iters=20, seed=0))
+        assert (res.value_lo, res.value_hi, res.exact) == (4, 4, True)
+        assert res.branch_trace["certificate"] == {"certified": True, "level": 3, "range_rays": 1}
 
 
 def lu_ghz(rng, m=3):
@@ -351,6 +353,74 @@ def test_planted_three_qubit_mixture_is_exact_and_sound(kinds, seed, w):
     witness = res.witness_ensemble
     assert np.linalg.norm(witness.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
     assert all(ms.pure_schmidt_number(st).value_hi <= res.value_hi for st in witness.states)
+
+
+QUDIT_KINDS = ("product", "biseparable", "lu-ghz", "slocc-w", "haar")
+QUDIT_SHAPES = [(2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 3, 3)]
+
+
+def planted_qudit_element(kind, dims, rng):
+    """A three-party state of the given class; GHZ and W sit on the qubit levels."""
+    prof = ms.DimensionProfile(dims)
+    seed = int(rng.integers(2**31))
+    if kind == "product":
+        return ms.random_product(prof, seed)
+    if kind == "haar":
+        return ms.random_pure(prof, seed)
+    if kind == "biseparable":
+        i = int(rng.integers(3))
+        rest = dims[:i] + dims[i + 1 :]
+        one = ms.random_pure(ms.DimensionProfile((dims[i],)), seed).amplitudes
+        pair = ms.random_pure(ms.DimensionProfile(rest), seed + 1).amplitudes
+        tensor = np.moveaxis(np.kron(one, pair).reshape(dims[i], *rest), 0, i)
+        return PureState(prof, tensor.reshape(-1))
+    base = np.zeros(dims, dtype=complex)
+    if kind == "lu-ghz":
+        c = rng.uniform(0.3, 0.7)
+        base[0, 0, 0], base[1, 1, 1] = np.sqrt(c), np.sqrt(1.0 - c)
+        ops = ms.random_local_unitary(prof, seed)
+    else:
+        base[0, 0, 1] = base[0, 1, 0] = base[1, 0, 0] = 1.0 / np.sqrt(3.0)
+        ops = ms.random_local_invertible(prof, seed)
+    return ms.apply_local_operators(PureState(prof, base.reshape(-1)), ops)
+
+
+def planted_qudit_mixture(dims, seed):
+    """A rank-2 mixture of two seeded planted elements, and the elements."""
+    rng = np.random.default_rng([seed, *dims, 33])
+    kinds = [QUDIT_KINDS[k] for k in rng.integers(len(QUDIT_KINDS), size=2)]
+    states = [planted_qudit_element(kind, dims, rng) for kind in kinds]
+    w = rng.uniform(0.2, 0.8)
+    return mixture(states, [w, 1.0 - w]), states
+
+
+class TestQuditThreePartyLines:
+    """Three parties, not all qubits: every rank-2 range takes the exact range rays."""
+
+    @pytest.mark.parametrize(
+        "dims, seed",
+        [
+            pytest.param(d, s, id="".join(map(str, d)) + f"-{s}")
+            for d, s in [(d, s) for d in QUDIT_SHAPES for s in range(16)]
+            + [((3, 3, 3), 2), ((3, 3, 3), 3)]
+        ],
+    )
+    def test_planted_mixture_is_sound(self, dims, seed):
+        rho, states = planted_qudit_mixture(dims, seed)
+        res = ms.mixed_schmidt_number(rho)
+        assert res.value_lo <= max(ms.pure_schmidt_number(st).value_hi for st in states)
+        witness = res.witness_ensemble
+        assert np.linalg.norm(witness.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
+
+    def test_no_line_reaches_the_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a three-party line reached the grid polish")
+
+        monkeypatch.setattr(number._Engine, "_polish_zero_hunt", refuse)
+        for dims in QUDIT_SHAPES:
+            for seed in range(4):
+                res = ms.mixed_schmidt_number(planted_qudit_mixture(dims, seed)[0])
+                assert "grid" not in res.branch_trace.get("certificate", {})
 
 
 def wootters_lambdas(rho):
@@ -497,6 +567,18 @@ class TestEnsembleSearch:
         red = ms.reduce(ms.ghz_state(3), ms.SubsystemSet((2, 3)))
         with pytest.raises(ValueError):
             ms.ensemble_search(red, 0)
+
+    def test_no_optimizer_where_the_surrogate_vanishes(self, monkeypatch):
+        # three qubits at target 3: each single-party spectrum has two entries,
+        # so _element_tail is 0 everywhere and L-BFGS would stop at its start
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ensemble optimizer ran on a vanishing surrogate")
+
+        monkeypatch.setattr(number, "minimize", refuse)
+        prof = ms.qubits(3)
+        assert number._element_tail(ms.random_pure(prof, 9).amplitudes, prof, 3) == 0.0
+        rho = mixture([ms.random_pure(prof, k) for k in range(3)], [0.5, 0.3, 0.2])
+        assert ms.ensemble_search(rho, 3, FAST) is None
 
     @pytest.mark.parametrize("seed", range(5))
     def test_candidates_always_reconstruct(self, seed):
@@ -650,11 +732,6 @@ def test_noise_below_tol_keeps_the_interval(name, eps, draw):
     assert noisy == clean
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="CKW_ATOL is absolute: the noisy W4 range line's hyperdeterminant "
-    "coefficients reach ~2.5e-12, so H == 0 is missed and the line stops at level 2",
-)
 @pytest.mark.parametrize("name", ["W4", "W5"])
 @pytest.mark.parametrize("draw", range(3))
 def test_noise_1e11_keeps_the_w_intervals(name, draw):

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import multischmidt as ms
+from conftest import near_bell_times_zero
 from multischmidt.core import PureState
 
 
@@ -43,6 +44,15 @@ class TestFactorize:
         assert structure.entangled == (False, True)
         pair = structure.factor_states[1]
         assert abs(abs(np.vdot(pair.amplitudes, ms.bell_state().amplitudes)) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-4])
+    def test_loose_tol_splits_a_near_product_state(self, tol):
+        # the discarded tail (~1e-7) is below tol but above 1e-8 of the weight
+        noisy = near_bell_times_zero()
+        assert ms.factorize(noisy, tol).label == "12|3"
+        assert ms.factorize(noisy).label == ms.GENUINELY_ENTANGLED
+        res = ms.pure_schmidt_number(noisy, tol=tol)
+        assert (res.value_lo, res.value_hi) == (2, 2)
 
     def test_w3_genuinely_entangled(self):
         structure = ms.factorize(ms.w_state(3))
