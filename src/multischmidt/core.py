@@ -14,9 +14,18 @@ Conventions
   hands on the spectra of the cuts it decomposed, a two-party value is its
   Schmidt rank from one SVD, and ``unfold`` takes a stack of states, so
   states of one shape share one SVD (the margin test of a range line).
-  ``reduce`` forms reduced density matrices and is for mixed reductions.
-- A ``DensityMatrix`` carries the eigensystem its validation computed;
-  ``spectrum`` and ``numerical_rank`` reuse it instead of decomposing again.
+- Validation happens only at the public boundary: ``PureState``,
+  ``DensityMatrix`` and ``reduce`` check their input in full. Internal
+  objects derived from validated ones skip those checks. ``_checked_state``
+  wraps amplitudes known to be a unit vector (singular vectors, normalized
+  eigenvectors and rays), and ``_cut_reduction`` builds the reduction of a
+  pure state onto one side of a cut from that cut's SVD, which ``factorize``
+  has already computed: no partial trace and no second eigendecomposition.
+  ``reduce`` forms reduced density matrices from a partial trace and serves
+  mixed states and the public API.
+- A ``DensityMatrix`` carries its eigensystem, computed by validation or
+  taken from the SVD; ``spectrum`` and ``numerical_rank`` reuse it instead
+  of decomposing again.
 """
 from __future__ import annotations
 
@@ -144,6 +153,21 @@ class PureState:
         return DensityMatrix(self.profile, mat)
 
 
+def _checked_state(profile: DimensionProfile, amplitudes: np.ndarray) -> PureState:
+    """A PureState from amplitudes already known to be a finite unit vector.
+
+    The caller vouches for length, finiteness and norm (a singular vector, a
+    normalized eigenvector or ray of validated data), so ``__post_init__``
+    is skipped. The amplitudes are copied and made read-only as there.
+    """
+    amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
+    amps.setflags(write=False)
+    state = object.__new__(PureState)
+    object.__setattr__(state, "profile", profile)
+    object.__setattr__(state, "amplitudes", amps)
+    return state
+
+
 def normalized_state(profile: DimensionProfile, amplitudes: np.ndarray) -> PureState:
     """Build a PureState from an unnormalized amplitude vector."""
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
@@ -192,6 +216,36 @@ class DensityMatrix:
     @property
     def party_count(self) -> int:
         return self.profile.party_count
+
+
+def _cut_reduction(profile: DimensionProfile, vectors: np.ndarray, s: np.ndarray) -> DensityMatrix:
+    """The reduction of a validated pure state onto one side of a cut, from the cut's SVD.
+
+    ``s`` are the singular values of the unfolding, descending, and
+    ``vectors`` the full unitary of the side's singular vectors: U when the
+    side indexes the rows, Vh^T when it indexes the columns. The eigenvalues
+    are s**2 padded with zeros, the eigenvectors are ``vectors``, and the
+    matrix is (U_r s**2) U_r^dag, symmetrized. Hermiticity, positivity and the
+    eigensystem hold by construction; the trace, sum s**2, is checked as
+    ``DensityMatrix`` checks it. ``profile`` is the side's restricted profile.
+    """
+    weights = s**2
+    tr = float(weights.sum())
+    if not (math.isfinite(tr) and abs(tr - 1.0) <= TRACE_ATOL):
+        raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
+    vecs = np.ascontiguousarray(vectors, dtype=np.complex128)
+    values = np.zeros(vecs.shape[1])
+    values[: weights.size] = weights
+    top = vecs[:, : weights.size]
+    mat = (top * weights) @ top.conj().T
+    mat = (mat + mat.conj().T) / 2.0
+    for arr in (mat, values, vecs):
+        arr.setflags(write=False)
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "profile", profile)
+    object.__setattr__(rho, "matrix", mat)
+    object.__setattr__(rho, "eigensystem", Eigensystem(values, vecs))
+    return rho
 
 
 MatrixLike = Union[np.ndarray, DensityMatrix]

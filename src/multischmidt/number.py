@@ -34,10 +34,15 @@ an ``exact`` flag:
 Spectra are computed once per pure state. A two-party pure state's value is
 its Schmidt rank, from one SVD, and the eigen elements of a two-party mixed
 state get theirs from one stacked SVD. With three or more parties the
-max-party rule reads each local rank off the cut spectra that factorize has
-already computed. The margin test of a range line's rank drops takes one
-stacked SVD per cut, whose spectra also give the drops' product test and
-two-party values.
+max-party rule reads each local rank r_i off the cut SVDs that factorize has
+already computed, and builds each reduction rho_(not i) from the same cut's
+factors (core._cut_reduction): no partial trace and no second eigh. The
+margin test of a range line's rank drops takes one stacked SVD per cut,
+whose spectra also give the drops' product test and two-party values.
+
+Validation happens only at the public boundary. States and reductions built
+inside the recursion from validated data (eigen elements, rays, CKW zeros,
+factor states and cut reductions) skip the public validators.
 
 Every worked example in the test suite resolves to a matching lo/hi pair.
 Anything the machinery cannot prove is reported inexact, never guessed.
@@ -57,14 +62,20 @@ from .core import (
     DensityMatrix,
     DimensionProfile,
     PureState,
-    SubsystemSet,
-    normalized_state,
-    reduce,
+    _checked_state,
+    _cut_reduction,
+    reduce,  # unused here; the benchmark's hook test rebinds it in this module
     spectrum,
     unfold,
     weight_rank,
 )
-from .partitions import FULLY_SEPARABLE, enumerate_bipartitions, factorize
+from .partitions import (
+    FULLY_SEPARABLE,
+    PartitionStructure,
+    _bipartitions,
+    _party_cuts,
+    factorize,
+)
 from .seeding import stream
 from .states import apply_local_operators
 
@@ -119,10 +130,8 @@ class EnsembleCandidate:
             raise ValueError("ensemble states must share one profile")
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.states[0].profile.total_dim,) * 2, dtype=np.complex128)
-        for w, s in zip(self.weights, self.states):
-            out += w * np.outer(s.amplitudes, s.amplitudes.conj())
-        return out
+        kets = np.stack([s.amplitudes for s in self.states], axis=1)
+        return (kets * np.array(self.weights)) @ kets.conj().T
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,11 @@ def _matrix_key(rho: DensityMatrix) -> tuple:
 def _range_key(basis: np.ndarray, dims: tuple[int, ...]) -> tuple:
     proj = basis @ basis.conj().T
     return (dims, _stable_bytes(proj, 9))
+
+
+def _unit_state(profile: DimensionProfile, vec: np.ndarray) -> PureState:
+    """The internal state vec / |vec| of a nonzero combination of unit vectors."""
+    return _checked_state(profile, vec / np.linalg.norm(vec))
 
 
 def _single_party_spectra(psi: np.ndarray) -> list[np.ndarray]:
@@ -252,7 +266,7 @@ class _Engine:
                     "factor_trace": sub.branch_trace,
                 }
                 return _result(sub.value_lo, sub.value_hi, trace)
-            return self._genuine_value(state, structure.cut_weights)
+            return self._genuine_value(state, structure)
         # two or more entangled factors: values add
         lo = hi = 0
         parts = []
@@ -269,19 +283,25 @@ class _Engine:
         }
         return _result(lo, hi, trace)
 
-    def _genuine_value(self, state: PureState, cut_weights: dict) -> SchmidtNumberResult:
-        """The max-party rule; ``cut_weights`` are factorize's spectra of every cut.
+    def _genuine_value(
+        self, state: PureState, structure: PartitionStructure
+    ) -> SchmidtNumberResult:
+        """The max-party rule, from the cut SVDs of factorize's ``structure``.
 
-        Party i's local rank is read off the cut {i} or, for i > 1, off its
-        complement, whose unfolding has the same singular values.
+        Party i's cut is {1} for i = 1 and otherwise its complement, whose
+        unfolding has the same singular values. The cut gives the local rank
+        and the reduction rho_(not i): its side's full singular vectors (Vh^T
+        for party 1, U otherwise) are the reduction's eigenvectors.
         """
         m = state.party_count
         lo = hi = 0
         per_party = []
-        for i in range(1, m + 1):
-            rest = SubsystemSet((i,)).complement(m)
-            r_i = weight_rank(cut_weights[(1,) if i == 1 else rest.indices], self.tol)
-            sub = self.mixed_value(reduce(state, rest))
+        for i, rest in enumerate(_party_cuts(m)[1], 1):
+            side = (1,) if i == 1 else rest.indices
+            u, s, vh = structure._cut_factors[side]
+            r_i = weight_rank(structure.cut_weights[side], self.tol)
+            rho = _cut_reduction(state.profile.restrict(rest), vh.T if i == 1 else u, s)
+            sub = self.mixed_value(rho)
             lo = max(lo, r_i + sub.value_lo)
             hi = max(hi, r_i + sub.value_hi)
             per_party.append(
@@ -314,9 +334,7 @@ class _Engine:
         keep = [i for i in range(w.size) if w[i] > EIGEN_WEIGHT_FLOOR]
         weights = np.array([w[i] for i in keep], dtype=np.float64)
         weights = weights / weights.sum()
-        states = [
-            PureState(rho.profile, v[:, i] / np.linalg.norm(v[:, i])) for i in keep
-        ]
+        states = [_unit_state(rho.profile, v[:, i]) for i in keep]
         return weights, states
 
     def _mixed_value(self, rho: DensityMatrix) -> SchmidtNumberResult:
@@ -350,7 +368,7 @@ class _Engine:
             return _result(lo, hi, trace, witness)
 
         # PPT lower bound over all bipartitions, decisive shapes annotated
-        cuts = enumerate_bipartitions(m)
+        cuts = _bipartitions(m)
         npt = [c for c in cuts if ppt_entangled(rho, c)]
         decisive = all(ppt_decisive(rho, c) for c in cuts)
         trace["npt_cuts"] = [list(c.indices) for c in npt]
@@ -423,7 +441,7 @@ class _Engine:
             for i in idx:
                 vec = np.zeros(rho.profile.total_dim, dtype=np.complex128)
                 vec[i] = 1.0
-                states.append(PureState(rho.profile, vec))
+                states.append(_checked_state(rho.profile, vec))
             cand = _build_candidate(rho, weights, states)
             if cand is not None:
                 return "diagonal-basis", cand
@@ -472,18 +490,18 @@ class _Engine:
     def _line_rays(self, profile: DimensionProfile, v1: np.ndarray, v2: np.ndarray):
         dims = profile.dims
         m = len(dims)
+        single = _party_cuts(m)[0]
         if m == 2:
-            cuts = [SubsystemSet((1,))]
+            cuts = single[:1]
         else:  # single parties first, then the cuts of two or more on each side
-            single = [SubsystemSet((i,)) for i in range(1, m + 1)]
-            cuts = single + [c for c in enumerate_bipartitions(m) if 1 < len(c) < m - 1]
+            cuts = single + tuple(c for c in _bipartitions(m) if 1 < len(c) < m - 1)
         generic, drops = [], []
         for cut in cuts:
             g, found = _pencil_drops(unfold(v1, dims, cut), unfold(v2, dims, cut), self.tol)
             generic.append(g)
             drops.extend(found)
-        roots = [normalized_state(profile, a * v1 + b * v2) for a, b in drops]
-        states = roots + [normalized_state(profile, v1), normalized_state(profile, v2)]
+        roots = [_unit_state(profile, a * v1 + b * v2) for a, b in drops]
+        states = roots + [_unit_state(profile, v1), _unit_state(profile, v2)]
         # one stacked decomposition per cut serves every state of the line
         stack = np.stack([st.amplitudes for st in states])
         spectra = [np.linalg.svd(unfold(stack, dims, cut), compute_uv=False) ** 2 for cut in cuts]
@@ -537,7 +555,7 @@ class _Engine:
         zeros = _ckw_zeros(v1, v2, rays, self.tol)
         if zeros is None:
             return None
-        out = [normalized_state(profile, a * v1 + b * v2) for a, b in zeros]
+        out = [_unit_state(profile, a * v1 + b * v2) for a, b in zeros]
         return out if all(self.pure_value(st).value_hi <= 3 for st in out) else None
 
     def _composed_bound(self, profile: DimensionProfile, v1, v2, generic: list[int]) -> int:
@@ -554,7 +572,7 @@ class _Engine:
         dims = profile.dims
         bound = 0
         for i, g in enumerate(generic):
-            side = SubsystemSet((i + 1,))
+            side = _party_cuts(len(dims))[0][i]
             slices = np.concatenate([unfold(v1, dims, side), unfold(v2, dims, side)])
             _, s, vh = np.linalg.svd(slices, full_matrices=False)
             least = 1
@@ -712,7 +730,7 @@ class _Engine:
                 p = float(np.vdot(cols[:, j], cols[:, j]).real)
                 if p < EIGEN_WEIGHT_FLOOR:
                     continue
-                st = PureState(profile, cols[:, j] / np.sqrt(p))
+                st = _checked_state(profile, cols[:, j] / np.sqrt(p))
                 if self.pure_value(st).value_hi > target_r:
                     ok = False
                     break
@@ -739,10 +757,10 @@ def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[int, np.nda
     lower-rank ray is generically a semisimple eigenvalue, found to rounding
     accuracy; the caller's margin test catches the others.
     """
-    svds = [np.linalg.svd(z * a + b) for z in _PROBES]
-    g = max(weight_rank(s**2, tol) for _, s, _ in svds)
-    u, s, vh = max(svds, key=lambda usv: usv[1][g - 1] / usv[1][0])
-    left, right = u[:, :g].conj().T, vh[:g].conj().T
+    u, s, vh = np.linalg.svd(_PROBES[:, None, None] * a + b)  # the three members at once
+    g = int(_stack_ranks(s**2, tol).max())
+    best = int(np.argmax(s[:, g - 1] / s[:, 0]))
+    left, right = u[best, :, :g].conj().T, vh[best, :g].conj().T
     # beta_h * A x = alpha_h * B x, so alpha*A + beta*B is singular at (beta_h, -alpha_h)
     alpha_h, beta_h = eigvals(left @ a @ right, left @ b @ right, homogeneous_eigvals=True)
     rays = np.column_stack([beta_h, -alpha_h])
@@ -915,7 +933,7 @@ def _qubit_pencil_products(
         if weight_rank(s**2, tol) != s.size - 1:
             continue  # no rank drop, or a continuum of products at this a
         b = vh[-1].conj()
-        products.append(normalized_state(rho.profile, np.kron(a, b) if q == 0 else np.kron(b, a)))
+        products.append(_unit_state(rho.profile, np.kron(a, b) if q == 0 else np.kron(b, a)))
     return _solve_mixture(rho, _dedupe_states(products))
 
 

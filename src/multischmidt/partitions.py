@@ -5,10 +5,20 @@ rank 1, and its leading singular vectors are then the two factor states; the
 finest partition is obtained by greedy recursive splitting, which is unique
 for pure states. Every multi-party factor of the finest partition is
 genuinely entangled on its own parties.
+
+The SVDs of the cuts are kept: their spectra give the local ranks, and the
+cut {1} and the complement of each single party keep their full singular
+vectors, from which the max-party rule builds each reduction rho_(not i)
+(``core._cut_reduction``) without a partial trace or a second
+decomposition. Validation happens only at the public boundary: the factor
+states are unit singular vectors of a validated state and are built without
+re-validation (``core._checked_state``). Cut tuples are built once per party
+count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +27,7 @@ from .core import (
     DEFAULT_RANK_TOL,
     PureState,
     SubsystemSet,
+    _checked_state,
     local_weights,
     unfold,
     weight_rank,
@@ -37,7 +48,9 @@ class PartitionStructure:
     internally product). ``cut_weights`` maps each side (a party tuple
     holding party 1) of every cut of the whole state that was decomposed to
     the squared singular values of its unfolding; for a genuinely entangled
-    state that is every cut.
+    state that is every cut. ``_cut_factors`` maps the same sides to the
+    (u, s, vh) factors of those SVDs, full for the cut {1} and the
+    complements of single parties, thin otherwise.
     """
 
     party_count: int
@@ -46,6 +59,7 @@ class PartitionStructure:
     entangled: tuple[bool, ...]
     label: str
     cut_weights: dict = field(default_factory=dict, compare=False, repr=False)
+    _cut_factors: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def is_fully_separable(self) -> bool:
@@ -71,36 +85,39 @@ def enumerate_bipartitions(m: int) -> list[SubsystemSet]:
     """
     if m < 2:
         raise ValueError("bipartitions need at least two parties")
-    out: list[SubsystemSet] = []
-    rest = list(range(2, m + 1))
-    for size in range(1, m):
-        for extra in combinations(rest, size - 1):
-            out.append(SubsystemSet((1,) + extra))
-    return out
+    return list(_bipartitions(m))
 
 
-def _local_subsets(k: int) -> list[tuple[int, ...]]:
-    """Proper subsets of {1..k} containing 1, by size then lexicographic."""
-    out = []
-    for size in range(1, k):
-        for extra in combinations(range(2, k + 1), size - 1):
-            out.append((1,) + extra)
-    return out
+@lru_cache(maxsize=None)
+def _bipartitions(m: int) -> tuple[SubsystemSet, ...]:
+    """``enumerate_bipartitions(m)``, built once per m."""
+    rest = range(2, m + 1)
+    return tuple(
+        SubsystemSet((1,) + extra) for size in range(1, m) for extra in combinations(rest, size - 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _party_cuts(m: int) -> tuple[tuple[SubsystemSet, ...], tuple[SubsystemSet, ...]]:
+    """The single parties {i} of m parties and their complements, built once per m."""
+    singles = tuple(SubsystemSet((i,)) for i in range(1, m + 1))
+    return singles, tuple(c.complement(m) for c in singles)
 
 
 def _finest(parties: tuple[int, ...], state: PureState, tol: float, record=None):
-    """Finest factors of ``state``; ``record`` collects the weights of its cuts."""
+    """Finest factors of ``state``; ``record`` collects the SVD factors of its cuts."""
     k = len(parties)
     if k == 1:
         return [(parties, state)]
     profile = state.profile
-    for local in _local_subsets(k):
-        side = SubsystemSet(local)
+    for side in _bipartitions(k):
         mat = unfold(state.amplitudes, profile.dims, side)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        # the cut {1} and the complements of single parties give reductions
+        full = record is not None and len(side) in (1, k - 1)
+        u, s, vh = np.linalg.svd(mat, full_matrices=full)
         weights = s**2
         if record is not None:
-            record[local] = weights
+            record[side.indices] = (u, s, vh)
         if weight_rank(weights, tol) == 1:
             # state = s[0] u[:, 0] (x) vh[0] up to the discarded tail, whose
             # weights are each <= tol * weights[0]
@@ -109,8 +126,8 @@ def _finest(parties: tuple[int, ...], state: PureState, tol: float, record=None)
                     f"expected a pure reduction, largest eigenvalue {float(weights[0])}"
                 )
             other = side.complement(k)
-            state_a = PureState(profile.restrict(side), u[:, 0])
-            state_b = PureState(profile.restrict(other), vh[0])
+            state_a = _checked_state(profile.restrict(side), u[:, 0])
+            state_b = _checked_state(profile.restrict(other), vh[0])
             parties_a = tuple(parties[i - 1] for i in side.indices)
             parties_b = tuple(parties[i - 1] for i in other.indices)
             return _finest(parties_a, state_a, tol) + _finest(parties_b, state_b, tol)
@@ -129,8 +146,8 @@ def structure_label(factors: tuple[SubsystemSet, ...], m: int) -> str:
 def factorize(state: PureState, tol: float = DEFAULT_RANK_TOL) -> PartitionStructure:
     """Finest product factorization of a normalized pure state."""
     m = state.party_count
-    cut_weights: dict = {}
-    leaves = _finest(tuple(range(1, m + 1)), state, tol, cut_weights)
+    cut_factors: dict = {}
+    leaves = _finest(tuple(range(1, m + 1)), state, tol, cut_factors)
     leaves.sort(key=lambda item: item[0][0])
     factors = tuple(SubsystemSet(p) for p, _ in leaves)
     states = tuple(s for _, s in leaves)
@@ -141,13 +158,13 @@ def factorize(state: PureState, tol: float = DEFAULT_RANK_TOL) -> PartitionStruc
         factor_states=states,
         entangled=entangled,
         label=structure_label(factors, m),
-        cut_weights=cut_weights,
+        cut_weights={side: s**2 for side, (_, s, _) in cut_factors.items()},
+        _cut_factors=cut_factors,
     )
 
 
 def local_rank_vector(state: PureState, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
     """Per-party reduction ranks (the entanglement dimensionality vector)."""
     return tuple(
-        weight_rank(local_weights(state, SubsystemSet((i,))), tol)
-        for i in range(1, state.party_count + 1)
+        weight_rank(local_weights(state, side), tol) for side in _party_cuts(state.party_count)[0]
     )

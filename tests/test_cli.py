@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,24 @@ from multischmidt.cli import (
 )
 
 FAST_FLAGS = ["--restarts", "16", "--iters", "150"]
+DATA = Path(__file__).parent / "data"
+# sidecar name -> ``gen`` arguments; analyzed with the default flags
+GOLDEN = {
+    "w3": ["w", "--m", "3"],
+    "w4": ["w", "--m", "4"],
+    "w5": ["w", "--m", "5"],
+    "ghz3": ["ghz", "--m", "3"],
+    "ghz4": ["ghz", "--m", "4"],
+    "ghz5": ["ghz", "--m", "5"],
+    "ghz3-d3": ["ghz", "--m", "3", "--d", "3"],
+    "random-222-seed7": ["random", "--dims", "2,2,2", "--seed", "7"],
+    "random-223-seed7": ["random", "--dims", "2,2,3", "--seed", "7"],
+    "random-244-seed3": ["random", "--dims", "2,4,4", "--seed", "3"],
+    "random-2223-seed1": ["random", "--dims", "2,2,2,3", "--seed", "1"],
+    "random-2222-seed0": ["random", "--dims", "2,2,2,2", "--seed", "0"],
+}
+# floating-point fields compared to 1e-12; every other field must be equal
+FLOAT_FIELDS = ("coefficients", "generalized_eof")
 
 
 class TestStateFiles:
@@ -154,3 +173,19 @@ class TestReproduce:
         rows2 = reproduce_rows(ms.SearchBudget(seed=2), 1e-8)
         assert [r.ok for r in rows1] == [r.ok for r in rows2]
         assert all(r.ok for r in rows1)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_sidecar_matches_the_golden_file(name, tmp_path):
+    state = tmp_path / "state.json"
+    assert main(["gen", *GOLDEN[name], "--out", str(state)]) == 0
+    sidecar = tmp_path / "sidecar.json"
+    assert main(["analyze", str(state), "--json", str(sidecar)]) == 0
+    got = json.loads(sidecar.read_text())
+    want = json.loads((DATA / f"{name}.sidecar.json").read_text())
+    for key in FLOAT_FIELDS:
+        a, b = got.pop(key), want.pop(key)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+    assert got == want

@@ -737,3 +737,126 @@ def test_noise_below_tol_keeps_the_interval(name, eps, draw):
 def test_noise_1e11_keeps_the_w_intervals(name, draw):
     clean, noisy = interval_under_noise(name, 1e-11, draw)
     assert noisy == clean
+
+
+# one L-BFGS restart of 30 iterations: the reductions, not the search, are under test
+TINY = ms.SearchBudget(restarts=1, iters=20, seed=0)
+
+
+class TestCutReductions:
+    """The max-party rule builds each reduction from factorize's cut SVDs."""
+
+    @pytest.fixture
+    def genuine_reductions(self, monkeypatch):
+        """(state, reductions built for it) for every call of the max-party rule."""
+        records, active = [], []
+        real_genuine, real_cut = number._Engine._genuine_value, number._cut_reduction
+
+        def genuine(self, state, *args):
+            active.append((state, []))
+            try:
+                return real_genuine(self, state, *args)
+            finally:
+                records.append(active.pop())
+
+        def cut(*args):
+            rho = real_cut(*args)
+            active[-1][1].append(rho)
+            return rho
+
+        monkeypatch.setattr(number._Engine, "_genuine_value", genuine)
+        monkeypatch.setattr(number, "_cut_reduction", cut)
+        return records
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            ms.random_pure(ms.DimensionProfile((2, 2, 2)), 1),
+            ms.random_pure(ms.DimensionProfile((2, 2, 3)), 2),
+            ms.random_pure(ms.DimensionProfile((2, 3, 4)), 3),
+            ms.random_pure(ms.DimensionProfile((3, 3, 3)), 0),
+            ms.random_pure(ms.DimensionProfile((2, 2, 2, 2)), 5),
+            ms.random_pure(ms.DimensionProfile((2, 2, 2, 3)), 1),
+            ms.w_state(5),
+            PureState(ms.qubits(4), np.kron(ms.w_state(3).amplitudes, [0.6, 0.8j])),
+        ],
+        ids=["Haar222", "Haar223", "Haar234", "Haar333", "Haar2222", "Haar2223", "W5", "W3x1"],
+    )
+    def test_reductions_match_the_partial_trace(self, state, genuine_reductions):
+        ms.pure_schmidt_number(state, TINY)
+        assert genuine_reductions
+        for st, reductions in genuine_reductions:
+            m = st.party_count
+            assert len(reductions) == m
+            for i, rho in enumerate(reductions, 1):
+                want = ms.reduce(st, ms.SubsystemSet((i,)).complement(m))
+                assert rho.profile == want.profile
+                assert np.allclose(rho.matrix, want.matrix, rtol=0, atol=1e-12)
+                w, v = rho.eigensystem
+                assert np.allclose((v * w) @ v.conj().T, rho.matrix, rtol=0, atol=1e-12)
+                assert np.allclose(v.conj().T @ v, np.eye(v.shape[0]), rtol=0, atol=1e-12)
+                assert np.all(w >= 0) and np.all(np.diff(w) <= 0)
+                assert not any(a.flags.writeable for a in (rho.matrix, w, v))
+
+    def test_haar_state_is_validated_only_at_the_boundary(self, monkeypatch):
+        from multischmidt import core
+
+        state = ms.random_pure(ms.DimensionProfile((2, 2, 2)), 9)
+        calls = {"eigh": 0, "reduce": 0, "density": 0, "pure": 0}
+
+        def counted(key, real):
+            def spy(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        for module in (core, number):
+            monkeypatch.setattr(module, "reduce", counted("reduce", core.reduce))
+        monkeypatch.setattr(
+            DensityMatrix, "__post_init__", counted("density", DensityMatrix.__post_init__)
+        )
+        monkeypatch.setattr(PureState, "__post_init__", counted("pure", PureState.__post_init__))
+        res = ms.pure_schmidt_number(state)
+        assert res.exact and res.value == 4
+        assert calls == {"eigh": 0, "reduce": 0, "density": 0, "pure": 0}
+
+
+def _separate_pencil_drops(a, b, tol):
+    """The pencil drops with one SVD per probe member, as a reference."""
+    svds = [np.linalg.svd(z * a + b) for z in number._PROBES]
+    g = max(weight_rank(s**2, tol) for _, s, _ in svds)
+    u, s, vh = max(svds, key=lambda usv: usv[1][g - 1] / usv[1][0])
+    left, right = u[:, :g].conj().T, vh[:g].conj().T
+    alpha_h, beta_h = number.eigvals(left @ a @ right, left @ b @ right, homogeneous_eigvals=True)
+    rays = np.column_stack([beta_h, -alpha_h])
+    return g, rays / np.linalg.norm(rays, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "shape, rank", [((3, 3), 3), ((3, 3), 2), ((2, 4), 2), ((4, 2), 2), ((3, 5), 3)]
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_pencil_drops_take_one_stacked_svd(shape, rank, seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+
+    def gaussian(rows, cols):
+        return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+    # members share a column and a row space of dimension ``rank``
+    left, right = gaussian(shape[0], rank), gaussian(rank, shape[1])
+    a, b = left @ gaussian(rank, rank) @ right, left @ gaussian(rank, rank) @ right
+    g_want, rays_want = _separate_pencil_drops(a, b, DEFAULT_RANK_TOL)
+    calls = []
+    real = np.linalg.svd
+
+    def spy(arr, *args, **kwargs):
+        calls.append(np.shape(arr))
+        return real(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    g, rays = number._pencil_drops(a, b, DEFAULT_RANK_TOL)
+    assert calls == [(3,) + shape]
+    assert g == g_want == rank
+    assert np.array_equal(rays, rays_want)
