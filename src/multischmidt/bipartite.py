@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
 from .core import (
     DEFAULT_RANK_TOL,
     DensityMatrix,
+    DimensionProfile,
     PureState,
     SubsystemSet,
     entropy_bits,
@@ -82,8 +84,7 @@ def entanglement_entropy(decomp: SchmidtDecomposition) -> float:
     return entropy_bits(decomp.coefficients**2)
 
 
-def _grouped_dims(rho: DensityMatrix, cut: SubsystemSet) -> tuple[int, int]:
-    profile = rho.profile
+def _grouped_dims(profile: DimensionProfile, cut: SubsystemSet) -> tuple[int, int]:
     cut.validate_for(profile)
     m = profile.party_count
     if len(cut) >= m:
@@ -93,33 +94,54 @@ def _grouped_dims(rho: DensityMatrix, cut: SubsystemSet) -> tuple[int, int]:
     return d_cut, d_rest
 
 
-def partial_transpose(rho: DensityMatrix, cut: SubsystemSet) -> np.ndarray:
-    """Partial transpose over the ``cut`` group of the bipartition cut|rest."""
-    profile = rho.profile
+def partial_transpose(
+    rho: Union[DensityMatrix, np.ndarray],
+    cut: SubsystemSet,
+    profile: Optional[DimensionProfile] = None,
+) -> np.ndarray:
+    """Partial transpose over the ``cut`` group of the bipartition cut|rest.
+
+    ``rho`` is a DensityMatrix, or, with ``profile`` given, an array of
+    matrices on that profile whose leading axes stack several of them,
+    giving a stack of partial transposes.
+    """
+    if profile is None:
+        mat, profile = rho.matrix, rho.profile
+    else:
+        mat = np.asarray(rho)
     m = profile.party_count
-    cut_axes = [i - 1 for i in cut.indices]
-    rest_axes = [i for i in range(m) if i + 1 not in cut]
-    da, db = _grouped_dims(rho, cut)
-    t = rho.matrix.reshape(profile.dims + profile.dims)
-    perm = cut_axes + rest_axes + [m + a for a in cut_axes] + [m + a for a in rest_axes]
-    blk = t.transpose(perm).reshape(da, db, da, db)
-    return blk.transpose(2, 1, 0, 3).reshape(da * db, da * db)
+    lead = mat.shape[:-2]
+    k = len(lead)
+    cut_axes = [k + i - 1 for i in cut.indices]
+    rest_axes = [k + a for a in range(m) if a + 1 not in cut]
+    da, db = _grouped_dims(profile, cut)
+    t = mat.reshape(lead + profile.dims + profile.dims)
+    perm = list(range(k)) + cut_axes + rest_axes + [m + a for a in cut_axes + rest_axes]
+    blk = t.transpose(perm).reshape(lead + (da, db, da, db))
+    return blk.swapaxes(k, k + 2).reshape(lead + (da * db, da * db))
 
 
-def ppt_entangled(rho: DensityMatrix, cut: SubsystemSet, tol: float = PPT_NEG_TOL) -> bool:
+def ppt_entangled(
+    rho: Union[DensityMatrix, np.ndarray],
+    cut: SubsystemSet,
+    tol: float = PPT_NEG_TOL,
+    profile: Optional[DimensionProfile] = None,
+):
     """True iff the partial transpose over ``cut`` has an eigenvalue < -tol.
 
     A True result certifies entanglement across cut|rest for any shape; a
-    False result certifies separability only where PPT is decisive.
+    False result certifies separability only where PPT is decisive. A stack
+    of matrices on ``profile`` (see ``partial_transpose``) gives a boolean
+    array, one flag per matrix, from one stacked ``eigvalsh``.
     """
-    pt = partial_transpose(rho, cut)
-    wmin = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)[0])
-    return wmin < -tol
+    pt = partial_transpose(rho, cut, profile)
+    wmin = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
+    return wmin < -tol if pt.ndim > 2 else bool(wmin < -tol)
 
 
 def ppt_decisive(rho: DensityMatrix, cut: SubsystemSet) -> bool:
     """Whether PPT decides separability exactly for this grouped shape."""
-    da, db = _grouped_dims(rho, cut)
+    da, db = _grouped_dims(rho.profile, cut)
     return tuple(sorted((da, db))) in ((2, 2), (2, 3))
 
 

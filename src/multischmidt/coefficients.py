@@ -45,6 +45,7 @@ from .number import (
     SearchBudget,
     _Engine,
     _single_party_spectra,
+    _unit_state,
 )
 from .partitions import factorize
 from .seeding import stream
@@ -165,12 +166,14 @@ def _genuine_coefficients(state: PureState, engine: _Engine, budget, tol) -> Coe
         raise UnsupportedStructureError(
             f"no coefficient construction for genuinely entangled states on {m} parties"
         )
-    parties = []
-    for i in range(1, m + 1):
-        me = SubsystemSet((i,))
-        weights = local_weights(state, me)
-        rest = reduce(state, me.complement(m))
-        parties.append((i, weight_rank(weights, tol), weights, rest, engine.mixed_value(rest)))
+    singles = [SubsystemSet((i,)) for i in range(1, m + 1)]
+    local = [local_weights(state, me) for me in singles]
+    rests = [reduce(state, me.complement(m)) for me in singles]
+    subs = engine.mixed_values(rests)
+    parties = [
+        (i, weight_rank(weights, tol), weights, rest, sub)
+        for i, weights, rest, sub in zip(range(1, m + 1), local, rests, subs)
+    ]
     total = max(rank + sub.value_hi for _, rank, _, _, sub in parties)
     branches = []
     exact = True
@@ -216,8 +219,7 @@ def _genuine_coefficients(state: PureState, engine: _Engine, budget, tol) -> Coe
 
 def _element_entropy(state: PureState, engine: _Engine, budget, tol) -> float:
     if state.party_count == 2:
-        p = _single_party_spectra(state.tensor())[0]
-        return entropy_bits(p)
+        return entropy_bits(local_weights(state, SubsystemSet((1,))))
     return generalized_eof(_coefficients(state, engine, budget, tol))
 
 
@@ -252,8 +254,7 @@ def _max_entropy_element(rho, rank_target, engine, budget, tol):
     profile = rho.profile
 
     def make_state(u: np.ndarray) -> PureState:
-        vec = basis @ u
-        return PureState(profile, vec / np.linalg.norm(vec))
+        return _unit_state(profile, basis @ u)
 
     def qualifies(st: PureState) -> bool:
         res = engine.pure_value(st)
@@ -308,7 +309,8 @@ def _max_entropy_element(rho, rank_target, engine, budget, tol):
         # construction per point; rank by a cheap proxy instead and spend
         # the real objective on the best qualifying few
         def proxy(st: PureState) -> float:
-            return float(np.mean([entropy_bits(p) for p in _single_party_spectra(st.tensor())]))
+            spectra = _single_party_spectra(st.amplitudes, st.profile.dims)
+            return float(np.mean([entropy_bits(p) for p in spectra]))
 
         ranked = sorted(starts, key=lambda u: -proxy(make_state(u)))
         qualifying = []
@@ -388,11 +390,11 @@ def _max_concurrence_direction(basis: np.ndarray) -> np.ndarray:
 
 
 def _rank_penalty(state: PureState, rank_target: int) -> float:
-    spectra = _single_party_spectra(state.tensor())
     if rank_target == 1:
+        spectra = _single_party_spectra(state.amplitudes, state.profile.dims)
         return float(sum(1.0 - p[0] for p in spectra))
     if state.party_count == 2:
-        p = np.sort(spectra[0])[::-1]
+        p = np.sort(local_weights(state, SubsystemSet((1,))))[::-1]
         return float(np.sum(p[rank_target:]))
     return 0.0
 

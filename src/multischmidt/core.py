@@ -13,14 +13,17 @@ Conventions
   ``weight_rank``. They are computed once per pure state: ``factorize``
   hands on the spectra of the cuts it decomposed, a two-party value is its
   Schmidt rank from one SVD, and ``unfold`` takes a stack of states, so
-  states of one shape share one SVD (the margin test of a range line).
+  states of one shape share one SVD (the margin test of a range line, the
+  eigen elements of a pure state's two-party reductions, the columns of the
+  ensemble search).
 - Validation happens only at the public boundary: ``PureState``,
   ``DensityMatrix`` and ``reduce`` check their input in full. Internal
   objects derived from validated ones skip those checks. ``_checked_state``
   wraps amplitudes known to be a unit vector (singular vectors, normalized
-  eigenvectors and rays), and ``_cut_reduction`` builds the reduction of a
-  pure state onto one side of a cut from that cut's SVD, which ``factorize``
-  has already computed: no partial trace and no second eigendecomposition.
+  eigenvectors and rays), and ``_cut_reductions`` builds the reductions of a
+  pure state onto one side of its cuts from the cuts' SVDs, which
+  ``factorize`` has already computed: no partial trace and no second
+  eigendecomposition, and cuts of one shape are built as one stack.
   ``reduce`` forms reduced density matrices from a partial trace and serves
   mixed states and the public API.
 - A ``DensityMatrix`` carries its eigensystem, computed by validation or
@@ -218,34 +221,44 @@ class DensityMatrix:
         return self.profile.party_count
 
 
-def _cut_reduction(profile: DimensionProfile, vectors: np.ndarray, s: np.ndarray) -> DensityMatrix:
-    """The reduction of a validated pure state onto one side of a cut, from the cut's SVD.
+def _cut_reductions(profiles, vectors, svals) -> list[DensityMatrix]:
+    """The reductions of a validated pure state onto one side of several cuts, from the cuts' SVDs.
 
-    ``s`` are the singular values of the unfolding, descending, and
-    ``vectors`` the full unitary of the side's singular vectors: U when the
-    side indexes the rows, Vh^T when it indexes the columns. The eigenvalues
-    are s**2 padded with zeros, the eigenvectors are ``vectors``, and the
-    matrix is (U_r s**2) U_r^dag, symmetrized. Hermiticity, positivity and the
-    eigensystem hold by construction; the trace, sum s**2, is checked as
-    ``DensityMatrix`` checks it. ``profile`` is the side's restricted profile.
+    For cut j, ``svals[j]`` are the singular values of the unfolding,
+    descending, and ``vectors[j]`` the full unitary of the side's singular
+    vectors: U when the side indexes the rows, Vh^T when it indexes the
+    columns. The eigenvalues are s**2 padded with zeros, the eigenvectors
+    are ``vectors[j]``, and the matrix is (U_r s**2) U_r^dag, symmetrized.
+    Hermiticity, positivity and the eigensystem hold by construction; the
+    trace, sum s**2, is checked as ``DensityMatrix`` checks it.
+    ``profiles[j]`` is the side's restricted profile. Cuts whose factors
+    share their shapes are built as one stack.
     """
-    weights = s**2
-    tr = float(weights.sum())
-    if not (math.isfinite(tr) and abs(tr - 1.0) <= TRACE_ATOL):
-        raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-    vecs = np.ascontiguousarray(vectors, dtype=np.complex128)
-    values = np.zeros(vecs.shape[1])
-    values[: weights.size] = weights
-    top = vecs[:, : weights.size]
-    mat = (top * weights) @ top.conj().T
-    mat = (mat + mat.conj().T) / 2.0
-    for arr in (mat, values, vecs):
-        arr.setflags(write=False)
-    rho = object.__new__(DensityMatrix)
-    object.__setattr__(rho, "profile", profile)
-    object.__setattr__(rho, "matrix", mat)
-    object.__setattr__(rho, "eigensystem", Eigensystem(values, vecs))
-    return rho
+    out: list = [None] * len(profiles)
+    shapes: dict = {}
+    for j, (vecs, s) in enumerate(zip(vectors, svals)):
+        shapes.setdefault((vecs.shape, s.shape), []).append(j)
+    for group in shapes.values():
+        weights = np.array([svals[j] for j in group]) ** 2
+        for tr in weights.sum(axis=-1).tolist():
+            if not (math.isfinite(tr) and abs(tr - 1.0) <= TRACE_ATOL):
+                raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
+        vecs = np.array([vectors[j] for j in group], dtype=np.complex128)
+        r = weights.shape[-1]
+        values = np.zeros(vecs.shape[:-1])
+        values[:, :r] = weights
+        top = vecs[:, :, :r]
+        mat = (top * weights[:, None, :]) @ top.conj().swapaxes(-1, -2)
+        mat = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
+        for arr in (mat, values, vecs):
+            arr.setflags(write=False)
+        for b, j in enumerate(group):
+            rho = object.__new__(DensityMatrix)
+            object.__setattr__(rho, "profile", profiles[j])
+            object.__setattr__(rho, "matrix", mat[b])
+            object.__setattr__(rho, "eigensystem", Eigensystem(values[b], vecs[b]))
+            out[j] = rho
+    return out
 
 
 MatrixLike = Union[np.ndarray, DensityMatrix]

@@ -31,14 +31,20 @@ an ``exact`` flag:
   planes P_i are two-party ranges. Above the composed bound the result
   stays an interval.
 
-Spectra are computed once per pure state. A two-party pure state's value is
-its Schmidt rank, from one SVD, and the eigen elements of a two-party mixed
-state get theirs from one stacked SVD. With three or more parties the
-max-party rule reads each local rank r_i off the cut SVDs that factorize has
-already computed, and builds each reduction rho_(not i) from the same cut's
-factors (core._cut_reduction): no partial trace and no second eigh. The
-margin test of a range line's rank drops takes one stacked SVD per cut,
-whose spectra also give the drops' product test and two-party values.
+Spectra are computed once per pure state, and its reductions are decided
+together. A two-party pure state's value is its Schmidt rank, from one SVD.
+With three or more parties the max-party rule reads each local rank r_i off
+the cut SVDs that factorize has already computed, builds every reduction
+rho_(not i) from the same cuts' factors (core._cut_reductions: no partial
+trace, no second eigh) and decides all of them with one call
+(_Engine.mixed_values). The misses of the memo run the early stages of the
+mixed ladder as stacks per profile: one Schmidt-rank SVD over the eigen
+elements of every two-party reduction, one batched reconstruction check of
+the eigen witnesses and one eigvalsh per cut for the PPT test. A Haar
+(2,2,2) state costs four SVDs and one eigvalsh. The margin test of a range
+line's rank drops takes one stacked SVD per cut, whose spectra also give the
+drops' product test and two-party values, and the ensemble search's
+objective takes one stacked SVD per party for all of its columns.
 
 Validation happens only at the public boundary. States and reductions built
 inside the recursion from validated data (eigen elements, rays, CKW zeros,
@@ -50,10 +56,11 @@ Anything the machinery cannot prove is reported inexact, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import eigvals, expm
+from scipy.linalg import expm, get_lapack_funcs
 from scipy.optimize import minimize, nnls
 
 from .bipartite import ppt_decisive, ppt_entangled
@@ -63,7 +70,7 @@ from .core import (
     DimensionProfile,
     PureState,
     _checked_state,
-    _cut_reduction,
+    _cut_reductions,
     reduce,  # unused here; the benchmark's hook test rebinds it in this module
     spectrum,
     unfold,
@@ -158,6 +165,18 @@ class SchmidtNumberResult:
         return self.value_hi
 
 
+class _Open(NamedTuple):
+    """A matrix the early stages of the mixed ladder leave undecided."""
+
+    w: np.ndarray
+    v: np.ndarray
+    k: int
+    trace: dict
+    lo: int
+    hi: int
+    witness: Optional[EnsembleCandidate]
+
+
 def _result(lo: int, hi: int, trace: dict, witness=None) -> SchmidtNumberResult:
     lo, hi = int(lo), int(hi)
     return SchmidtNumberResult(lo, hi, lo == hi, witness, trace)
@@ -174,7 +193,21 @@ def _state_key(state: PureState) -> tuple:
 
 
 def _matrix_key(rho: DensityMatrix) -> tuple:
-    return (rho.profile.dims, _stable_bytes(rho.matrix, 12))
+    return _matrix_keys([rho])[0]
+
+
+def _matrix_keys(rhos: list[DensityMatrix]) -> list[tuple]:
+    """(dims, rounded matrix bytes) of each matrix; matrices of one shape are rounded as one stack."""
+    shapes: dict = {}
+    for j, rho in enumerate(rhos):
+        shapes.setdefault(rho.matrix.shape, []).append(j)
+    keys: list = [None] * len(rhos)
+    for group in shapes.values():
+        blob = _stable_bytes(np.array([rhos[j].matrix for j in group]), 12)
+        size = len(blob) // len(group)
+        for b, j in enumerate(group):
+            keys[j] = (rhos[j].profile.dims, blob[b * size : (b + 1) * size])
+    return keys
 
 
 def _range_key(basis: np.ndarray, dims: tuple[int, ...]) -> tuple:
@@ -182,34 +215,45 @@ def _range_key(basis: np.ndarray, dims: tuple[int, ...]) -> tuple:
     return (dims, _stable_bytes(proj, 9))
 
 
+@lru_cache(maxsize=None)
+def _reduction_profiles(dims: tuple[int, ...]) -> tuple[DimensionProfile, ...]:
+    """The profile of each reduction rho_(not i) of a state on ``dims``, built once per dims."""
+    profile = DimensionProfile(dims)
+    return tuple(profile.restrict(rest) for rest in _party_cuts(len(dims))[1])
+
+
 def _unit_state(profile: DimensionProfile, vec: np.ndarray) -> PureState:
     """The internal state vec / |vec| of a nonzero combination of unit vectors."""
     return _checked_state(profile, vec / np.linalg.norm(vec))
 
 
-def _single_party_spectra(psi: np.ndarray) -> list[np.ndarray]:
-    """Squared singular values of each single-party unfolding of a tensor."""
-    out = []
-    for i, d in enumerate(psi.shape):
-        rest = [a for a in range(psi.ndim) if a != i]
-        out.append(np.linalg.svd(psi.transpose([i] + rest).reshape(d, -1), compute_uv=False) ** 2)
-    return out
+def _single_party_spectra(amplitudes: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """Squared singular values of each single-party unfolding of a state.
+
+    Leading axes of ``amplitudes`` before the last stack several states,
+    giving one stacked SVD per party.
+    """
+    singles = _party_cuts(len(dims))[0]
+    return [
+        np.linalg.svd(unfold(amplitudes, dims, side), compute_uv=False) ** 2 for side in singles
+    ]
 
 
-def _tail(weights: np.ndarray, r: int) -> float:
-    w = np.sort(np.asarray(weights))[::-1]
-    return float(np.sum(w[r:])) if r < w.size else 0.0
+def _tail(weights: np.ndarray, r: int):
+    """The sum of all but the r largest weights; leading axes stack weight vectors."""
+    w = np.sort(np.asarray(weights), axis=-1)[..., ::-1]
+    tail = np.sum(w[..., r:], axis=-1)
+    return float(tail) if w.ndim == 1 else tail
 
 
 def _hermitian_from(theta: np.ndarray, n: int) -> np.ndarray:
+    """The n x n Hermitian matrix of n*n reals: the diagonal, then the upper triangle row by row."""
     h = np.zeros((n, n), dtype=np.complex128)
     h[np.diag_indices(n)] = theta[:n]
-    k = n
-    for a in range(n):
-        for b in range(a + 1, n):
-            h[a, b] = (theta[k] + 1j * theta[k + 1]) / np.sqrt(2.0)
-            h[b, a] = np.conj(h[a, b])
-            k += 2
+    a, b = np.triu_indices(n, 1)
+    upper = (theta[n::2] + 1j * theta[n + 1 :: 2]) / np.sqrt(2.0)
+    h[a, b] = upper
+    h[b, a] = np.conj(upper)
     return h
 
 
@@ -220,6 +264,14 @@ class _Engine:
     by rounded range projectors, so the nested recursion of the genuinely
     entangled rule (pure -> mixed reductions -> range rays -> pure rays)
     stays affordable.
+
+    Mixed states go through one ladder of stages. ``mixed_values`` decides
+    several at once: the cheap early stages (spectrum rank, eigen elements,
+    eigen value and witness, PPT) run as stacks over the memo's misses of
+    one profile (``_early_stages``), and the matrices they leave open take
+    the later stages one by one (``_mixed_value``: product routes, range
+    rays, certificate, search). ``mixed_value`` is the same ladder for one
+    matrix, and every memo lookup passes through it.
     """
 
     def __init__(self, budget: SearchBudget, tol: float):
@@ -291,17 +343,21 @@ class _Engine:
         Party i's cut is {1} for i = 1 and otherwise its complement, whose
         unfolding has the same singular values. The cut gives the local rank
         and the reduction rho_(not i): its side's full singular vectors (Vh^T
-        for party 1, U otherwise) are the reduction's eigenvectors.
+        for party 1, U otherwise) are the reduction's eigenvectors. The m
+        reductions are decided together (mixed_values).
         """
         m = state.party_count
-        lo = hi = 0
-        per_party = []
+        ranks, vectors, svals = [], [], []
         for i, rest in enumerate(_party_cuts(m)[1], 1):
             side = (1,) if i == 1 else rest.indices
-            u, s, vh = structure._cut_factors[side]
-            r_i = weight_rank(structure.cut_weights[side], self.tol)
-            rho = _cut_reduction(state.profile.restrict(rest), vh.T if i == 1 else u, s)
-            sub = self.mixed_value(rho)
+            u, s, vh, _, r_i = structure._cut_factors[side]
+            ranks.append(r_i)
+            vectors.append(vh.T if i == 1 else u)
+            svals.append(s)
+        rhos = _cut_reductions(_reduction_profiles(state.profile.dims), vectors, svals)
+        lo = hi = 0
+        per_party = []
+        for i, (r_i, sub) in enumerate(zip(ranks, self.mixed_values(rhos)), 1):
             lo = max(lo, r_i + sub.value_lo)
             hi = max(hi, r_i + sub.value_hi)
             per_party.append(
@@ -322,65 +378,139 @@ class _Engine:
 
     # ---- mixed states ----------------------------------------------------
 
-    def mixed_value(self, rho: DensityMatrix) -> SchmidtNumberResult:
-        key = _matrix_key(rho)
+    def mixed_values(self, rhos: list[DensityMatrix]) -> list[SchmidtNumberResult]:
+        """The values of several mixed states, decided together.
+
+        Each matrix is looked up in the memo. The misses, deduplicated by
+        key, run the early stages of the ladder stacked per profile
+        (_early_stages); those left undecided continue one by one through
+        the later stages (_mixed_value). Every result equals the one
+        mixed_value gives for the matrix alone.
+        """
+        keys = _matrix_keys(rhos)
+        fresh: dict = {}
+        for key, rho in zip(keys, rhos):
+            if key not in self._mixed_cache:
+                fresh.setdefault(key, rho)
+        groups: dict = {}
+        for key, rho in fresh.items():
+            groups.setdefault(rho.profile.dims, []).append(key)
+        rungs = {}
+        for group in groups.values():
+            members = [fresh[key] for key in group]
+            rungs.update(zip(group, self._early_stages(members[0].profile, members)))
+        return [self.mixed_value(rho, key, rungs.get(key)) for key, rho in zip(keys, rhos)]
+
+    def mixed_value(self, rho: DensityMatrix, key=None, rung=None) -> SchmidtNumberResult:
+        """The value of one mixed state, memoized: ``mixed_values([rho])[0]``.
+
+        ``key`` and ``rung`` (its early stages' outcome) come from
+        mixed_values; a direct call computes both for a stack of one.
+        """
+        if key is None:
+            key = _matrix_key(rho)
         hit = self._mixed_cache.get(key)
         if hit is None:
-            hit = self._mixed_value(rho)
+            hit = self._mixed_value(rho, rung)
             self._mixed_cache[key] = hit
         return hit
 
     def _eigen_elements(self, rho: DensityMatrix, w: np.ndarray, v: np.ndarray):
-        keep = [i for i in range(w.size) if w[i] > EIGEN_WEIGHT_FLOOR]
-        weights = np.array([w[i] for i in keep], dtype=np.float64)
-        weights = weights / weights.sum()
+        keep = np.flatnonzero(w > EIGEN_WEIGHT_FLOOR)
+        weights = w[keep] / w[keep].sum()
         states = [_unit_state(rho.profile, v[:, i]) for i in keep]
         return weights, states
 
-    def _mixed_value(self, rho: DensityMatrix) -> SchmidtNumberResult:
-        m = rho.party_count
-        trace: dict = {}
+    def _early_stages(self, profile: DimensionProfile, rhos: list[DensityMatrix]) -> list:
+        """The early stages of the mixed ladder for distinct matrices of one profile.
+
+        Per matrix, its result where these stages decide it, else an _Open
+        record for the later stages. The stages, each stacked over the
+        matrices still open: the spectrum rank; the eigen elements (a
+        rank-one matrix takes its element's pure value); the eigen value
+        eigen_hi, from one Schmidt-rank SVD over every element with two
+        parties and from the elements' pure values otherwise; the eigen
+        witness's reconstruction check; the PPT test, one eigvalsh per cut.
+        """
+        m = profile.party_count
         if m == 1:
-            return _result(1, 1, {"rule": "single-party"})
-
-        w, v = spectrum(rho)
-        k = weight_rank(w, self.tol)
-        weights, elements = self._eigen_elements(rho, w, v)
-        if k == 1 and len(elements) == 1:
-            sub = self.pure_value(elements[0])
-            trace = {"rule": "rank-one", "pure_trace": sub.branch_trace}
-            witness = _build_candidate(rho, weights, elements)
-            return _result(sub.value_lo, sub.value_hi, trace, witness)
-        trace["rank"] = k
-
+            return [_result(1, 1, {"rule": "single-party"}) for _ in rhos]
+        spectra = [spectrum(rho) for rho in rhos]
+        ranks = _stack_ranks(np.array([w for w, _ in spectra]), self.tol).tolist()
+        out: list = [None] * len(rhos)
+        rest = []  # (index, eigen weights, eigen elements) of the open matrices
+        for j, (rho, (w, v)) in enumerate(zip(rhos, spectra)):
+            weights, elements = self._eigen_elements(rho, w, v)
+            if ranks[j] == 1 and len(elements) == 1:
+                sub = self.pure_value(elements[0])
+                trace = {"rule": "rank-one", "pure_trace": sub.branch_trace}
+                witness = _build_candidate(rho, weights, elements)
+                out[j] = _result(sub.value_lo, sub.value_hi, trace, witness)
+            else:
+                rest.append((j, weights, elements))
+        if not rest:
+            return out
         if m == 2:
-            stack = np.stack([s.amplitudes for s in elements])
-            eigen_hi = max(_schmidt_ranks(stack, rho.profile.dims, self.tol))
+            amps = np.array([s.amplitudes for _, _, elements in rest for s in elements])
+            flat = _schmidt_ranks(amps, profile.dims, self.tol)
+            eigen_his, at = [], 0
+            for _, _, elements in rest:
+                eigen_his.append(max(flat[at : at + len(elements)]))
+                at += len(elements)
         else:
-            eigen_hi = max(self.pure_value(s).value_hi for s in elements)
-        witness = _build_candidate(rho, weights, elements)
-        hi = eigen_hi
-        trace["eigen_hi"] = eigen_hi
-        lo = 1
-
-        if lo == hi:
-            trace["rule"] = "eigen-ensemble"
-            return _result(lo, hi, trace, witness)
-
+            eigen_his = [
+                max(self.pure_value(s).value_hi for s in elements) for _, _, elements in rest
+            ]
+        witnesses = _build_candidates(
+            [rhos[j] for j, _, _ in rest], [w for _, w, _ in rest], [e for _, _, e in rest]
+        )
+        ppt = []  # (index, trace, witness) of the matrices the PPT test may decide
+        for (j, _, _), eigen_hi, witness in zip(rest, eigen_his, witnesses):
+            trace = {"rank": ranks[j], "eigen_hi": eigen_hi}
+            if eigen_hi == 1:
+                trace["rule"] = "eigen-ensemble"
+                out[j] = _result(1, 1, trace, witness)
+            else:
+                ppt.append((j, trace, witness))
+        if not ppt:
+            return out
         # PPT lower bound over all bipartitions, decisive shapes annotated
         cuts = _bipartitions(m)
-        npt = [c for c in cuts if ppt_entangled(rho, c)]
-        decisive = all(ppt_decisive(rho, c) for c in cuts)
-        trace["npt_cuts"] = [list(c.indices) for c in npt]
-        if npt:
-            lo = 2
-        elif decisive:
-            # Horodecki: PPT on a 2x2 / 2x3 shape proves separability
-            trace["rule"] = "ppt-decisive-separable"
-            return _result(1, 1, trace, None)
-        if lo == hi:
-            trace["rule"] = "ppt-meets-eigen"
-            return _result(lo, hi, trace, witness)
+        mats = np.array([rhos[j].matrix for j, _, _ in ppt])
+        npt = [ppt_entangled(mats, c, profile=profile) for c in cuts]
+        decisive = all(ppt_decisive(rhos[0], c) for c in cuts)
+        for b, (j, trace, witness) in enumerate(ppt):
+            trace["npt_cuts"] = [list(c.indices) for c, flags in zip(cuts, npt) if flags[b]]
+            w, v = spectra[j]
+            hi = trace["eigen_hi"]
+            if trace["npt_cuts"]:
+                lo = 2
+            elif decisive:
+                # Horodecki: PPT on a 2x2 / 2x3 shape proves separability
+                trace["rule"] = "ppt-decisive-separable"
+                out[j] = _result(1, 1, trace, None)
+                continue
+            else:
+                lo = 1
+            if lo == hi:
+                trace["rule"] = "ppt-meets-eigen"
+                out[j] = _result(lo, hi, trace, witness)
+            else:
+                out[j] = _Open(w, v, ranks[j], trace, lo, hi, witness)
+        return out
+
+    def _mixed_value(self, rho: DensityMatrix, rung=None) -> SchmidtNumberResult:
+        """The later stages of the mixed ladder for one matrix.
+
+        ``rung`` is what the early stages left for it (_early_stages; run
+        here for a stack of one when absent): a result, or an _Open record
+        to continue from.
+        """
+        if rung is None:
+            rung = self._early_stages(rho.profile, [rho])[0]
+        if not isinstance(rung, _Open):
+            return rung
+        w, v, k, trace, lo, hi, witness = rung
 
         # exact product-ensemble routes; they also sharpen lo when products
         # provably cannot mix to rho
@@ -696,34 +826,19 @@ class _Engine:
         restarts = max(1, self.budget.restarts // 8)
         iters = max(30, self.budget.iters // 5)
 
-        def columns(theta: np.ndarray, n: int) -> np.ndarray:
-            u = expm(1j * _hermitian_from(theta, n))
-            return b_mat @ u[:k, :]
-
-        def objective(theta: np.ndarray, n: int) -> float:
-            cols = columns(theta, n)
-            total = 0.0
-            for j in range(cols.shape[1]):
-                p = float(np.vdot(cols[:, j], cols[:, j]).real)
-                if p < EIGEN_WEIGHT_FLOOR:
-                    continue
-                st = cols[:, j] / np.sqrt(p)
-                total += p * _element_tail(st, profile, target_r)
-            return total
-
         for attempt in range(restarts):
             n = sizes[attempt % len(sizes)]
             rng = stream(self.budget.seed, "ensemble", _matrix_key(rho)[1], target_r, attempt)
             theta0 = rng.normal(scale=0.7, size=n * n)
             res = minimize(
-                lambda th: objective(th, n),
+                lambda th: _ensemble_objective(_ensemble_columns(b_mat, th, n), profile, target_r),
                 theta0,
                 method="L-BFGS-B",
                 options={"maxiter": iters},
             )
             if res.fun > 1e-9:
                 continue
-            cols = columns(res.x, n)
+            cols = _ensemble_columns(b_mat, res.x, n)
             out_w, out_s = [], []
             ok = True
             for j in range(cols.shape[1]):
@@ -762,9 +877,27 @@ def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[int, np.nda
     best = int(np.argmax(s[:, g - 1] / s[:, 0]))
     left, right = u[best, :, :g].conj().T, vh[best, :g].conj().T
     # beta_h * A x = alpha_h * B x, so alpha*A + beta*B is singular at (beta_h, -alpha_h)
-    alpha_h, beta_h = eigvals(left @ a @ right, left @ b @ right, homogeneous_eigvals=True)
+    alpha_h, beta_h = _homogeneous_eigvals(left @ a @ right, left @ b @ right)
     rays = np.column_stack([beta_h, -alpha_h])
     return g, rays / np.linalg.norm(rays, axis=1, keepdims=True)
+
+
+def _homogeneous_eigvals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The generalized eigenvalues (alpha, beta) of the square pencil (a, b): beta*a x = alpha*b x.
+
+    LAPACK ggev with the workspace query of scipy.linalg.eigvals(a, b,
+    homogeneous_eigvals=True), without that wrapper's overhead; the inputs
+    are checked to be finite as its check_finite does.
+    """
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    (ggev,) = get_lapack_funcs(("ggev",), (a, b))
+    lwork = ggev(a, b, lwork=-1)[-2][0].real.astype(np.int_)
+    alpha, beta, _, _, _, info = ggev(a, b, 0, 0, lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed (LAPACK info={info})")
+    return alpha, beta
 
 
 def _polar(x: np.ndarray, y: np.ndarray):
@@ -868,7 +1001,7 @@ def _ckw_zeros(v1: np.ndarray, v2: np.ndarray, products: list, tol: float) -> Op
     lhs[-size:] = -syl[:n].transpose(1, 0, 2).reshape(size, n * size)
     rhs = np.eye(n * size, dtype=np.complex128)
     rhs[-size:, -size:] = syl[n]
-    alpha, beta = eigvals(lhs, rhs, homogeneous_eigvals=True)
+    alpha, beta = _homogeneous_eigvals(lhs, rhs)
     rays = np.column_stack([beta, alpha])
     norms = np.linalg.norm(rays, axis=1, keepdims=True)
     if not np.all(np.isfinite(rays)) or np.any(norms == 0.0):
@@ -983,13 +1116,35 @@ def _solve_mixture(rho: DensityMatrix, states: list[PureState]) -> Optional[Ense
 
 
 def _build_candidate(rho: DensityMatrix, weights, states) -> Optional[EnsembleCandidate]:
-    weights = [float(p) for p in weights]
-    try:
-        cand = EnsembleCandidate(tuple(weights), tuple(states))
-    except ValueError:
-        return None
-    err = float(np.linalg.norm(cand.reconstruct() - rho.matrix))
-    return cand if err <= RECONSTRUCTION_ATOL else None
+    return _build_candidates([rho], [weights], [states])[0]
+
+
+def _build_candidates(rhos: list[DensityMatrix], weight_lists, state_lists) -> list:
+    """The ensembles that are valid and reconstruct their matrix, else None.
+
+    The matrices share one shape. Ensembles of one size are reconstructed by
+    one stacked matmul, the arithmetic of EnsembleCandidate.reconstruct.
+    """
+    cands = []
+    for weights, states in zip(weight_lists, state_lists):
+        try:
+            cands.append(EnsembleCandidate(tuple(float(p) for p in weights), tuple(states)))
+        except ValueError:
+            cands.append(None)
+    by_size: dict = {}
+    for j, cand in enumerate(cands):
+        if cand is not None:
+            by_size.setdefault(len(cand.states), []).append(j)
+    for group in by_size.values():
+        kets = np.array([[s.amplitudes for s in cands[j].states] for j in group])
+        kets = np.ascontiguousarray(kets.swapaxes(-1, -2))
+        weights = np.array([cands[j].weights for j in group])
+        recon = (kets * weights[:, None, :]) @ kets.conj().swapaxes(-1, -2)
+        err = np.linalg.norm(recon - np.array([rhos[j].matrix for j in group]), axis=(-2, -1))
+        for j, e in zip(group, err):
+            if e > RECONSTRUCTION_ATOL:
+                cands[j] = None
+    return cands
 
 
 # unreachable, called only by _polish_zero_hunt
@@ -999,15 +1154,48 @@ def _angle_to_span(vec: np.ndarray, span_vectors: list[np.ndarray]) -> float:
     return float(np.linalg.norm(resid))
 
 
-def _element_tail(vec: np.ndarray, profile: DimensionProfile, target_r: int) -> float:
-    """Smooth surrogate for 'value <= target_r' of one ensemble element."""
-    spectra = _single_party_spectra((vec / np.linalg.norm(vec)).reshape(profile.dims))
+def _ensemble_columns(b_mat: np.ndarray, theta: np.ndarray, n: int) -> np.ndarray:
+    """The n unnormalized ensemble columns b_mat U[:k] of the unitary U = exp(i H(theta))."""
+    u = expm(1j * _hermitian_from(theta, n))
+    return b_mat @ u[: b_mat.shape[1], :]
+
+
+def _ensemble_objective(cols: np.ndarray, profile: DimensionProfile, target_r: int) -> float:
+    """Sum over the columns of mass times _element_tail, skipping negligible columns.
+
+    The kept columns' surrogates come from one stacked _element_tail, and
+    the sum runs in column order: the value is bitwise the column-by-column
+    sum.
+    """
+    mass = [float(np.vdot(cols[:, j], cols[:, j]).real) for j in range(cols.shape[1])]
+    kept = [j for j, p in enumerate(mass) if p >= EIGEN_WEIGHT_FLOOR]
+    total = 0.0
+    if not kept:
+        return total
+    elements = np.array([cols[:, j] / np.sqrt(mass[j]) for j in kept])
+    for j, tail in zip(kept, _element_tail(elements, profile, target_r)):
+        total += mass[j] * tail
+    return total
+
+
+def _element_tail(vec: np.ndarray, profile: DimensionProfile, target_r: int):
+    """Smooth surrogate for 'value <= target_r' of one ensemble element.
+
+    Leading axes of ``vec`` before the last stack several elements, giving
+    the list of their surrogates from one SVD per party; each equals the
+    element's own.
+    """
+    rows = vec.reshape(-1, vec.shape[-1])
+    units = np.array([row / np.linalg.norm(row) for row in rows])
+    spectra = _single_party_spectra(units, profile.dims)
     if target_r == 1:
-        return float(sum(1.0 - p[0] for p in spectra))
-    if profile.party_count == 2:
-        return _tail(spectra[0], target_r)
-    # necessary condition mass: every local rank must stay below target_r
-    return float(sum(_tail(p, target_r - 1) for p in spectra))
+        tails = sum(1.0 - p[:, 0] for p in spectra)
+    elif profile.party_count == 2:
+        tails = _tail(spectra[0], target_r)
+    else:
+        # necessary condition mass: every local rank must stay below target_r
+        tails = sum(_tail(p, target_r - 1) for p in spectra)
+    return tails.tolist() if vec.ndim > 1 else float(tails[0])
 
 
 # unreachable, called only by _polish_zero_hunt
@@ -1018,7 +1206,7 @@ def _low_value_surrogate(psi: np.ndarray, r: int) -> float:
     qubits. A sound relaxation (necessary conditions only), used by the
     grid certificate to hunt for off-grid low-value states.
     """
-    spectra = _single_party_spectra(psi)
+    spectra = _single_party_spectra(psi.reshape(-1), psi.shape)
     if r == 1:
         return float(sum(1.0 - p[0] for p in spectra))
     m = psi.ndim

@@ -9,7 +9,7 @@ genuinely entangled on its own parties.
 The SVDs of the cuts are kept: their spectra give the local ranks, and the
 cut {1} and the complement of each single party keep their full singular
 vectors, from which the max-party rule builds each reduction rho_(not i)
-(``core._cut_reduction``) without a partial trace or a second
+(``core._cut_reductions``) without a partial trace or a second
 decomposition. Validation happens only at the public boundary: the factor
 states are unit singular vectors of a validated state and are built without
 re-validation (``core._checked_state``). Cut tuples are built once per party
@@ -50,7 +50,8 @@ class PartitionStructure:
     the squared singular values of its unfolding; for a genuinely entangled
     state that is every cut. ``_cut_factors`` maps the same sides to the
     (u, s, vh) factors of those SVDs, full for the cut {1} and the
-    complements of single parties, thin otherwise.
+    complements of single parties, thin otherwise, followed by the weights
+    and their rank at factorize's tol: (u, s, vh, weights, rank).
     """
 
     party_count: int
@@ -116,9 +117,10 @@ def _finest(parties: tuple[int, ...], state: PureState, tol: float, record=None)
         full = record is not None and len(side) in (1, k - 1)
         u, s, vh = np.linalg.svd(mat, full_matrices=full)
         weights = s**2
+        rank = weight_rank(weights, tol)
         if record is not None:
-            record[side.indices] = (u, s, vh)
-        if weight_rank(weights, tol) == 1:
+            record[side.indices] = (u, s, vh, weights, rank)
+        if rank == 1:
             # state = s[0] u[:, 0] (x) vh[0] up to the discarded tail, whose
             # weights are each <= tol * weights[0]
             if 1.0 - float(weights[0]) > weights.size * tol:
@@ -158,7 +160,7 @@ def factorize(state: PureState, tol: float = DEFAULT_RANK_TOL) -> PartitionStruc
         factor_states=states,
         entangled=entangled,
         label=structure_label(factors, m),
-        cut_weights={side: s**2 for side, (_, s, _) in cut_factors.items()},
+        cut_weights={side: rec[3] for side, rec in cut_factors.items()},
         _cut_factors=cut_factors,
     )
 

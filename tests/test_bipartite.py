@@ -119,6 +119,25 @@ class TestPPT:
         assert not ms.ppt_entangled(rho, ms.SubsystemSet((1,)))
 
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (2, 2, 2, 2)])
+    def test_stack_matches_each_matrix(self, dims):
+        """Leading axes stack matrices of one profile: one flag per matrix, bit for bit."""
+        prof = ms.DimensionProfile(dims)
+        keep = ms.SubsystemSet(tuple(range(1, len(dims) + 1)))
+        purified = [ms.random_pure(ms.DimensionProfile(dims + (2,)), seed) for seed in range(4)]
+        rhos = [ms.reduce(state, keep) for state in purified]
+        rhos.append(DensityMatrix(prof, np.eye(prof.total_dim) / prof.total_dim))
+        stack = np.array([rho.matrix for rho in rhos])
+        for cut in ms.enumerate_bipartitions(len(dims)):
+            pts = ms.partial_transpose(stack, cut, prof)
+            flags = ms.ppt_entangled(stack, cut, profile=prof)
+            assert flags.shape == (len(rhos),)
+            for rho, pt, flag in zip(rhos, pts, flags):
+                assert np.array_equal(pt, ms.partial_transpose(rho, cut))
+                assert flag == ms.ppt_entangled(rho, cut)
+            assert flags.any() and not flags[-1]
+
+
 class TestMixedBipartiteSchmidtNumber:
     def test_ghz_reduction_exactly_one(self):
         red = ms.reduce(ms.ghz_state(3), ms.SubsystemSet((2, 3)))

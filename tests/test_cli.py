@@ -145,9 +145,9 @@ class TestAnalyze:
         calls = []
         solve = _Engine._mixed_value
 
-        def counted(self, rho):
+        def counted(self, rho, *rest):
             calls.append(rho)
-            return solve(self, rho)
+            return solve(self, rho, *rest)
 
         monkeypatch.setattr(_Engine, "_mixed_value", counted)
         ms.pure_schmidt_number(ms.w_state(3), ms.DEFAULT_BUDGET, 1e-8)

@@ -136,6 +136,32 @@ class TestMaxEntropyElement:
             ms.max_entropy_ensemble_element(red, target)
 
 
+# (dims, seed) -> coefficients; (2,3,4) seed 0 runs the two-party Nelder-Mead element search
+VALIDATION_CASES = {
+    ((2, 2, 3), 7): (0.5865810506029693, 0.5000000000000001, 0.49999999999999983,
+                     0.3583911037236264, 0.16576636524119623),
+    ((2, 3, 4), 0): (0.5111858101701996, 0.5000000025737633, 0.4999999974262365,
+                     0.3686002332609508, 0.24786391597403074, 0.20343651264860999),
+}
+
+
+@pytest.mark.parametrize("dims, seed", list(VALIDATION_CASES))
+def test_coefficients_validate_only_their_input(dims, seed, monkeypatch):
+    """Search states are built from validated data without PureState's validator."""
+    state = ms.random_pure(ms.DimensionProfile(dims), seed)
+    calls = []
+    real = PureState.__post_init__
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(PureState, "__post_init__", spy)
+    cs = ms.pure_schmidt_coefficients(state)
+    assert calls == []
+    assert np.allclose(cs.values, VALIDATION_CASES[dims, seed], rtol=0, atol=1e-12)
+
+
 def _random_pair_density(rank: int, seed: int) -> DensityMatrix:
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hyp
+from scipy.linalg import eigvals
 from scipy.stats import unitary_group
 
 import multischmidt as ms
@@ -661,7 +664,8 @@ class TestOneSpectralPass:
     @pytest.mark.parametrize("seed", range(3))
     def test_haar_state_decomposes_each_unfolding_once(self, dims, seed, svd_calls):
         ms.pure_schmidt_number(ms.random_pure(ms.DimensionProfile(dims), seed))
-        assert len(svd_calls) <= 6
+        # factorize's three cuts, then one Schmidt-rank SVD per reduction profile
+        assert len(svd_calls) <= {(2, 2, 2): 4, (2, 2, 3): 5}[dims]
         seen = set()
         for op in svd_calls:
             for mat in op.reshape(-1, *op.shape[-2:]):
@@ -669,6 +673,25 @@ class TestOneSpectralPass:
                 key = (wide.shape, np.ascontiguousarray(wide).tobytes())
                 assert key not in seen
                 seen.add(key)
+
+
+    # the PPT tests of the reductions: one eigvalsh per (reduction profile, cut)
+    @pytest.mark.parametrize("dims, count", [((2, 2, 2), 1), ((2, 2, 3), 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_haar_state_tests_ppt_once_per_reduction_profile(
+        self, dims, count, seed, monkeypatch
+    ):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        res = ms.pure_schmidt_number(ms.random_pure(ms.DimensionProfile(dims), seed))
+        assert res.exact
+        assert len(calls) == count
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 5)])
@@ -750,7 +773,7 @@ class TestCutReductions:
     def genuine_reductions(self, monkeypatch):
         """(state, reductions built for it) for every call of the max-party rule."""
         records, active = [], []
-        real_genuine, real_cut = number._Engine._genuine_value, number._cut_reduction
+        real_genuine, real_cut = number._Engine._genuine_value, number._cut_reductions
 
         def genuine(self, state, *args):
             active.append((state, []))
@@ -760,12 +783,12 @@ class TestCutReductions:
                 records.append(active.pop())
 
         def cut(*args):
-            rho = real_cut(*args)
-            active[-1][1].append(rho)
-            return rho
+            rhos = real_cut(*args)
+            active[-1][1].extend(rhos)
+            return rhos
 
         monkeypatch.setattr(number._Engine, "_genuine_value", genuine)
-        monkeypatch.setattr(number, "_cut_reduction", cut)
+        monkeypatch.setattr(number, "_cut_reductions", cut)
         return records
 
     @pytest.mark.parametrize(
@@ -823,13 +846,100 @@ class TestCutReductions:
         assert calls == {"eigh": 0, "reduce": 0, "density": 0, "pure": 0}
 
 
+def _werner(p):
+    """p |Phi+><Phi+| + (1 - p) I/4: separable for p <= 1/3, with an entangled eigen element."""
+    bell = ms.bell_state().amplitudes
+    return DensityMatrix(ms.qubits(2), p * np.outer(bell, bell.conj()) + (1 - p) * np.eye(4) / 4)
+
+
+def _planted_products(dims, count, seed):
+    """A mixture of ``count`` seeded product states on two parties."""
+    prof = ms.DimensionProfile(dims)
+    return mixture([ms.random_product(prof, 10 * seed + j) for j in range(count)], [0.5, 0.3, 0.2])
+
+
+ORACLE_STATES = {
+    "Haar222": ms.random_pure(ms.DimensionProfile((2, 2, 2)), 1),
+    "Haar223": ms.random_pure(ms.DimensionProfile((2, 2, 3)), 2),
+    "Haar234": ms.random_pure(ms.DimensionProfile((2, 3, 4)), 3),
+    "Haar333": ms.random_pure(ms.DimensionProfile((3, 3, 3)), 0),
+    "Haar2222": ms.random_pure(ms.DimensionProfile((2, 2, 2, 2)), 5),
+    "Haar2223": ms.random_pure(ms.DimensionProfile((2, 2, 2, 3)), 1),
+    "W3": ms.w_state(3),
+    "W4": ms.w_state(4),
+    "W5": ms.w_state(5),
+    "GHZ3": ms.ghz_state(3),
+    "GHZ4": ms.ghz_state(4),
+    "GHZ5": ms.ghz_state(5),
+    "W3x1": PureState(ms.qubits(4), np.kron(ms.w_state(3).amplitudes, [0.6, 0.8j])),
+}
+
+
+def _reductions(state):
+    m = state.party_count
+    return [ms.reduce(state, ms.SubsystemSet((i,)).complement(m)) for i in range(1, m + 1)]
+
+
+class TestStackedMixedValues:
+    """mixed_values decides a list of matrices exactly as mixed_value decides each alone."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.value_lo, a.value_hi, a.exact) == (b.value_lo, b.value_hi, b.exact)
+            assert json.dumps(a.branch_trace) == json.dumps(b.branch_trace)
+            assert (a.witness_ensemble is None) == (b.witness_ensemble is None)
+            if a.witness_ensemble is not None:
+                assert a.witness_ensemble.weights == b.witness_ensemble.weights
+                for x, y in zip(a.witness_ensemble.states, b.witness_ensemble.states):
+                    assert np.array_equal(x.amplitudes, y.amplitudes)
+
+    def decide(self, rhos):
+        stacked = number._Engine(TINY, DEFAULT_RANK_TOL).mixed_values(rhos)
+        single = number._Engine(TINY, DEFAULT_RANK_TOL)
+        self.assert_same(stacked, [single.mixed_value(rho) for rho in rhos])
+        return stacked
+
+    @pytest.mark.parametrize("name", list(ORACLE_STATES))
+    def test_reductions_of_a_state(self, name):
+        self.decide(_reductions(ORACLE_STATES[name]))
+
+    def test_mixed_profiles_and_rules(self):
+        rhos = [
+            _werner(0.2),  # decisive PPT, separable
+            _planted_products((2, 4), 3, 0),  # PPT on a non-decisive 2 x 4 shape
+            *_reductions(ORACLE_STATES["W3x1"]),  # one of them is rank one
+            _werner(0.25),
+            _planted_products((2, 4), 3, 1),
+            *_reductions(ORACLE_STATES["Haar223"]),
+        ]
+        rules = [res.branch_trace.get("rule") for res in self.decide(rhos)]
+        assert rules[:2] == ["ppt-decisive-separable", "product-ensemble"]
+        assert "rank-one" in rules[2:6]
+
+    def test_duplicates_are_decided_once(self, monkeypatch):
+        misses = []
+        real = number._Engine._mixed_value
+
+        def counted(self, rho, *rest):
+            misses.append(rho)
+            return real(self, rho, *rest)
+
+        monkeypatch.setattr(number._Engine, "_mixed_value", counted)
+        rhos = _reductions(ms.w_state(5))  # five copies of one matrix
+        results = number._Engine(TINY, DEFAULT_RANK_TOL).mixed_values(rhos)
+        assert [rho.party_count for rho in misses].count(4) == 1  # the rest are nested
+        assert all(res is results[0] for res in results)
+
+
 def _separate_pencil_drops(a, b, tol):
     """The pencil drops with one SVD per probe member, as a reference."""
     svds = [np.linalg.svd(z * a + b) for z in number._PROBES]
     g = max(weight_rank(s**2, tol) for _, s, _ in svds)
     u, s, vh = max(svds, key=lambda usv: usv[1][g - 1] / usv[1][0])
     left, right = u[:, :g].conj().T, vh[:g].conj().T
-    alpha_h, beta_h = number.eigvals(left @ a @ right, left @ b @ right, homogeneous_eigvals=True)
+    alpha_h, beta_h = eigvals(left @ a @ right, left @ b @ right, homogeneous_eigvals=True)
     rays = np.column_stack([beta_h, -alpha_h])
     return g, rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
@@ -860,3 +970,66 @@ def test_pencil_drops_take_one_stacked_svd(shape, rank, seed, monkeypatch):
     assert calls == [(3,) + shape]
     assert g == g_want == rank
     assert np.array_equal(rays, rays_want)
+
+
+@pytest.mark.parametrize("shape", [2, 3, 6])
+@pytest.mark.parametrize("seed", range(4))
+def test_homogeneous_eigvals_match_scipy(shape, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(2, shape, shape)) + 1j * rng.normal(size=(2, shape, shape)))
+    if seed == 3:
+        b[:, 0] = 0.0  # a singular member: an infinite eigenvalue, beta = 0
+    alpha, beta = number._homogeneous_eigvals(a, b)
+    want = eigvals(a, b, homogeneous_eigvals=True)
+    assert np.array_equal(alpha, want[0]) and np.array_equal(beta, want[1])
+
+
+def test_homogeneous_eigvals_reject_non_finite_input():
+    a = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError):
+        number._homogeneous_eigvals(a, np.full((2, 2), np.nan, dtype=complex))
+
+
+def _column_tail(vec, dims, target_r):
+    """The ensemble surrogate of one column, one SVD per party, as a reference."""
+    psi = (vec / np.linalg.norm(vec)).reshape(dims)
+    spectra = []
+    for i, d in enumerate(dims):
+        rest = [a for a in range(len(dims)) if a != i]
+        unfolding = psi.transpose([i] + rest).reshape(d, -1)
+        spectra.append(np.linalg.svd(unfolding, compute_uv=False) ** 2)
+
+    def tail(w, r):
+        return float(np.sum(np.sort(w)[::-1][r:]))
+
+    if target_r == 1:
+        return float(sum(1.0 - p[0] for p in spectra))
+    if len(dims) == 2:
+        return tail(spectra[0], target_r)
+    return float(sum(tail(p, target_r - 1) for p in spectra))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 3), (3, 3)])
+@pytest.mark.parametrize("seed", range(3))
+def test_ensemble_objective_is_bitwise_the_column_by_column_sum(dims, seed):
+    """One stacked SVD per party gives the objective of one SVD per party and column."""
+    state = ms.random_pure(ms.DimensionProfile((2,) + dims), seed)
+    rho = ms.reduce(state, ms.SubsystemSet(tuple(range(2, len(dims) + 2))))
+    engine = number._Engine(TINY, DEFAULT_RANK_TOL)
+    weights, elements = engine._eigen_elements(rho, *ms.spectrum(rho))
+    b_mat = np.column_stack([s.amplitudes for s in elements]) * np.sqrt(weights)
+    k = len(elements)
+    rng = np.random.default_rng(seed)
+    for n in (k, k + 1, 2 * k):
+        for target_r in (1, 2, 3):
+            cols = number._ensemble_columns(b_mat, rng.normal(scale=0.7, size=n * n), n)
+            own = reference = 0.0
+            for j in range(n):
+                p = float(np.vdot(cols[:, j], cols[:, j]).real)
+                if p < number.EIGEN_WEIGHT_FLOOR:
+                    continue
+                col = cols[:, j] / np.sqrt(p)
+                own += p * number._element_tail(col, rho.profile, target_r)
+                reference += p * _column_tail(col, dims, target_r)
+            got = number._ensemble_objective(cols, rho.profile, target_r)
+            assert got == own == reference
