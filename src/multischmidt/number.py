@@ -38,10 +38,14 @@ the cut SVDs that factorize has already computed, builds every reduction
 rho_(not i) from the same cuts' factors (core._cut_reductions: no partial
 trace, no second eigh) and decides all of them with one call
 (_Engine.mixed_values). The misses of the memo run the early stages of the
-mixed ladder as stacks per profile: one Schmidt-rank SVD over the eigen
-elements of every two-party reduction, one batched reconstruction check of
-the eigen witnesses and one eigvalsh per cut for the PPT test. A Haar
-(2,2,2) state costs four SVDs and one eigvalsh. The margin test of a range
+mixed ladder as stacks per profile: one Schmidt-rank SVD over the kept
+eigenvectors of every two-party reduction and one eigvalsh per cut for the
+PPT test. A Haar (2,2,2) state costs four SVDs and one eigvalsh. The rule
+reads only the reductions' intervals, so their witnesses are built on
+demand: a result holds a builder of its eigen witness, which forms the
+eigen elements and runs the reconstruction check on the first read of
+witness_ensemble. mixed_schmidt_number reads it before returning, so a
+public mixed result carries its witness. The margin test of a range
 line's rank drops takes one stacked SVD per cut, whose spectra also give the
 drops' product test and two-party values, and the ensemble search's
 objective takes one stacked SVD per party for all of its columns.
@@ -56,8 +60,8 @@ Anything the machinery cannot prove is reported inexact, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Optional
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import expm, get_lapack_funcs
@@ -141,6 +145,31 @@ class EnsembleCandidate:
         return (kets * np.array(self.weights)) @ kets.conj().T
 
 
+class _Witness:
+    """The ``witness_ensemble`` field: an ensemble, None, or a builder run on first read.
+
+    A builder (any callable) is replaced by what it returns when the field is
+    first read, so a witness nobody reads is never built. The field stays
+    required: its class access raises AttributeError, so dataclass finds no
+    default.
+    """
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot[1:])
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = value()
+            obj.__dict__[self.slot] = value
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class SchmidtNumberResult:
     """Schmidt number as an integer interval with an audit trail."""
@@ -148,7 +177,7 @@ class SchmidtNumberResult:
     value_lo: int
     value_hi: int
     exact: bool
-    witness_ensemble: Optional[EnsembleCandidate]
+    witness_ensemble: Optional[EnsembleCandidate] = _Witness()  # required, see _Witness
     branch_trace: dict
 
     def __post_init__(self):
@@ -174,7 +203,7 @@ class _Open(NamedTuple):
     trace: dict
     lo: int
     hi: int
-    witness: Optional[EnsembleCandidate]
+    witness: Callable[[], Optional[EnsembleCandidate]]  # the eigen witness's builder
 
 
 def _result(lo: int, hi: int, trace: dict, witness=None) -> SchmidtNumberResult:
@@ -266,8 +295,8 @@ class _Engine:
     stays affordable.
 
     Mixed states go through one ladder of stages. ``mixed_values`` decides
-    several at once: the cheap early stages (spectrum rank, eigen elements,
-    eigen value and witness, PPT) run as stacks over the memo's misses of
+    several at once: the cheap early stages (spectrum rank, eigen value,
+    PPT) run as stacks over the memo's misses of
     one profile (``_early_stages``), and the matrices they leave open take
     the later stages one by one (``_mixed_value``: product routes, range
     rays, certificate, search). ``mixed_value`` is the same ladder for one
@@ -415,7 +444,8 @@ class _Engine:
             self._mixed_cache[key] = hit
         return hit
 
-    def _eigen_elements(self, rho: DensityMatrix, w: np.ndarray, v: np.ndarray):
+    @staticmethod
+    def _eigen_elements(rho: DensityMatrix, w: np.ndarray, v: np.ndarray):
         keep = np.flatnonzero(w > EIGEN_WEIGHT_FLOOR)
         weights = w[keep] / w[keep].sum()
         states = [_unit_state(rho.profile, v[:, i]) for i in keep]
@@ -426,11 +456,14 @@ class _Engine:
 
         Per matrix, its result where these stages decide it, else an _Open
         record for the later stages. The stages, each stacked over the
-        matrices still open: the spectrum rank; the eigen elements (a
-        rank-one matrix takes its element's pure value); the eigen value
-        eigen_hi, from one Schmidt-rank SVD over every element with two
-        parties and from the elements' pure values otherwise; the eigen
-        witness's reconstruction check; the PPT test, one eigvalsh per cut.
+        matrices still open: the spectrum rank (a rank-one matrix takes its
+        eigenvector's pure value); the eigen value eigen_hi, from one
+        Schmidt-rank SVD over the kept eigenvectors of every matrix with two
+        parties and from the eigen elements' pure values otherwise; the PPT
+        test, one eigvalsh per cut. No value reads the eigen witness, so each
+        result and record carries only its builder (_eigen_witness), which
+        forms the elements and runs the reconstruction check when the
+        witness is first read.
         """
         m = profile.party_count
         if m == 1:
@@ -438,34 +471,32 @@ class _Engine:
         spectra = [spectrum(rho) for rho in rhos]
         ranks = _stack_ranks(np.array([w for w, _ in spectra]), self.tol).tolist()
         out: list = [None] * len(rhos)
-        rest = []  # (index, eigen weights, eigen elements) of the open matrices
+        rest = []  # (index, kept eigenvectors as rows, witness builder) of the open matrices
         for j, (rho, (w, v)) in enumerate(zip(rhos, spectra)):
-            weights, elements = self._eigen_elements(rho, w, v)
-            if ranks[j] == 1 and len(elements) == 1:
-                sub = self.pure_value(elements[0])
+            keep = np.flatnonzero(w > EIGEN_WEIGHT_FLOOR)
+            witness = partial(_eigen_witness, rho, w, v)
+            if ranks[j] == 1 and len(keep) == 1:
+                sub = self.pure_value(_unit_state(profile, v[:, keep[0]]))
                 trace = {"rule": "rank-one", "pure_trace": sub.branch_trace}
-                witness = _build_candidate(rho, weights, elements)
                 out[j] = _result(sub.value_lo, sub.value_hi, trace, witness)
             else:
-                rest.append((j, weights, elements))
+                rest.append((j, v[:, keep].T, witness))
         if not rest:
             return out
         if m == 2:
-            amps = np.array([s.amplitudes for _, _, elements in rest for s in elements])
+            amps = np.concatenate([vecs for _, vecs, _ in rest])
             flat = _schmidt_ranks(amps, profile.dims, self.tol)
             eigen_his, at = [], 0
-            for _, _, elements in rest:
-                eigen_his.append(max(flat[at : at + len(elements)]))
-                at += len(elements)
+            for _, vecs, _ in rest:
+                eigen_his.append(max(flat[at : at + len(vecs)]))
+                at += len(vecs)
         else:
             eigen_his = [
-                max(self.pure_value(s).value_hi for s in elements) for _, _, elements in rest
+                max(self.pure_value(_unit_state(profile, vec)).value_hi for vec in vecs)
+                for _, vecs, _ in rest
             ]
-        witnesses = _build_candidates(
-            [rhos[j] for j, _, _ in rest], [w for _, w, _ in rest], [e for _, _, e in rest]
-        )
         ppt = []  # (index, trace, witness) of the matrices the PPT test may decide
-        for (j, _, _), eigen_hi, witness in zip(rest, eigen_his, witnesses):
+        for (j, _, witness), eigen_hi in zip(rest, eigen_his):
             trace = {"rank": ranks[j], "eigen_hi": eigen_hi}
             if eigen_hi == 1:
                 trace["rule"] = "eigen-ensemble"
@@ -1116,35 +1147,18 @@ def _solve_mixture(rho: DensityMatrix, states: list[PureState]) -> Optional[Ense
 
 
 def _build_candidate(rho: DensityMatrix, weights, states) -> Optional[EnsembleCandidate]:
-    return _build_candidates([rho], [weights], [states])[0]
+    """The ensemble if it is valid and reconstructs rho, else None."""
+    try:
+        cand = EnsembleCandidate(tuple(float(p) for p in weights), tuple(states))
+    except ValueError:
+        return None
+    err = float(np.linalg.norm(cand.reconstruct() - rho.matrix))
+    return cand if err <= RECONSTRUCTION_ATOL else None
 
 
-def _build_candidates(rhos: list[DensityMatrix], weight_lists, state_lists) -> list:
-    """The ensembles that are valid and reconstruct their matrix, else None.
-
-    The matrices share one shape. Ensembles of one size are reconstructed by
-    one stacked matmul, the arithmetic of EnsembleCandidate.reconstruct.
-    """
-    cands = []
-    for weights, states in zip(weight_lists, state_lists):
-        try:
-            cands.append(EnsembleCandidate(tuple(float(p) for p in weights), tuple(states)))
-        except ValueError:
-            cands.append(None)
-    by_size: dict = {}
-    for j, cand in enumerate(cands):
-        if cand is not None:
-            by_size.setdefault(len(cand.states), []).append(j)
-    for group in by_size.values():
-        kets = np.array([[s.amplitudes for s in cands[j].states] for j in group])
-        kets = np.ascontiguousarray(kets.swapaxes(-1, -2))
-        weights = np.array([cands[j].weights for j in group])
-        recon = (kets * weights[:, None, :]) @ kets.conj().swapaxes(-1, -2)
-        err = np.linalg.norm(recon - np.array([rhos[j].matrix for j in group]), axis=(-2, -1))
-        for j, e in zip(group, err):
-            if e > RECONSTRUCTION_ATOL:
-                cands[j] = None
-    return cands
+def _eigen_witness(rho: DensityMatrix, w, v) -> Optional[EnsembleCandidate]:
+    """The eigen ensemble of rho (eigensystem w, v), if it passes _build_candidate."""
+    return _build_candidate(rho, *_Engine._eigen_elements(rho, w, v))
 
 
 # unreachable, called only by _polish_zero_hunt
@@ -1232,8 +1246,10 @@ def pure_schmidt_number(
 def mixed_schmidt_number(
     rho: DensityMatrix, budget: SearchBudget = DEFAULT_BUDGET, tol: float = DEFAULT_RANK_TOL
 ) -> SchmidtNumberResult:
-    """Convex-roof Schmidt number interval of a mixed state."""
-    return _Engine(budget, tol).mixed_value(rho)
+    """Convex-roof Schmidt number interval of a mixed state, its witness built."""
+    result = _Engine(budget, tol).mixed_value(rho)
+    result.witness_ensemble  # a public result is returned whole: read the witness here
+    return result
 
 
 def ensemble_search(

@@ -143,13 +143,22 @@ def random_local_invertible(
 
 
 def apply_local_operators(state: PureState, ops: list[np.ndarray]) -> PureState:
-    """Apply one operator per party and renormalize."""
-    if len(ops) != state.party_count:
+    """Apply one operator per party and renormalize.
+
+    Each operator acts on its own axis of the amplitude tensor: time grows
+    as D * sum(d_i) and memory as D for total dimension D, where the
+    operators' Kronecker product would need D^2 of both.
+    """
+    dims = state.profile.dims
+    if len(ops) != len(dims):
         raise ValueError("need one operator per party")
-    full = np.asarray(ops[0], dtype=np.complex128)
-    for op in ops[1:]:
-        full = np.kron(full, np.asarray(op, dtype=np.complex128))
-    vec = full @ state.amplitudes
+    tensor = state.amplitudes.reshape(dims)
+    for axis, (d, op) in enumerate(zip(dims, ops)):
+        op = np.asarray(op, dtype=np.complex128)
+        if op.shape != (d, d):
+            raise ValueError(f"operator shape {op.shape} does not match local dimension {d}")
+        tensor = np.moveaxis(np.tensordot(op, tensor, axes=(1, axis)), 0, axis)
+    vec = tensor.reshape(-1)
     norm = np.linalg.norm(vec)
     if norm <= 1e-12:
         raise ValueError("transformed state vanished")

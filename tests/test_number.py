@@ -933,6 +933,161 @@ class TestStackedMixedValues:
         assert all(res is results[0] for res in results)
 
 
+def _eigen_witnessed(trace):
+    """Whether a mixed result's witness is its matrix's eigen ensemble."""
+    if trace["rule"] == "interval":
+        return not any(a["found"] for a in trace["search_attempts"])
+    return trace["rule"] in {
+        "rank-one",
+        "eigen-ensemble",
+        "ppt-meets-eigen",
+        "product-exclusion-meets-eigen",
+        "range-span-certified",
+    }
+
+
+class TestWitnessOnDemand:
+    """No value reads a witness, so one is built only when read, and public results carry theirs."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = {"candidate": 0, "element": 0}
+        real_post, real_unit = number.EnsembleCandidate.__post_init__, number._unit_state
+
+        def post(self):
+            calls["candidate"] += 1
+            real_post(self)
+
+        def unit(*args):
+            calls["element"] += 1
+            return real_unit(*args)
+
+        monkeypatch.setattr(number.EnsembleCandidate, "__post_init__", post)
+        monkeypatch.setattr(number, "_unit_state", unit)
+        return calls
+
+    @pytest.mark.parametrize("name", ["Haar222", "Haar223", "W3"])
+    def test_max_party_rule_builds_no_ensemble(self, name, builds):
+        res = ms.pure_schmidt_number(ORACLE_STATES[name])
+        assert res.exact
+        assert builds == {"candidate": 0, "element": 0}
+
+    @pytest.mark.parametrize("name", ["Haar222", "Haar223", "Haar234", "W3", "GHZ3", "W3x1"])
+    def test_read_witness_is_the_eigen_ensemble(self, name):
+        engine = number._Engine(TINY, DEFAULT_RANK_TOL)
+        rhos = _reductions(ORACLE_STATES[name])
+        checked = 0
+        for rho, res in zip(rhos, engine.mixed_values(rhos)):
+            if not _eigen_witnessed(res.branch_trace):
+                continue
+            want = number._build_candidate(rho, *engine._eigen_elements(rho, *ms.spectrum(rho)))
+            got = res.witness_ensemble
+            assert got is not None and want is not None
+            assert got.weights == want.weights
+            assert len(got.states) == len(want.states)
+            for x, y in zip(got.states, want.states):
+                assert np.array_equal(x.amplitudes, y.amplitudes)
+            checked += 1
+        assert checked > 0
+
+    def test_a_builder_runs_once_on_first_read(self):
+        runs = []
+        res = ms.SchmidtNumberResult(1, 1, True, lambda: runs.append(1), {})
+        assert runs == []
+        assert res.witness_ensemble is None and res.witness_ensemble is None
+        assert runs == [1]
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            ms.reduce(ms.w_state(3), ms.SubsystemSet((2, 3))),  # ppt-meets-eigen
+            ms.reduce(ms.ghz_state(3), ms.SubsystemSet((2, 3))),  # eigen-ensemble
+            ms.reduce(ORACLE_STATES["W3x1"], ms.SubsystemSet((1, 2, 3))),  # rank-one
+            mixture([ms.random_pure(ms.DimensionProfile((3, 3)), s) for s in (0, 1)], [0.6, 0.4]),
+        ],
+        ids=["W3-pair", "GHZ3-pair", "W3-of-W3x1", "Haar33-rank2"],
+    )
+    def test_public_mixed_result_carries_its_witness(self, rho, builds):
+        res = ms.mixed_schmidt_number(rho)
+        before = dict(builds)
+        witness = res.witness_ensemble
+        assert builds == before
+        assert witness is not None
+        assert np.linalg.norm(witness.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
+
+
+def _local_rotation(rho, ops):
+    """U rho U^dag for the local unitary U = ops[0] (x) ops[1] (x) ..."""
+    full = np.ones((1, 1))
+    for op in ops:
+        full = np.kron(full, op)
+    return DensityMatrix(rho.profile, full @ rho.matrix @ full.conj().T)
+
+
+LU_PURE = {
+    "W3": ms.w_state(3),
+    "W4": ms.w_state(4),
+    "GHZ3": ms.ghz_state(3),
+    "qutrit GHZ3": ms.ghz_state(3, 3),
+    "Haar222": ms.random_pure(ms.DimensionProfile((2, 2, 2)), 1),
+    "Haar223": ms.random_pure(ms.DimensionProfile((2, 2, 3)), 2),
+    "Haar234": ms.random_pure(ms.DimensionProfile((2, 3, 4)), 3),
+}
+
+LU_MIXED = {
+    **{
+        f"Haar33 rank 2 #{s}": mixture(
+            [ms.random_pure(ms.DimensionProfile((3, 3)), 10 * s + k) for k in (0, 1)], [0.6, 0.4]
+        )
+        for s in range(2)
+    },
+    **{
+        f"{kind} #{s}": planted_three_qubit(kind, s)[0]
+        for kind in ("product+product", "w-class pair", "lu-ghz+product")
+        for s in range(2)
+    },
+    **{f"Werner {p}": _werner(p) for p in (0.2, 0.5, 0.8)},
+}
+
+
+class TestLocalUnitaryInvariance:
+    """Local unitaries keep every Schmidt number: an outside oracle for the whole ladder.
+
+    The intervals of a state and of its local rotation must intersect and,
+    where both are exact, agree.
+    """
+
+    @staticmethod
+    def assert_consistent(a, b):
+        assert max(a.value_lo, b.value_lo) <= min(a.value_hi, b.value_hi)
+        if a.exact and b.exact:
+            assert a.value == b.value
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("name", list(LU_PURE))
+    def test_pure_state(self, name, seed):
+        state = LU_PURE[name]
+        rotated = ms.apply_local_operators(state, ms.random_local_unitary(state.profile, seed))
+        self.assert_consistent(ms.pure_schmidt_number(state), ms.pure_schmidt_number(rotated))
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("name", list(LU_MIXED))
+    def test_mixed_state(self, name, seed):
+        rho = LU_MIXED[name]
+        rotated = _local_rotation(rho, ms.random_local_unitary(rho.profile, seed))
+        results = [ms.mixed_schmidt_number(r) for r in (rho, rotated)]
+        self.assert_consistent(*results)
+        for r, res in zip((rho, rotated), results):
+            witness = res.witness_ensemble
+            if witness is None:
+                continue
+            rebuilt = sum(
+                w * np.outer(s.amplitudes, s.amplitudes.conj())
+                for w, s in zip(witness.weights, witness.states)
+            )
+            assert np.linalg.norm(rebuilt - r.matrix) <= number.RECONSTRUCTION_ATOL
+
+
 def _separate_pencil_drops(a, b, tol):
     """The pencil drops with one SVD per probe member, as a reference."""
     svds = [np.linalg.svd(z * a + b) for z in number._PROBES]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,37 @@ class TestRandomGenerators:
         ops = ms.random_local_invertible(ms.DimensionProfile((2, 2, 2)), 4)
         for op in ops:
             assert np.linalg.cond(op) <= 30.0
+
+
+class TestApplyLocalOperators:
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 3), (3, 2, 2, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_kronecker_product(self, dims, seed):
+        prof = ms.DimensionProfile(dims)
+        st = ms.random_pure(prof, seed)
+        ops = ms.random_local_invertible(prof, seed + 50)
+        full = ops[0]
+        for op in ops[1:]:
+            full = np.kron(full, op)
+        want = full @ st.amplitudes
+        want /= np.linalg.norm(want)
+        got = ms.apply_local_operators(st, ops).amplitudes
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_ten_qubits_never_form_the_full_operator(self):
+        prof = ms.qubits(10)
+        st = ms.random_pure(prof, 0)
+        ops = ms.random_local_invertible(prof, 0)
+        tracemalloc.start()
+        try:
+            ms.apply_local_operators(st, ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the 1024 x 1024 Kronecker product alone is 16 MB
+
+    def test_rejects_mismatched_operators(self):
+        with pytest.raises(ValueError):
+            ms.apply_local_operators(ms.w_state(3), [np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError):
+            ms.apply_local_operators(ms.w_state(3), [np.eye(2), np.eye(3), np.eye(2)])
