@@ -27,7 +27,7 @@ import numpy as np
 
 from .coefficients import _coefficients, generalized_eof, pure_schmidt_coefficients
 from .core import DEFAULT_RANK_TOL, DimensionProfile, PureState
-from .errors import UnsupportedStructureError
+from .errors import SearchError, UnsupportedStructureError
 from .number import DEFAULT_BUDGET, SearchBudget, _Engine, pure_schmidt_number
 from .partitions import factorize, local_rank_vector
 from .states import (
@@ -160,6 +160,9 @@ def analyze_state(state: PureState, budget: SearchBudget, tol: float) -> Analysi
             note = "inexact: a reduction Schmidt number was not certified"
     except UnsupportedStructureError as exc:
         note = f"unsupported: {exc}"
+    except SearchError as exc:
+        # the number stands; only the element search behind the coefficients failed
+        note = f"search: {exc}"
     elapsed = time.perf_counter() - start
     return AnalysisReport(
         classification=structure.label,

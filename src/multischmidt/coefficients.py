@@ -9,11 +9,22 @@ coefficients by 1/sqrt(2), and keep the branch with the largest combined
 entropy. The union's squares always sum to one and the multiset size equals
 the Schmidt number whenever the latter is exact.
 
+One coefficient call makes one pass, as the number's max-party rule does.
+The local ranks and sigma (the square roots of rho_i's spectrum over 2) are
+read off the cut SVDs that ``factorize`` has already made. The reductions
+rho_(not i) are built without re-validation (``core._pure_reductions``,
+bitwise equal to ``reduce``, one stacked ``eigh`` per shape) and decided
+together (``_Engine.mixed_values``). The elements of all maximizer parties
+come from one element stage (``_max_entropy_element``).
+
 The maximal-entropy element of a two-qubit reduction with target Schmidt
 number 2 is found in closed form: entropy rises with concurrence, and the
 concurrence maximum over the range is the top Takagi value of a 2k x 2k
-eigenproblem. Other element shapes are found by search: Nelder-Mead for two
-parties, proxy-ranked candidates for three.
+eigenproblem. The element stage solves every such member of a call
+together: one ``eigh`` per range dimension k and one SVD of all the
+elements, which gives their Schmidt ranks and coefficients. Other element
+shapes are found by search, one at a time: Nelder-Mead for two parties, with
+one spectrum per point, and proxy-ranked candidates for three.
 
 Supported genuinely entangled sizes are two, three, and four parties; larger
 genuinely entangled states raise ``UnsupportedStructureError``. Non-genuine
@@ -33,21 +44,25 @@ from .core import (
     DensityMatrix,
     PureState,
     SubsystemSet,
+    _checked_state,
+    _pure_reductions,
     entropy_bits,
-    local_weights,
-    reduce,
     spectrum,
-    weight_rank,
+    unfold,
 )
 from .errors import SearchError, UnsupportedStructureError
 from .number import (
     DEFAULT_BUDGET,
+    EIGEN_WEIGHT_FLOOR,
     SearchBudget,
     _Engine,
+    _party_records,
+    _reduction_profiles,
     _single_party_spectra,
+    _stack_ranks,
     _unit_state,
 )
-from .partitions import factorize
+from .partitions import PartitionStructure, _party_cuts, factorize
 from .seeding import stream
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -55,6 +70,8 @@ TIE_ATOL = 1e-9
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 # sigma_y (x) sigma_y, the spin flip behind two-qubit concurrence
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real
+# the two sides of a two-party element
+_FIRST, _SECOND = SubsystemSet((1,)), SubsystemSet((2,))
 
 
 @dataclass(frozen=True)
@@ -91,16 +108,8 @@ def generalized_eof(coeffs: Union[CoefficientSet, Sequence[float]]) -> float:
     return entropy_bits(np.asarray(values, dtype=np.float64) ** 2)
 
 
-def _scaled_root_values(weights: np.ndarray, tol: float) -> np.ndarray:
-    """Positive eigenvalues of (1/sqrt 2) rho^(1/2), i.e. sqrt(lambda/2).
-
-    ``weights`` is the descending spectrum of rho, as from ``local_weights``.
-    """
-    return np.sqrt(weights[: weight_rank(weights, tol)] / 2.0)
-
-
 def _bipartite_set(state: PureState, tol: float) -> CoefficientSet:
-    dec = schmidt_decompose(state, SubsystemSet((1,)), tol)
+    dec = schmidt_decompose(state, _FIRST, tol)
     return _make_set(dec.coefficients, {"rule": "bipartite-svd", "exact": True})
 
 
@@ -125,7 +134,7 @@ def _coefficients(state: PureState, engine: _Engine, budget, tol) -> Coefficient
     if len(entangled) == 1:
         factor, factor_state = entangled[0]
         if len(factor) == m:
-            return _genuine_coefficients(state, engine, budget, tol)
+            return _genuine_coefficients(state, structure, engine, budget, tol)
         sub = _coefficients(factor_state, engine, budget, tol)
         prov = {
             "rule": "single-entangled-factor",
@@ -158,7 +167,17 @@ def _coefficients(state: PureState, engine: _Engine, budget, tol) -> Coefficient
     return _make_set(values, prov)
 
 
-def _genuine_coefficients(state: PureState, engine: _Engine, budget, tol) -> CoefficientSet:
+def _genuine_coefficients(
+    state: PureState, structure: PartitionStructure, engine: _Engine, budget, tol
+) -> CoefficientSet:
+    """The genuinely entangled construction, from factorize's ``structure``.
+
+    Each party's local rank and the spectrum behind sigma come from its cut
+    record (number._party_records); the reductions rho_(not i) are built
+    without re-validation (core._pure_reductions) and decided together
+    (mixed_values); the elements of the maximizer parties come from one
+    element stage (_max_entropy_element).
+    """
     m = state.party_count
     if m == 2:
         return _bipartite_set(state, tol)
@@ -166,28 +185,28 @@ def _genuine_coefficients(state: PureState, engine: _Engine, budget, tol) -> Coe
         raise UnsupportedStructureError(
             f"no coefficient construction for genuinely entangled states on {m} parties"
         )
-    singles = [SubsystemSet((i,)) for i in range(1, m + 1)]
-    local = [local_weights(state, me) for me in singles]
-    rests = [reduce(state, me.complement(m)) for me in singles]
+    records = _party_records(structure)
+    rests = _pure_reductions(state, _party_cuts(m)[1], _reduction_profiles(state.profile.dims))
     subs = engine.mixed_values(rests)
+    total = max(rec.rank + sub.value_hi for rec, sub in zip(records, subs))
     parties = [
-        (i, weight_rank(weights, tol), weights, rest, sub)
-        for i, weights, rest, sub in zip(range(1, m + 1), local, rests, subs)
+        (i, rec, rest, sub)
+        for i, (rec, rest, sub) in enumerate(zip(records, rests, subs), 1)
+        if rec.rank + sub.value_hi == total
     ]
-    total = max(rank + sub.value_hi for _, rank, _, _, sub in parties)
+    # a value-1 reduction has a product witness ensemble; the others need an element
+    wanted = [(rest, sub.value_hi) for _, _, rest, sub in parties if sub.value_hi > 1]
+    elements = iter(_max_entropy_element(wanted, engine, budget, tol) if wanted else ())
     branches = []
     exact = True
-    for party, rank, weights, rest, sub in parties:
-        rbar = sub.value_hi
-        if rank + rbar < total:
-            continue
-        sigma = _scaled_root_values(weights, tol)
+    for party, rec, _, sub in parties:
+        # the positive eigenvalues of (1/sqrt 2) rho_i^(1/2), sqrt(lambda/2)
+        sigma = np.sqrt(rec.weights[: rec.rank] / 2.0)
         exact = exact and sub.exact
-        if rbar == 1:
-            # a value-1 reduction has a product witness ensemble
+        if sub.value_hi == 1:
             gamma = np.ones(1)
         else:
-            _, elem = _max_entropy_element(rest, rbar, engine, budget, tol)
+            _, elem = next(elements)
             exact = exact and elem.exact
             gamma = np.asarray(elem.values)
         vals = np.concatenate([sigma, SQRT_HALF * gamma])
@@ -217,12 +236,6 @@ def _genuine_coefficients(state: PureState, engine: _Engine, budget, tol) -> Coe
 # ---- constrained max-entropy element search -----------------------------------
 
 
-def _element_entropy(state: PureState, engine: _Engine, budget, tol) -> float:
-    if state.party_count == 2:
-        return entropy_bits(local_weights(state, SubsystemSet((1,))))
-    return generalized_eof(_coefficients(state, engine, budget, tol))
-
-
 def _element_set(state: PureState, engine: _Engine, budget, tol) -> CoefficientSet:
     if state.party_count == 2:
         return _bipartite_set(state, tol)
@@ -243,11 +256,115 @@ def max_entropy_ensemble_element(
     if rank_target < 1:
         raise ValueError("target rank must be >= 1")
     engine = _Engine(budget, tol)
-    return _max_entropy_element(rho, rank_target, engine, budget, tol)
+    return _max_entropy_element([(rho, rank_target)], engine, budget, tol)[0]
 
 
-def _max_entropy_element(rho, rank_target, engine, budget, tol):
-    w, v = spectrum(rho)
+def _max_entropy_element(members, engine, budget, tol) -> list:
+    """The element stage of one coefficient call: an element for each (rho, target) member.
+
+    Returns (element, its CoefficientSet with the achieved entropy) per
+    member, in order. Two-qubit members with target 2 and a range of
+    dimension k >= 2 take the closed form together
+    (_max_concurrence_elements); every other member is searched on its own
+    (_searched_element). The first member without a qualifying element, in
+    order, raises its SearchError.
+    """
+    spectra = [spectrum(rho) for rho, _ in members]
+    keeps = [np.flatnonzero(w > EIGEN_WEIGHT_FLOOR) for w, _ in spectra]
+    closed = [
+        j
+        for j, (rho, target) in enumerate(members)
+        if rho.profile.dims == (2, 2) and target == 2 and keeps[j].size >= 2
+    ]
+    found = {}
+    if closed:
+        ranges = [(members[j][0].profile, spectra[j].vectors[:, keeps[j]]) for j in closed]
+        found = dict(zip(closed, _max_concurrence_elements(ranges, tol)))
+    out = []
+    for j, (rho, target) in enumerate(members):
+        if j not in found:
+            out.append(_searched_element(rho, target, spectra[j], engine, budget, tol))
+        elif found[j] is None:
+            raise SearchError("every state in the range is a product: no rank-2 element")
+        else:
+            out.append(found[j])
+    return out
+
+
+def _max_concurrence_elements(ranges, tol) -> list:
+    """The max-concurrence element of each two-qubit range, or None for an all-product range.
+
+    ``ranges`` holds (profile, eigenvectors spanning the range) pairs. A
+    two-qubit state's entropy rises with its concurrence, whose maximum over
+    a range is an eigenvalue problem (_max_concurrence_directions): no search
+    is needed. Ranges of one dimension share one stacked ``eigh``, and all
+    elements share one SVD, which gives both their Schmidt rank (the target
+    2 holds unless the range holds only products) and their coefficients.
+    """
+    amps = np.empty((len(ranges), 4), dtype=np.complex128)
+    by_dim: dict = {}
+    for j, (_, vecs) in enumerate(ranges):
+        by_dim.setdefault(vecs.shape[1], []).append(j)
+    for group in by_dim.values():
+        basis = np.array([ranges[j][1] for j in group])
+        basis = basis / np.linalg.norm(basis, axis=1, keepdims=True)
+        amps[group] = (basis @ _max_concurrence_directions(basis)[..., None])[..., 0]
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    svals = np.linalg.svd(amps.reshape(-1, 2, 2), compute_uv=False)
+    out = []
+    for (profile, _), vec, s, rank in zip(ranges, amps, svals, _stack_ranks(svals**2, tol)):
+        if rank < 2:
+            out.append(None)
+            continue
+        cs = _make_set(s / np.linalg.norm(s), {"rule": "bipartite-svd", "exact": True})
+        out.append((_checked_state(profile, vec), _with_entropy(cs, generalized_eof(cs))))
+    return out
+
+
+def _max_concurrence_directions(basis: np.ndarray) -> np.ndarray:
+    """Per range of the stack, the unit u maximizing the concurrence |u^T A u| of basis @ u.
+
+    ``basis`` stacks n x 4 x k matrices with orthonormal columns and
+    A = basis^T (sigma_y (x) sigma_y) basis. For complex symmetric A the
+    maximum over unit u is A's top Takagi value (Wootters, PRL 80, 2245;
+    Uhlmann, PRA 62, 032307). With u = x + iy it is the top eigenvalue of the
+    real symmetric [[Re A, -Im A], [-Im A, -Re A]], whose eigenvector (x, y)
+    attains it even when that eigenvalue is degenerate. One ``eigh`` serves
+    the stack.
+    """
+    a = basis.swapaxes(-1, -2) @ _SPIN_FLIP @ basis
+    k = a.shape[-1]
+    block = np.concatenate(
+        [
+            np.concatenate([a.real, -a.imag], axis=-1),
+            np.concatenate([-a.imag, -a.real], axis=-1),
+        ],
+        axis=-2,
+    )
+    top = np.linalg.eigh(block)[1][..., -1]
+    return top[..., :k] + 1j * top[..., k:]
+
+
+def _pair_score(amplitudes: np.ndarray, dims: tuple[int, ...], rank_target: int) -> float:
+    """The two-party search objective: entropy - 50 * (distance from the rank target).
+
+    The distance is the weight outside the r largest Schmidt weights, and at
+    target 1 the sum over both parties of 1 - largest weight. Party 1's
+    spectrum, from one SVD, serves the entropy and the distance; target 1
+    adds party 2's.
+    """
+    weights = np.linalg.svd(unfold(amplitudes, dims, _FIRST), compute_uv=False) ** 2
+    if rank_target == 1:
+        second = np.linalg.svd(unfold(amplitudes, dims, _SECOND), compute_uv=False) ** 2
+        penalty = float(sum(1.0 - p[0] for p in (weights, second)))
+    else:
+        penalty = float(np.sum(weights[rank_target:]))
+    return entropy_bits(weights) - 50.0 * penalty
+
+
+def _searched_element(rho, rank_target, eigensystem, engine, budget, tol):
+    """A max-entropy element of rho with the target Schmidt number, by exact routes or search."""
+    w, v = eigensystem
     _, elements = engine._eigen_elements(rho, w, v)
     basis = np.column_stack([s.amplitudes for s in elements])
     kr = basis.shape[1]
@@ -268,14 +385,6 @@ def _max_entropy_element(rho, rank_target, engine, budget, tol):
         st = make_state(np.ones(1, dtype=np.complex128))
         if not qualifies(st):
             raise SearchError("range is one-dimensional and misses the rank target")
-        return finish(st)
-
-    if profile.dims == (2, 2) and rank_target == 2:
-        # a two-qubit state's entropy rises with its concurrence, whose
-        # maximum over the range is an eigenvalue problem: no search needed
-        st = make_state(_max_concurrence_direction(basis))
-        if not qualifies(st):
-            raise SearchError("every state in the range is a product: no rank-2 element")
         return finish(st)
 
     # exact shortcut: rank-1 targets on a plane range are the product rays
@@ -326,16 +435,15 @@ def _max_entropy_element(rho, rank_target, engine, budget, tol):
             )
         scan_budget = budget.scaled(0.15)
         best = max(
-            qualifying, key=lambda st: _element_entropy(st, engine, scan_budget, tol)
+            qualifying,
+            key=lambda st: generalized_eof(_coefficients(st, engine, scan_budget, tol)),
         )
         return finish(best)
 
     # two-party elements: the entropy objective is cheap, so polish properly
     def score(u: np.ndarray) -> float:
-        st = make_state(u)
-        return _element_entropy(st, engine, budget, tol) - 50.0 * _rank_penalty(
-            st, rank_target
-        )
+        vec = basis @ u
+        return _pair_score(vec / np.linalg.norm(vec), profile.dims, rank_target)
 
     def score_x(x: np.ndarray) -> float:
         u = x[:kr] + 1j * x[kr:]
@@ -370,33 +478,6 @@ def _max_entropy_element(rho, rank_target, engine, budget, tol):
     raise SearchError(
         f"no ensemble element of Schmidt number {rank_target} found within budget"
     )
-
-
-def _max_concurrence_direction(basis: np.ndarray) -> np.ndarray:
-    """Unit u maximizing the concurrence |u^T A u| of basis @ u.
-
-    ``basis`` has orthonormal columns in C^4 and A = basis^T (sigma_y (x)
-    sigma_y) basis. For complex symmetric A the maximum over unit u is A's
-    top Takagi value (Wootters, PRL 80, 2245; Uhlmann, PRA 62, 032307). With
-    u = x + iy it is the top eigenvalue of the real symmetric
-    [[Re A, -Im A], [-Im A, -Re A]], whose eigenvector (x, y) attains it even
-    when that eigenvalue is degenerate.
-    """
-    a = basis.T @ _SPIN_FLIP @ basis
-    k = a.shape[0]
-    _, vecs = np.linalg.eigh(np.block([[a.real, -a.imag], [-a.imag, -a.real]]))
-    top = vecs[:, -1]
-    return top[:k] + 1j * top[k:]
-
-
-def _rank_penalty(state: PureState, rank_target: int) -> float:
-    if rank_target == 1:
-        spectra = _single_party_spectra(state.amplitudes, state.profile.dims)
-        return float(sum(1.0 - p[0] for p in spectra))
-    if state.party_count == 2:
-        p = np.sort(local_weights(state, SubsystemSet((1,))))[::-1]
-        return float(np.sum(p[rank_target:]))
-    return 0.0
 
 
 def _with_entropy(cs: CoefficientSet, entropy: float) -> CoefficientSet:

@@ -24,8 +24,11 @@ Conventions
   pure state onto one side of its cuts from the cuts' SVDs, which
   ``factorize`` has already computed: no partial trace and no second
   eigendecomposition, and cuts of one shape are built as one stack.
-  ``reduce`` forms reduced density matrices from a partial trace and serves
-  mixed states and the public API.
+  ``_pure_reductions`` builds ``reduce``'s reductions of a pure state
+  bitwise, without re-validation, with one stacked ``eigh`` per shape; the
+  coefficient construction uses it, because its element searches start from
+  the ``eigh`` eigenbasis. ``reduce`` forms reduced density matrices from a
+  partial trace and serves mixed states and the public API.
 - A ``DensityMatrix`` carries its eigensystem, computed by validation or
   taken from the SVD; ``spectrum`` and ``numerical_rank`` reuse it instead
   of decomposing again.
@@ -253,12 +256,17 @@ def _cut_reductions(profiles, vectors, svals) -> list[DensityMatrix]:
         for arr in (mat, values, vecs):
             arr.setflags(write=False)
         for b, j in enumerate(group):
-            rho = object.__new__(DensityMatrix)
-            object.__setattr__(rho, "profile", profiles[j])
-            object.__setattr__(rho, "matrix", mat[b])
-            object.__setattr__(rho, "eigensystem", Eigensystem(values[b], vecs[b]))
-            out[j] = rho
+            out[j] = _built_density(profiles[j], mat[b], values[b], vecs[b])
     return out
+
+
+def _built_density(profile, matrix, values, vectors) -> DensityMatrix:
+    """A DensityMatrix from read-only parts that hold its invariants by construction."""
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "profile", profile)
+    object.__setattr__(rho, "matrix", matrix)
+    object.__setattr__(rho, "eigensystem", Eigensystem(values, vectors))
+    return rho
 
 
 MatrixLike = Union[np.ndarray, DensityMatrix]
@@ -299,24 +307,60 @@ def reduce(state: Union[PureState, DensityMatrix], keep: SubsystemSet) -> Densit
     """
     profile = state.profile
     keep.validate_for(profile)
-    m = profile.party_count
-    keep_axes = [i - 1 for i in keep.indices]
-    traced_axes = [i for i in range(m) if i + 1 not in keep]
-    dims = profile.dims
-    dk = math.prod(dims[a] for a in keep_axes)
-    dt = math.prod(dims[a] for a in traced_axes)
+    return DensityMatrix(profile.restrict(keep), _reduced_matrix(state, keep))
 
+
+def _reduced_matrix(state: Union[PureState, DensityMatrix], keep: SubsystemSet) -> np.ndarray:
+    """The partial trace onto ``keep``, symmetrized and unvalidated.
+
+    For a pure state it is (psi psi^dag + h.c.)/2 with psi the unfolding.
+    """
+    dims = state.profile.dims
     if isinstance(state, PureState):
         psi = unfold(state.amplitudes, dims, keep)
         mat = psi @ psi.conj().T
     else:
+        m = len(dims)
+        keep_axes = [i - 1 for i in keep.indices]
+        traced_axes = [i for i in range(m) if i + 1 not in keep]
+        dk = math.prod(dims[a] for a in keep_axes)
+        dt = math.prod(dims[a] for a in traced_axes)
         t = state.matrix.reshape(dims + dims)
         perm = keep_axes + traced_axes + [m + a for a in keep_axes] + [m + a for a in traced_axes]
         blocks = t.transpose(perm).reshape(dk, dt, dk, dt)
         mat = np.einsum("ijkj->ik", blocks)
+    return (mat + mat.conj().T) / 2.0
 
-    mat = (mat + mat.conj().T) / 2.0
-    return DensityMatrix(profile.restrict(keep), mat)
+
+def _pure_reductions(state: PureState, keeps, profiles) -> list[DensityMatrix]:
+    """``reduce(state, keep)`` for each of ``keeps``, bitwise, without re-validation.
+
+    For a validated pure state and keeps valid for its profile (``profiles``
+    are the restricted profiles). The matrices are ``reduce``'s, and their
+    trace is checked as ``DensityMatrix`` checks it; Hermiticity and
+    positivity hold by construction. Matrices of one shape share one
+    stacked ``eigh``, which LAPACK runs matrix by matrix; validation
+    decomposes (A + A^dag)/2, which for the symmetrized A is A bit for bit,
+    so each eigensystem is the one validation computes.
+    """
+    mats = [_reduced_matrix(state, keep) for keep in keeps]
+    out: list = [None] * len(mats)
+    shapes: dict = {}
+    for j, mat in enumerate(mats):
+        shapes.setdefault(mat.shape, []).append(j)
+    for group in shapes.values():
+        stack = np.array([mats[j] for j in group])
+        for tr in np.trace(stack, axis1=-2, axis2=-1).tolist():
+            if abs(tr - 1.0) > TRACE_ATOL:
+                raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
+        w, v = np.linalg.eigh(stack)
+        values = np.ascontiguousarray(w[:, ::-1])
+        vectors = np.ascontiguousarray(v[:, :, ::-1])
+        for arr in (stack, values, vectors):
+            arr.setflags(write=False)
+        for b, j in enumerate(group):
+            out[j] = _built_density(profiles[j], stack[b], values[b], vectors[b])
+    return out
 
 
 def local_weights(state: PureState, side: SubsystemSet) -> np.ndarray:

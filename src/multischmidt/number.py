@@ -251,6 +251,29 @@ def _reduction_profiles(dims: tuple[int, ...]) -> tuple[DimensionProfile, ...]:
     return tuple(profile.restrict(rest) for rest in _party_cuts(len(dims))[1])
 
 
+class _PartyCut(NamedTuple):
+    """Party i's cut of a genuinely entangled state, from factorize's record."""
+
+    rank: int  # the local rank r_i at factorize's tol
+    weights: np.ndarray  # the spectrum of rho_i, descending (squared singular values)
+    s: np.ndarray  # the singular values
+    vectors: np.ndarray  # full singular vectors of the side of rho_(not i): its eigenvectors
+
+
+def _party_records(structure: PartitionStructure) -> list[_PartyCut]:
+    """The cut record of every party of a genuinely entangled state.
+
+    Party i's cut is {1} for i = 1 and otherwise its complement, whose
+    unfolding has the same singular values; the side of rho_(not i) is the
+    columns (Vh^T) for party 1 and the rows (U) otherwise.
+    """
+    out = []
+    for i, rest in enumerate(_party_cuts(structure.party_count)[1], 1):
+        u, s, vh, weights, rank = structure._cut_factors[(1,) if i == 1 else rest.indices]
+        out.append(_PartyCut(rank, weights, s, vh.T if i == 1 else u))
+    return out
+
+
 def _unit_state(profile: DimensionProfile, vec: np.ndarray) -> PureState:
     """The internal state vec / |vec| of a nonzero combination of unit vectors."""
     return _checked_state(profile, vec / np.linalg.norm(vec))
@@ -369,24 +392,21 @@ class _Engine:
     ) -> SchmidtNumberResult:
         """The max-party rule, from the cut SVDs of factorize's ``structure``.
 
-        Party i's cut is {1} for i = 1 and otherwise its complement, whose
-        unfolding has the same singular values. The cut gives the local rank
-        and the reduction rho_(not i): its side's full singular vectors (Vh^T
-        for party 1, U otherwise) are the reduction's eigenvectors. The m
-        reductions are decided together (mixed_values).
+        Each party's cut record (_party_records) gives its local rank and the
+        reduction rho_(not i), whose eigenvectors are the cut side's full
+        singular vectors. The m reductions are decided together
+        (mixed_values).
         """
-        m = state.party_count
-        ranks, vectors, svals = [], [], []
-        for i, rest in enumerate(_party_cuts(m)[1], 1):
-            side = (1,) if i == 1 else rest.indices
-            u, s, vh, _, r_i = structure._cut_factors[side]
-            ranks.append(r_i)
-            vectors.append(vh.T if i == 1 else u)
-            svals.append(s)
-        rhos = _cut_reductions(_reduction_profiles(state.profile.dims), vectors, svals)
+        records = _party_records(structure)
+        rhos = _cut_reductions(
+            _reduction_profiles(state.profile.dims),
+            [rec.vectors for rec in records],
+            [rec.s for rec in records],
+        )
         lo = hi = 0
         per_party = []
-        for i, (r_i, sub) in enumerate(zip(ranks, self.mixed_values(rhos)), 1):
+        for i, (rec, sub) in enumerate(zip(records, self.mixed_values(rhos)), 1):
+            r_i = rec.rank
             lo = max(lo, r_i + sub.value_lo)
             hi = max(hi, r_i + sub.value_hi)
             per_party.append(

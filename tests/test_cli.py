@@ -189,3 +189,21 @@ def test_sidecar_matches_the_golden_file(name, tmp_path):
         if a is not None:
             assert np.allclose(a, b, rtol=0, atol=1e-12)
     assert got == want
+
+
+def test_failed_element_search_keeps_the_number(tmp_path):
+    """The (3,3) rank-3 element search at target 2 finds nothing for this state."""
+    state = tmp_path / "s.json"
+    assert main(["gen", "random", "--dims", "3,3,3", "--seed", "0", "--out", str(state)]) == 0
+    sidecars = [tmp_path / "r1.json", tmp_path / "r2.json"]
+    for sidecar in sidecars:
+        assert main(["analyze", str(state), "--json", str(sidecar)]) == 0
+    payload = json.loads(sidecars[0].read_text())
+    assert payload["schmidt_number"] == {"lo": 5, "hi": 5, "exact": True}
+    assert payload["coefficients"] is None and payload["generalized_eof"] is None
+    assert payload["coefficients_note"] == (
+        "search: no ensemble element of Schmidt number 2 found within budget"
+    )
+    assert sidecars[0].read_bytes() == sidecars[1].read_bytes()
+    with pytest.raises(ms.SearchError):
+        ms.pure_schmidt_coefficients(load_state_file(str(state)))

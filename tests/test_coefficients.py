@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 import multischmidt as ms
-from multischmidt.core import DensityMatrix, PureState
+from multischmidt.core import DEFAULT_RANK_TOL, DensityMatrix, PureState, local_weights
 from multischmidt.errors import SearchError
 
 FAST = ms.SearchBudget(restarts=16, iters=150, seed=0)
@@ -23,6 +23,10 @@ class TestPureCoefficients:
     def test_product(self):
         cs = ms.pure_schmidt_coefficients(ms.basis_state(ms.qubits(3), (0, 0, 0)))
         assert cs.values == (1.0,)
+
+    def test_w3_gives_the_closed_form_floats(self):
+        cs = ms.pure_schmidt_coefficients(ms.w_state(3))
+        assert cs.values == (1 / np.sqrt(3), 0.5, 0.5, 1 / np.sqrt(6))
 
     def test_zero_times_bell(self):
         amps = np.kron([1.0, 0.0], ms.bell_state().amplitudes)
@@ -269,3 +273,171 @@ class TestMixedEof:
         assert not bounds.exact
         assert bounds.lower == 0.0
         assert bounds.upper > 0.0
+
+
+def _counting(calls, key, real):
+    def spy(*args, **kwargs):
+        calls[key] += 1
+        return real(*args, **kwargs)
+
+    return spy
+
+
+class TestOneStackedCoefficientPass:
+    """sigma from the cut record, reductions without re-validation, one element stage."""
+
+    @pytest.mark.parametrize(
+        "state",
+        [ms.random_pure(ms.DimensionProfile((2, 2, 2)), 7), ms.w_state(3)],
+        ids=["Haar222#7", "W3"],
+    )
+    def test_call_counts(self, state, monkeypatch):
+        from multischmidt import bipartite, coefficients, core
+
+        calls = dict.fromkeys(
+            ("reduce", "density", "local_weights", "schmidt_decompose", "element", "svd", "eigh"), 0
+        )
+        for module in (core, coefficients):
+            for name in ("reduce", "local_weights"):
+                monkeypatch.setattr(
+                    module, name, _counting(calls, name, getattr(core, name)), raising=False
+                )
+        for module in (bipartite, coefficients):
+            spy = _counting(calls, "schmidt_decompose", bipartite.schmidt_decompose)
+            monkeypatch.setattr(module, "schmidt_decompose", spy)
+        monkeypatch.setattr(
+            DensityMatrix, "__post_init__", _counting(calls, "density", DensityMatrix.__post_init__)
+        )
+        monkeypatch.setattr(
+            coefficients,
+            "_max_entropy_element",
+            _counting(calls, "element", coefficients._max_entropy_element),
+        )
+        monkeypatch.setattr(np.linalg, "svd", _counting(calls, "svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigh", _counting(calls, "eigh", np.linalg.eigh))
+        ms.pure_schmidt_coefficients(state)
+        assert calls == {
+            "reduce": 0,
+            "density": 0,
+            "local_weights": 0,
+            "schmidt_decompose": 0,
+            "element": 1,
+            "svd": 5,
+            "eigh": 2,
+        }
+
+
+def _pair_reductions(dims, seeds):
+    """The two-qubit reductions of seeded Haar states on ``dims``."""
+    out = []
+    for seed in seeds:
+        state = ms.random_pure(ms.DimensionProfile(dims), seed)
+        m = state.party_count
+        for i in range(1, m + 1):
+            rho = ms.reduce(state, ms.SubsystemSet((i,)).complement(m))
+            if rho.profile.dims == (2, 2):
+                out.append(rho)
+    return out
+
+
+ELEMENT_STACKS = {
+    "Haar222": _pair_reductions((2, 2, 2), range(4)),
+    "Haar223": _pair_reductions((2, 2, 3), range(4)),
+    "W3": [ms.reduce(ms.w_state(3), ms.SubsystemSet((i,)).complement(3)) for i in (1, 2, 3)],
+    "k234": [_random_pair_density(k, seed) for seed in range(2) for k in (2, 3, 4)],
+}
+
+
+class TestStackedTwoQubitElements:
+    @pytest.mark.parametrize("name", list(ELEMENT_STACKS))
+    def test_each_matches_its_single_call(self, name):
+        from multischmidt.coefficients import _max_entropy_element
+        from multischmidt.number import _Engine
+
+        rhos = ELEMENT_STACKS[name]
+        engine = _Engine(ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL)
+        stacked = _max_entropy_element(
+            [(rho, 2) for rho in rhos], engine, ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL
+        )
+        assert len(stacked) == len(rhos)
+        for rho, (elem, cs) in zip(rhos, stacked):
+            _, want = ms.max_entropy_ensemble_element(rho, 2)
+            assert len(cs.values) == 2
+            assert np.allclose(cs.values, want.values, rtol=0, atol=1e-15)
+            got = cs.provenance["achieved_entropy"]
+            assert abs(got - want.provenance["achieved_entropy"]) <= 1e-15
+            assert got == pytest.approx(_pair_entropy(elem.amplitudes), abs=1e-12)
+
+    def test_an_all_product_member_raises(self):
+        from multischmidt.coefficients import _max_entropy_element
+        from multischmidt.number import _Engine
+
+        # span{|00>, |01>} holds only products
+        products = DensityMatrix(ms.DimensionProfile((2, 2)), np.diag([0.5, 0.5, 0.0, 0.0]))
+        engine = _Engine(ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL)
+        members = [(_random_pair_density(2, 0), 2), (products, 2)]
+        with pytest.raises(SearchError, match="every state in the range is a product"):
+            _max_entropy_element(members, engine, ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL)
+
+
+def _reference_score(state: PureState, rank_target: int) -> float:
+    """Entropy minus 50 x rank penalty, each from its own spectra, as the search defines it."""
+    first = local_weights(state, ms.SubsystemSet((1,)))
+    if rank_target == 1:
+        spectra = [local_weights(state, ms.SubsystemSet((i,))) for i in (1, 2)]
+        penalty = float(sum(1.0 - p[0] for p in spectra))
+    else:
+        p = np.sort(local_weights(state, ms.SubsystemSet((1,))))[::-1]
+        penalty = float(np.sum(p[rank_target:]))
+    return ms.entropy_bits(first) - 50.0 * penalty
+
+
+class TestTwoPartySearchObjective:
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 4)])
+    @pytest.mark.parametrize("rank_target", [1, 2, 3])
+    def test_score_is_the_reference_bitwise(self, dims, rank_target):
+        from multischmidt.coefficients import _pair_score
+
+        prof = ms.DimensionProfile(dims)
+        rng = np.random.default_rng(sum(dims) + 10 * rank_target)
+        g = rng.normal(size=(prof.total_dim, 3)) + 1j * rng.normal(size=(prof.total_dim, 3))
+        basis = np.linalg.qr(g)[0]
+        for _ in range(5):
+            u = rng.normal(size=3) + 1j * rng.normal(size=3)
+            vec = basis @ u
+            amps = vec / np.linalg.norm(vec)
+            want = _reference_score(PureState(prof, amps), rank_target)
+            assert _pair_score(amps, dims, rank_target) == want
+
+    @pytest.mark.parametrize("rank_target, per_point", [(1, 2), (2, 1)])
+    def test_one_spectrum_per_point(self, rank_target, per_point, monkeypatch):
+        from multischmidt import coefficients
+
+        counts = {"svd": 0, "points": 0}
+        searching = []
+        real_svd = np.linalg.svd
+
+        def svd(*args, **kwargs):
+            counts["svd"] += bool(searching)
+            return real_svd(*args, **kwargs)
+
+        def counted_minimize(fun, x0, **kwargs):
+            def point(x):
+                counts["points"] += 1
+                return fun(x)
+
+            searching.append(True)
+            try:
+                return minimize(point, x0, **kwargs)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(coefficients, "minimize", counted_minimize)
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        rho = g @ g.conj().T
+        rho = DensityMatrix(ms.DimensionProfile((2, 3)), rho / np.trace(rho).real)
+        ms.max_entropy_ensemble_element(rho, rank_target, FAST)
+        assert counts["points"] > 0
+        assert counts["svd"] == per_point * counts["points"]

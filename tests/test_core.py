@@ -236,3 +236,28 @@ class TestScaledRoot:
         red = ms.reduce(st_, ms.SubsystemSet((2,)))
         vals = np.linalg.eigvalsh(ms.scaled_root(red))
         assert abs(float(np.sum(vals**2)) - 0.5) < 1e-9
+
+
+# every shape whose coefficient calls build reductions, plus the closed-form states
+BUILDER_STATES = {
+    f"Haar{''.join(map(str, dims))}#{seed}": ms.random_pure(ms.DimensionProfile(dims), seed)
+    for dims in [(2, 2, 2), (2, 2, 3), (2, 3, 4), (2, 4, 4), (3, 3, 3), (2, 2, 2, 2), (2, 2, 2, 3)]
+    for seed in range(4)
+} | {"W3": ms.w_state(3), "W4": ms.w_state(4), "GHZ3": ms.ghz_state(3)}
+
+
+@pytest.mark.parametrize("name", list(BUILDER_STATES))
+def test_internal_reductions_equal_reduce_bitwise(name):
+    """The unvalidated builder gives reduce's matrix, eigensystem and profile, read-only."""
+    from multischmidt.core import _pure_reductions
+
+    state = BUILDER_STATES[name]
+    m = state.party_count
+    keeps = [ms.SubsystemSet((i,)).complement(m) for i in range(1, m + 1)]
+    profiles = [state.profile.restrict(keep) for keep in keeps]
+    for keep, rho in zip(keeps, _pure_reductions(state, keeps, profiles)):
+        want = ms.reduce(state, keep)
+        assert rho.profile == want.profile
+        for got, ref in zip((rho.matrix, *rho.eigensystem), (want.matrix, *want.eigensystem)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            assert not got.flags.writeable
