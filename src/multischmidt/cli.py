@@ -67,18 +67,33 @@ def save_state_file(path: str, state: PureState, name=None, seed=None) -> None:
         fh.write(serialize_state(state, name, seed))
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def load_state_file(path: str) -> PureState:
+    """The state of a state file; a payload of the wrong shape or type raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if "dims" not in payload or "amplitudes" not in payload:
-        raise ValueError("state file needs 'dims' and 'amplitudes' fields")
-    profile = DimensionProfile(tuple(int(d) for d in payload["dims"]))
-    pairs = payload["amplitudes"]
+    if not isinstance(payload, dict) or "dims" not in payload or "amplitudes" not in payload:
+        raise ValueError("state file needs a JSON object with 'dims' and 'amplitudes' fields")
+    dims, pairs = payload["dims"], payload["amplitudes"]
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
+        raise ValueError(f"'dims' must be a list of integers, got {dims!r}")
+    profile = DimensionProfile(tuple(dims))
+    if not isinstance(pairs, list):
+        raise ValueError("'amplitudes' must be a list of [re, im] pairs")
     if len(pairs) != profile.total_dim:
         raise ValueError(
             f"amplitude count {len(pairs)} does not match total dimension {profile.total_dim}"
         )
-    amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    for k, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+            raise ValueError(f"amplitude {k} must be a [re, im] pair of numbers, got {pair!r}")
+    try:
+        amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("amplitudes must be finite") from None
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > NORM_REJECT:
         raise ValueError(f"state norm {norm} is too far from 1")
@@ -323,7 +338,28 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=int, default=DEFAULT_BUDGET.iters, help="iterations per restart")
 
 
+def _parsed_list(text: str, kind, flag: str) -> tuple:
+    """The comma-separated ``kind`` values of a command-line flag."""
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} needs comma-separated {kind.__name__}s, got {text!r}") from None
+
+
 def cmd_gen(args) -> int:
+    try:
+        state, name = _generated(args)
+        save_state_file(args.out, state, name=name, seed=args.seed)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    norm = float(np.linalg.norm(state.amplitudes))
+    print(f"dims={list(state.profile.dims)} norm={norm:.12f} -> {args.out}")
+    return 0
+
+
+def _generated(args) -> tuple[PureState, str]:
+    """The state the ``gen`` arguments ask for, and its name."""
     family = args.family
     seed = args.seed
     name = args.name
@@ -334,23 +370,20 @@ def cmd_gen(args) -> int:
         state = ghz_state(args.m, args.d)
         name = name or f"ghz{args.m}d{args.d}"
     elif family == "acin":
-        lams = tuple(float(x) for x in args.lams.split(","))
+        lams = _parsed_list(args.lams, float, "--lams")
         state = acin_state(AcinParameters(lams, args.theta))
         name = name or "acin"
     elif family == "random":
-        profile = DimensionProfile(tuple(int(x) for x in args.dims.split(",")))
+        profile = DimensionProfile(_parsed_list(args.dims, int, "--dims"))
         state = random_pure(profile, seed)
         name = name or f"random-{seed}"
     elif family == "random-product":
-        profile = DimensionProfile(tuple(int(x) for x in args.dims.split(",")))
+        profile = DimensionProfile(_parsed_list(args.dims, int, "--dims"))
         state = random_product(profile, seed)
         name = name or f"random-product-{seed}"
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(family)
-    save_state_file(args.out, state, name=name, seed=seed)
-    norm = float(np.linalg.norm(state.amplitudes))
-    print(f"dims={list(state.profile.dims)} norm={norm:.12f} -> {args.out}")
-    return 0
+    return state, name
 
 
 def cmd_analyze(args) -> int:

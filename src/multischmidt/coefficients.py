@@ -9,12 +9,14 @@ coefficients by 1/sqrt(2), and keep the branch with the largest combined
 entropy. The union's squares always sum to one and the multiset size equals
 the Schmidt number whenever the latter is exact.
 
-One coefficient call makes one pass, as the number's max-party rule does.
-The local ranks and sigma (the square roots of rho_i's spectrum over 2) are
-read off the cut SVDs that ``factorize`` has already made. The reductions
-rho_(not i) are built without re-validation (``core._pure_reductions``,
-bitwise equal to ``reduce``, one stacked ``eigh`` per shape) and decided
-together (``_Engine.mixed_values``). The elements of all maximizer parties
+A two-party state's coefficients are its Schmidt coefficients, from one
+SVD; Schmidt rank 1 is reported as fully separable. A genuinely entangled
+state of three or more parties takes one pass, as the number's max-party
+rule does. The local ranks and sigma (the square roots of rho_i's spectrum
+over 2) are read off the cut SVDs that ``factorize`` has already made. The
+reductions rho_(not i) are built without re-validation
+(``core._pure_reductions``, bitwise equal to ``reduce``, one stacked ``eigh``
+per shape) and decided together (``_Engine.mixed_values``). The elements of all maximizer parties
 come from one element stage (``_max_entropy_element``).
 
 The maximal-entropy element of a two-qubit reduction with target Schmidt
@@ -24,7 +26,8 @@ eigenproblem. The element stage solves every such member of a call
 together: one ``eigh`` per range dimension k and one SVD of all the
 elements, which gives their Schmidt ranks and coefficients. Other element
 shapes are found by search, one at a time: Nelder-Mead for two parties, with
-one spectrum per point, and proxy-ranked candidates for three.
+one spectrum per point, and proxy-ranked candidates for three. Spectra and
+ranks come from ``core.local_weights`` and ``core.weight_rank``.
 
 Supported genuinely entangled sizes are two, three, and four parties; larger
 genuinely entangled states raise ``UnsupportedStructureError``. Non-genuine
@@ -47,8 +50,9 @@ from .core import (
     _checked_state,
     _pure_reductions,
     entropy_bits,
+    local_weights,
     spectrum,
-    unfold,
+    weight_rank,
 )
 from .errors import SearchError, UnsupportedStructureError
 from .number import (
@@ -58,8 +62,6 @@ from .number import (
     _Engine,
     _party_records,
     _reduction_profiles,
-    _single_party_spectra,
-    _stack_ranks,
     _unit_state,
 )
 from .partitions import PartitionStructure, _party_cuts, factorize
@@ -109,7 +111,10 @@ def generalized_eof(coeffs: Union[CoefficientSet, Sequence[float]]) -> float:
 
 
 def _bipartite_set(state: PureState, tol: float) -> CoefficientSet:
+    """The Schmidt coefficients of a two-party state, from one SVD."""
     dec = schmidt_decompose(state, _FIRST, tol)
+    if dec.rank == 1:
+        return _make_set((1.0,), {"rule": "fully-separable", "exact": True})
     return _make_set(dec.coefficients, {"rule": "bipartite-svd", "exact": True})
 
 
@@ -127,6 +132,8 @@ def _coefficients(state: PureState, engine: _Engine, budget, tol) -> Coefficient
     m = state.party_count
     if m == 1:
         return _make_set((1.0,), {"rule": "single-party", "exact": True})
+    if m == 2:
+        return _bipartite_set(state, tol)
     structure = factorize(state, tol)
     entangled = structure.entangled_factors()
     if not entangled:
@@ -179,8 +186,6 @@ def _genuine_coefficients(
     element stage (_max_entropy_element).
     """
     m = state.party_count
-    if m == 2:
-        return _bipartite_set(state, tol)
     if m not in (3, 4):
         raise UnsupportedStructureError(
             f"no coefficient construction for genuinely entangled states on {m} parties"
@@ -234,12 +239,6 @@ def _genuine_coefficients(
 
 
 # ---- constrained max-entropy element search -----------------------------------
-
-
-def _element_set(state: PureState, engine: _Engine, budget, tol) -> CoefficientSet:
-    if state.party_count == 2:
-        return _bipartite_set(state, tol)
-    return _coefficients(state, engine, budget, tol)
 
 
 def max_entropy_ensemble_element(
@@ -310,9 +309,10 @@ def _max_concurrence_elements(ranges, tol) -> list:
         basis = basis / np.linalg.norm(basis, axis=1, keepdims=True)
         amps[group] = (basis @ _max_concurrence_directions(basis)[..., None])[..., 0]
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    # the coefficients are these singular values; roots of local_weights could move their bits
     svals = np.linalg.svd(amps.reshape(-1, 2, 2), compute_uv=False)
     out = []
-    for (profile, _), vec, s, rank in zip(ranges, amps, svals, _stack_ranks(svals**2, tol)):
+    for (profile, _), vec, s, rank in zip(ranges, amps, svals, weight_rank(svals**2, tol)):
         if rank < 2:
             out.append(None)
             continue
@@ -353,9 +353,9 @@ def _pair_score(amplitudes: np.ndarray, dims: tuple[int, ...], rank_target: int)
     spectrum, from one SVD, serves the entropy and the distance; target 1
     adds party 2's.
     """
-    weights = np.linalg.svd(unfold(amplitudes, dims, _FIRST), compute_uv=False) ** 2
+    weights = local_weights(amplitudes, dims, _FIRST)
     if rank_target == 1:
-        second = np.linalg.svd(unfold(amplitudes, dims, _SECOND), compute_uv=False) ** 2
+        second = local_weights(amplitudes, dims, _SECOND)
         penalty = float(sum(1.0 - p[0] for p in (weights, second)))
     else:
         penalty = float(np.sum(weights[rank_target:]))
@@ -378,7 +378,7 @@ def _searched_element(rho, rank_target, eigensystem, engine, budget, tol):
         return res.exact and res.value_hi == rank_target
 
     def finish(st: PureState):
-        cs = _element_set(st, engine, budget, tol)
+        cs = _coefficients(st, engine, budget, tol)
         return st, _with_entropy(cs, generalized_eof(cs))
 
     if kr == 1:
@@ -417,8 +417,10 @@ def _searched_element(rho, rank_target, eigensystem, engine, budget, tol):
         # evaluating the true entropy means a full nested coefficient
         # construction per point; rank by a cheap proxy instead and spend
         # the real objective on the best qualifying few
+        singles = _party_cuts(profile.party_count)[0]
+
         def proxy(st: PureState) -> float:
-            spectra = _single_party_spectra(st.amplitudes, st.profile.dims)
+            spectra = [local_weights(st.amplitudes, profile.dims, side) for side in singles]
             return float(np.mean([entropy_bits(p) for p in spectra]))
 
         ranked = sorted(starts, key=lambda u: -proxy(make_state(u)))

@@ -8,14 +8,14 @@ Conventions
   party 1 varying slowest.
 - All tolerances are explicit; the numerical rank cutoff is relative to the
   largest eigenvalue and defaults to ``DEFAULT_RANK_TOL``.
-- Pure-state ranks and local spectra are the squared singular values of
-  amplitude unfoldings (``local_weights`` for one cut), counted by
-  ``weight_rank``. They are computed once per pure state: ``factorize``
-  hands on the spectra of the cuts it decomposed, a two-party value is its
-  Schmidt rank from one SVD, and ``unfold`` takes a stack of states, so
-  states of one shape share one SVD (the margin test of a range line, the
-  eigen elements of a pure state's two-party reductions, the columns of the
-  ensemble search).
+- Pure-state ranks and local spectra have one primitive: ``local_weights``
+  gives the squared singular values of an amplitude unfolding and
+  ``weight_rank`` counts them. Both take stacks, so states of one shape
+  share one SVD (the margin test of a range line, the eigen elements of a
+  pure state's two-party reductions, the columns of the ensemble search).
+  Spectra are computed once per pure state: ``factorize`` hands on the
+  spectra of the cuts it decomposed (with their singular vectors), and a
+  two-party value or coefficient set takes one SVD.
 - Validation happens only at the public boundary: ``PureState``,
   ``DensityMatrix`` and ``reduce`` check their input in full. Internal
   objects derived from validated ones skip those checks. ``_checked_state``
@@ -363,19 +363,25 @@ def _pure_reductions(state: PureState, keeps, profiles) -> list[DensityMatrix]:
     return out
 
 
-def local_weights(state: PureState, side: SubsystemSet) -> np.ndarray:
-    """Eigenvalues of the reduction of a pure state onto ``side``, descending.
+def local_weights(amplitudes: np.ndarray, dims: tuple[int, ...], side: SubsystemSet) -> np.ndarray:
+    """Squared singular values of the side x rest unfolding, descending.
 
-    They are the squared singular values of the side x rest unfolding, so the
-    reduced density matrix is never formed. Only min(dim_side, dim_rest)
-    values are returned; the reduction's remaining eigenvalues are zero.
+    For a pure state they are its reduction's spectrum on ``side`` (the first
+    min(dim_side, dim_rest) eigenvalues; the rest are zero), without forming
+    the reduction. Leading axes of ``amplitudes`` before the last stack
+    several states, giving one stacked SVD.
     """
-    mat = unfold(state.amplitudes, state.profile.dims, side)
-    return np.linalg.svd(mat, compute_uv=False) ** 2
+    return np.linalg.svd(unfold(amplitudes, dims, side), compute_uv=False) ** 2
 
 
-def weight_rank(weights: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count weights above ``tol`` times the largest weight."""
+def weight_rank(weights: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> Union[int, np.ndarray]:
+    """Count weights above ``tol`` times the largest weight.
+
+    A stack of descending weight vectors (leading axes before the last)
+    gives an array of one count per vector.
+    """
+    if np.ndim(weights) > 1:
+        return np.count_nonzero(weights > tol * weights[..., :1], axis=-1)
     top = float(np.max(weights))
     if top <= 0.0:
         return 0

@@ -31,8 +31,10 @@ an ``exact`` flag:
   planes P_i are two-party ranges. Above the composed bound the result
   stays an interval.
 
-Spectra are computed once per pure state, and its reductions are decided
-together. A two-party pure state's value is its Schmidt rank, from one SVD.
+Every pure-state spectrum and rank comes from the core primitive
+(core.local_weights and core.weight_rank, both stack-aware). Spectra are
+computed once per pure state, and its reductions are decided together. A
+two-party pure state's value is its Schmidt rank, from one SVD.
 With three or more parties the max-party rule reads each local rank r_i off
 the cut SVDs that factorize has already computed, builds every reduction
 rho_(not i) from the same cuts' factors (core._cut_reductions: no partial
@@ -75,6 +77,7 @@ from .core import (
     PureState,
     _checked_state,
     _cut_reductions,
+    local_weights,
     reduce,  # unused here; the benchmark's hook test rebinds it in this module
     spectrum,
     unfold,
@@ -279,23 +282,10 @@ def _unit_state(profile: DimensionProfile, vec: np.ndarray) -> PureState:
     return _checked_state(profile, vec / np.linalg.norm(vec))
 
 
-def _single_party_spectra(amplitudes: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
-    """Squared singular values of each single-party unfolding of a state.
-
-    Leading axes of ``amplitudes`` before the last stack several states,
-    giving one stacked SVD per party.
-    """
-    singles = _party_cuts(len(dims))[0]
-    return [
-        np.linalg.svd(unfold(amplitudes, dims, side), compute_uv=False) ** 2 for side in singles
-    ]
-
-
 def _tail(weights: np.ndarray, r: int):
-    """The sum of all but the r largest weights; leading axes stack weight vectors."""
-    w = np.sort(np.asarray(weights), axis=-1)[..., ::-1]
-    tail = np.sum(w[..., r:], axis=-1)
-    return float(tail) if w.ndim == 1 else tail
+    """The sum of all but the first r of descending weights; leading axes stack weight vectors."""
+    tail = np.sum(weights[..., r:], axis=-1)
+    return float(tail) if weights.ndim == 1 else tail
 
 
 def _hermitian_from(theta: np.ndarray, n: int) -> np.ndarray:
@@ -350,7 +340,8 @@ class _Engine:
         if m == 1:
             return _result(1, 1, {"rule": "single-party"})
         if m == 2:
-            r = _schmidt_ranks(state.amplitudes[None], state.profile.dims, self.tol)[0]
+            first = _party_cuts(2)[0][0]
+            r = weight_rank(local_weights(state.amplitudes, state.profile.dims, first), self.tol)
             if r == 1:
                 return _result(1, 1, {"rule": "fully-separable", "partition": FULLY_SEPARABLE})
             return _result(r, r, {"rule": "bipartite-rank", "rank": r})
@@ -489,7 +480,7 @@ class _Engine:
         if m == 1:
             return [_result(1, 1, {"rule": "single-party"}) for _ in rhos]
         spectra = [spectrum(rho) for rho in rhos]
-        ranks = _stack_ranks(np.array([w for w, _ in spectra]), self.tol).tolist()
+        ranks = weight_rank(np.array([w for w, _ in spectra]), self.tol).tolist()
         out: list = [None] * len(rhos)
         rest = []  # (index, kept eigenvectors as rows, witness builder) of the open matrices
         for j, (rho, (w, v)) in enumerate(zip(rhos, spectra)):
@@ -505,7 +496,8 @@ class _Engine:
             return out
         if m == 2:
             amps = np.concatenate([vecs for _, vecs, _ in rest])
-            flat = _schmidt_ranks(amps, profile.dims, self.tol)
+            first = _party_cuts(2)[0][0]
+            flat = weight_rank(local_weights(amps, profile.dims, first), self.tol).tolist()
             eigen_his, at = [], 0
             for _, vecs, _ in rest:
                 eigen_his.append(max(flat[at : at + len(vecs)]))
@@ -685,10 +677,10 @@ class _Engine:
         states = roots + [_unit_state(profile, v1), _unit_state(profile, v2)]
         # one stacked decomposition per cut serves every state of the line
         stack = np.stack([st.amplitudes for st in states])
-        spectra = [np.linalg.svd(unfold(stack, dims, cut), compute_uv=False) ** 2 for cut in cuts]
-        ranks = [_stack_ranks(p, self.tol) for p in spectra]
+        spectra = [local_weights(stack, dims, cut) for cut in cuts]
+        ranks = [weight_rank(p, self.tol) for p in spectra]
         n = len(roots)
-        if any(np.any(_stack_ranks(p[:n], ROOT_FLOOR) != r[:n]) for p, r in zip(spectra, ranks)):
+        if any(np.any(weight_rank(p[:n], ROOT_FLOOR) != r[:n]) for p, r in zip(spectra, ranks)):
             return None  # a root neither clean nor clearly off: no exact claim
         if m == 2:
             rays = [(states[j], int(ranks[0][j])) for j in _dedupe_index(states)]
@@ -924,7 +916,7 @@ def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[int, np.nda
     accuracy; the caller's margin test catches the others.
     """
     u, s, vh = np.linalg.svd(_PROBES[:, None, None] * a + b)  # the three members at once
-    g = int(_stack_ranks(s**2, tol).max())
+    g = int(weight_rank(s**2, tol).max())
     best = int(np.argmax(s[:, g - 1] / s[:, 0]))
     left, right = u[best, :, :g].conj().T, vh[best, :g].conj().T
     # beta_h * A x = alpha_h * B x, so alpha*A + beta*B is singular at (beta_h, -alpha_h)
@@ -1134,17 +1126,6 @@ def _dedupe_states(states: list[PureState]) -> list[PureState]:
     return [states[j] for j in _dedupe_index(states)]
 
 
-def _stack_ranks(weights: np.ndarray, tol: float) -> np.ndarray:
-    """``weight_rank`` of each row of a stack of descending weight vectors."""
-    return np.count_nonzero(weights > tol * weights[..., :1], axis=-1)
-
-
-def _schmidt_ranks(amplitudes: np.ndarray, dims: tuple[int, ...], tol: float) -> list[int]:
-    """Schmidt ranks of a stack of two-party amplitude vectors, from one SVD."""
-    s = np.linalg.svd(amplitudes.reshape(-1, *dims), compute_uv=False)
-    return _stack_ranks(s**2, tol).tolist()
-
-
 def _solve_mixture(rho: DensityMatrix, states: list[PureState]) -> Optional[EnsembleCandidate]:
     """Nonnegative weights mixing the given pure states into rho, if any."""
     if not states:
@@ -1221,7 +1202,7 @@ def _element_tail(vec: np.ndarray, profile: DimensionProfile, target_r: int):
     """
     rows = vec.reshape(-1, vec.shape[-1])
     units = np.array([row / np.linalg.norm(row) for row in rows])
-    spectra = _single_party_spectra(units, profile.dims)
+    spectra = [local_weights(units, profile.dims, s) for s in _party_cuts(profile.party_count)[0]]
     if target_r == 1:
         tails = sum(1.0 - p[:, 0] for p in spectra)
     elif profile.party_count == 2:
@@ -1240,7 +1221,7 @@ def _low_value_surrogate(psi: np.ndarray, r: int) -> float:
     qubits. A sound relaxation (necessary conditions only), used by the
     grid certificate to hunt for off-grid low-value states.
     """
-    spectra = _single_party_spectra(psi.reshape(-1), psi.shape)
+    spectra = [local_weights(psi.reshape(-1), psi.shape, s) for s in _party_cuts(psi.ndim)[0]]
     if r == 1:
         return float(sum(1.0 - p[0] for p in spectra))
     m = psi.ndim

@@ -45,12 +45,11 @@ class PartitionStructure:
     ``factors`` partition {1..m}; ``factor_states`` carry the extracted pure
     state of each factor on its restricted profile; a factor is flagged
     entangled iff it has two or more parties (finest factors cannot be
-    internally product). ``cut_weights`` maps each side (a party tuple
-    holding party 1) of every cut of the whole state that was decomposed to
-    the squared singular values of its unfolding; for a genuinely entangled
-    state that is every cut. ``_cut_factors`` maps the same sides to the
-    (u, s, vh) factors of those SVDs, full for the cut {1} and the
-    complements of single parties, thin otherwise, followed by the weights
+    internally product). ``_cut_factors`` maps each side (a party tuple
+    holding party 1) of every cut of the whole state that was decomposed
+    (for a genuinely entangled state, every cut) to the (u, s, vh) factors
+    of its unfolding's SVD, full for the cut {1} and the complements of
+    single parties, thin otherwise, followed by the squared singular values
     and their rank at factorize's tol: (u, s, vh, weights, rank).
     """
 
@@ -59,7 +58,6 @@ class PartitionStructure:
     factor_states: tuple[PureState, ...]
     entangled: tuple[bool, ...]
     label: str
-    cut_weights: dict = field(default_factory=dict, compare=False, repr=False)
     _cut_factors: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -160,13 +158,15 @@ def factorize(state: PureState, tol: float = DEFAULT_RANK_TOL) -> PartitionStruc
         factor_states=states,
         entangled=entangled,
         label=structure_label(factors, m),
-        cut_weights={side: rec[3] for side, rec in cut_factors.items()},
         _cut_factors=cut_factors,
     )
 
 
 def local_rank_vector(state: PureState, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
-    """Per-party reduction ranks (the entanglement dimensionality vector)."""
+    """Per-party reduction ranks (the entanglement dimensionality vector); (1,) for one party."""
+    m, dims = state.party_count, state.profile.dims
+    if m == 1:
+        return (1,)
     return tuple(
-        weight_rank(local_weights(state, side), tol) for side in _party_cuts(state.party_count)[0]
+        weight_rank(local_weights(state.amplitudes, dims, side), tol) for side in _party_cuts(m)[0]
     )

@@ -86,6 +86,43 @@ class TestStateFiles:
         assert main(["analyze", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"dims": [2, 2], "amplitudes": [1, 0, 0, 0]}',
+            '{"dims": 4, "amplitudes": [[1.0, 0.0]]}',
+            "5",
+            '{"dims": [2], "amplitudes": [["1", 0.0], [0.0, 0.0]]}',
+            '{"dims": [2], "amplitudes": [null, [1.0, 0.0]]}',
+        ],
+        ids=["bare-numbers", "scalar-dims", "top-level-number", "string", "null"],
+    )
+    def test_malformed_payload_exits_2(self, payload, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        with pytest.raises(ValueError):
+            load_state_file(str(bad))
+        assert main(["analyze", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["random", "--dims", "2,x"],
+            ["random", "--dims", "0,2"],
+            ["random", "--dims", "2,,2"],
+            ["ghz", "--m", "1"],
+            ["acin", "--lams", "1,0"],
+        ],
+    )
+    def test_bad_gen_arguments_exit_2(self, args, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["gen", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_unnormalized_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -124,6 +161,21 @@ class TestAnalyze:
         assert "FullySeparable" in out
         assert "1 (exact)" in out
         assert "0.000000000 bits" in out
+
+    @pytest.mark.parametrize("dims", ["3", "3,4"])
+    def test_one_and_two_party_states(self, dims, tmp_path):
+        path, sidecar = tmp_path / "s.json", tmp_path / "r.json"
+        assert main(["gen", "random", "--dims", dims, "--seed", "0", "--out", str(path)]) == 0
+        assert main(["analyze", str(path), "--json", str(sidecar)]) == 0
+        payload = json.loads(sidecar.read_text())
+        if dims == "3":
+            assert payload["local_ranks"] == [1]
+            assert payload["schmidt_number"] == {"lo": 1, "hi": 1, "exact": True}
+            assert payload["coefficients"] == [1.0]
+        else:
+            assert payload["local_ranks"] == [3, 3]
+            assert payload["schmidt_number"] == {"lo": 3, "hi": 3, "exact": True}
+            assert len(payload["coefficients"]) == 3
 
     def test_unsupported_coefficients_still_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "w5.json"

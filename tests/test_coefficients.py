@@ -382,12 +382,16 @@ class TestStackedTwoQubitElements:
 
 def _reference_score(state: PureState, rank_target: int) -> float:
     """Entropy minus 50 x rank penalty, each from its own spectra, as the search defines it."""
-    first = local_weights(state, ms.SubsystemSet((1,)))
+
+    def weights(i):
+        return local_weights(state.amplitudes, state.profile.dims, ms.SubsystemSet((i,)))
+
+    first = weights(1)
     if rank_target == 1:
-        spectra = [local_weights(state, ms.SubsystemSet((i,))) for i in (1, 2)]
+        spectra = [weights(i) for i in (1, 2)]
         penalty = float(sum(1.0 - p[0] for p in spectra))
     else:
-        p = np.sort(local_weights(state, ms.SubsystemSet((1,))))[::-1]
+        p = np.sort(weights(1))[::-1]
         penalty = float(np.sum(p[rank_target:]))
     return ms.entropy_bits(first) - 50.0 * penalty
 
@@ -441,3 +445,56 @@ class TestTwoPartySearchObjective:
         ms.max_entropy_ensemble_element(rho, rank_target, FAST)
         assert counts["points"] > 0
         assert counts["svd"] == per_point * counts["points"]
+
+
+HAAR222_7 = ms.random_pure(ms.DimensionProfile((2, 2, 2)), 7)
+HAAR34_1 = ms.random_pure(ms.DimensionProfile((3, 4)), 1)
+
+
+class TestOneSpectralPrimitive:
+    """Pure-state spectra and ranks from core.local_weights and core.weight_rank."""
+
+    @pytest.mark.parametrize(
+        "call, state, want",
+        [
+            (ms.pure_schmidt_number, HAAR222_7, (4, 0, 1)),
+            (ms.pure_schmidt_coefficients, HAAR222_7, (5, 2, 1)),
+            (ms.pure_schmidt_coefficients, ms.w_state(3), (5, 2, 1)),
+            # a two-party coefficient call is one Schmidt decomposition
+            (ms.pure_schmidt_coefficients, HAAR34_1, (1, 0, 0)),
+        ],
+        ids=["number-Haar222#7", "coeffs-Haar222#7", "coeffs-W3", "coeffs-Haar34#1"],
+    )
+    def test_lapack_calls(self, call, state, want, monkeypatch):
+        """(svd, eigh, eigvalsh) calls of one public call."""
+        calls = dict.fromkeys(("svd", "eigh", "eigvalsh"), 0)
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, _counting(calls, name, getattr(np.linalg, name)))
+        call(state)
+        assert (calls["svd"], calls["eigh"], calls["eigvalsh"]) == want
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_two_party_provenance_follows_the_schmidt_rank(self, dims, seed):
+        prof = ms.DimensionProfile(dims)
+        product = ms.pure_schmidt_coefficients(ms.random_product(prof, seed))
+        assert product.values == (1.0,)
+        assert product.provenance == {"rule": "fully-separable", "exact": True}
+        entangled = ms.pure_schmidt_coefficients(ms.random_pure(prof, seed))
+        assert len(entangled.values) == min(dims)
+        assert entangled.provenance == {"rule": "bipartite-svd", "exact": True}
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_element_provenance_follows_the_schmidt_rank(self, dims):
+        prof = ms.DimensionProfile(dims)
+        products = [ms.random_product(prof, seed) for seed in (1, 2)]
+        separable = DensityMatrix(
+            prof, sum(0.5 * np.outer(s.amplitudes, s.amplitudes.conj()) for s in products)
+        )
+        _, cs = ms.max_entropy_ensemble_element(separable, 1, FAST)
+        assert cs.values == (1.0,)
+        assert cs.provenance["rule"] == "fully-separable"
+        entangled = ms.random_pure(prof, 3).density()
+        _, cs = ms.max_entropy_ensemble_element(entangled, 2, FAST)
+        assert len(cs.values) == 2
+        assert cs.provenance["rule"] == "bipartite-svd"

@@ -115,7 +115,7 @@ class TestReduce:
                     ra = ms.numerical_rank(red)
                     assert ra == ms.numerical_rank(ms.reduce(st_, cut.complement(m)))
                     # the unfolding SVD gives the same spectrum and rank
-                    w = local_weights(st_, cut)
+                    w = local_weights(st_.amplitudes, dims, cut)
                     assert weight_rank(w) == ra
                     evals = np.linalg.eigvalsh(red.matrix)[::-1]
                     padded = np.concatenate([w, np.zeros(evals.size - w.size)])
@@ -162,6 +162,23 @@ class TestRankAndSpectrum:
         assert np.allclose(vals, [0.5, 0.5])
         vals, _ = ms.spectrum(np.diag([1.0, 0.0]))
         assert np.allclose(vals, [1.0, 0.0])
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (2, 2, 2)])
+    def test_stacked_weights_and_ranks_equal_single_calls_bitwise(self, dims):
+        prof = ms.DimensionProfile(dims)
+        states = [ms.random_pure(prof, seed) for seed in range(4)]
+        states += [ms.random_product(prof, seed) for seed in range(2)]
+        stack = np.stack([s.amplitudes for s in states])
+        for cut in ms.enumerate_bipartitions(len(dims)):
+            weights = local_weights(stack, dims, cut)
+            ranks = weight_rank(weights)
+            assert weights.shape[0] == ranks.shape[0] == len(states)
+            for st_, row, rank in zip(states, weights, ranks.tolist()):
+                single = local_weights(st_.amplitudes, dims, cut)
+                assert row.tobytes() == single.tobytes()
+                assert rank == weight_rank(single)
+                assert isinstance(weight_rank(single), int)
+            assert ranks.tolist()[4:] == [1, 1]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_density_spectrum_sums_to_one(self, seed):

@@ -499,7 +499,10 @@ class TestWoottersOracle:
 def reference_surrogate(state, r):
     """_low_value_surrogate rebuilt from public reductions and eigvalsh."""
     m = state.party_count
-    spectra = [local_weights(state, ms.SubsystemSet((i,))) for i in range(1, m + 1)]
+    spectra = [
+        local_weights(state.amplitudes, state.profile.dims, ms.SubsystemSet((i,)))
+        for i in range(1, m + 1)
+    ]
 
     def tail(p, k):
         return float(np.sum(np.sort(p)[::-1][k:]))
@@ -711,9 +714,11 @@ def test_stacked_element_ranks_match_single_ones(dims, rank):
     rho = DensityMatrix(ms.DimensionProfile(dims), (vecs * weights) @ vecs.conj().T)
     engine = number._Engine(ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL)
     _, elements = engine._eigen_elements(rho, *ms.spectrum(rho))
-    got = number._schmidt_ranks(np.stack([e.amplitudes for e in elements]), dims, DEFAULT_RANK_TOL)
+    first = ms.SubsystemSet((1,))
+    stack = np.stack([e.amplitudes for e in elements])
+    got = weight_rank(local_weights(stack, dims, first), DEFAULT_RANK_TOL).tolist()
     want = [
-        weight_rank(local_weights(e, ms.SubsystemSet((1,))), DEFAULT_RANK_TOL) for e in elements
+        weight_rank(local_weights(e.amplitudes, dims, first), DEFAULT_RANK_TOL) for e in elements
     ]
     assert got == want
     assert got[:2] == [1, 2]  # the planted product and degenerate elements
@@ -1188,3 +1193,99 @@ def test_ensemble_objective_is_bitwise_the_column_by_column_sum(dims, seed):
                 reference += p * _column_tail(col, dims, target_r)
             got = number._ensemble_objective(cols, rho.profile, target_r)
             assert got == own == reference
+
+
+def _lu(state, seed):
+    return ms.apply_local_operators(state, ms.random_local_unitary(state.profile, seed))
+
+
+def _w_ghz_mixture():
+    """LU-W3 + LU-GHZ3, 50/50: exact 4, its level 3 excluded by the line's CKW zeros."""
+    return mixture([_lu(ms.w_state(3), 0), _lu(ms.ghz_state(3), 10)], [0.5, 0.5])
+
+
+def _with_zero_party(rho, first):
+    """|0><0| (x) rho when ``first``, else rho (x) |0><0|.
+
+    Every ensemble element of the result is an element of rho with |0> on the
+    new party, a product factor that leaves its value unchanged, so the
+    result has the value of rho.
+    """
+    zero = np.diag([1.0, 0.0])
+    mat = np.kron(zero, rho.matrix) if first else np.kron(rho.matrix, zero)
+    dims = (2,) + rho.profile.dims if first else rho.profile.dims + (2,)
+    return DensityMatrix(ms.DimensionProfile(dims), mat)
+
+
+def _assert_sound(res, rho, value):
+    """The interval holds the known value and the witness, if any, rebuilds rho."""
+    assert res.value_lo <= value <= res.value_hi
+    witness = res.witness_ensemble
+    if witness is not None:
+        assert np.linalg.norm(witness.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
+        assert all(ms.pure_schmidt_number(st).value_hi <= res.value_hi for st in witness.states)
+
+
+class TestExactRouteFallbacks:
+    """Where an exact route refuses, the result stays a sound interval.
+
+    No tier-1 input reaches these refusals on its own, so most cases inject
+    the fault: a zero ROOT_FLOOR makes every pencil root shallow (no range
+    rays at all), and CKW_MARGIN or CKW_FLOOR at 1 makes the CKW zeros
+    unlistable (a zero without a margin, or a singular eliminant).
+    """
+
+    @pytest.mark.parametrize("m, interval", [(4, (4, 6)), (5, (4, 8))])
+    def test_shallow_roots_leave_w_states_an_interval(self, m, interval, monkeypatch):
+        value = ms.pure_schmidt_number(ms.w_state(m), SHORT).value
+        monkeypatch.setattr(number, "ROOT_FLOOR", 0.0)
+        res = ms.pure_schmidt_number(ms.w_state(m), SHORT)
+        assert (res.value_lo, res.value_hi) == interval
+        assert res.value_lo <= value <= res.value_hi
+
+    def test_shallow_roots_leave_a_two_party_line_ambiguous(self, monkeypatch):
+        prof = ms.DimensionProfile((3, 3))
+        rho = mixture([ms.random_pure(prof, 0), ms.random_pure(prof, 1)], [0.5, 0.5])
+        value = ms.mixed_schmidt_number(rho, SHORT).value
+        monkeypatch.setattr(number, "ROOT_FLOOR", 0.0)
+        res = ms.mixed_schmidt_number(rho, SHORT)
+        assert (res.value_lo, res.value_hi) == (2, 3)
+        assert res.branch_trace["product_route"] == "inconclusive"
+        assert res.branch_trace["certificate"] == {"certified": False, "reason": "ambiguous"}
+        _assert_sound(res, rho, value)
+
+    @pytest.mark.parametrize("name", ["CKW_MARGIN", "CKW_FLOOR"])
+    def test_unlisted_ckw_zeros_leave_level_three_open(self, name, monkeypatch):
+        rho = _w_ghz_mixture()
+        value = ms.mixed_schmidt_number(rho, SHORT).value
+        assert value == 4
+        listed = []
+        real = number._ckw_zeros
+
+        def spy(*args):
+            listed.append(real(*args))
+            return listed[-1]
+
+        monkeypatch.setattr(number, name, 1.0)
+        monkeypatch.setattr(number, "_ckw_zeros", spy)
+        res = ms.mixed_schmidt_number(rho, SHORT)
+        assert (res.value_lo, res.value_hi) == (3, 4)
+        assert listed and all(zeros is None for zeros in listed)
+        _assert_sound(res, rho, value)
+
+    def test_product_party_line_is_exact(self):
+        # every point of the range line factorizes at the cut {1}: generic rank 1
+        prof = ms.DimensionProfile((2, 2))
+        sigma = mixture([ms.random_product(prof, 1), ms.random_product(prof, 2)], [0.4, 0.6])
+        rho = _with_zero_party(sigma, first=True)
+        res = ms.mixed_schmidt_number(rho, SHORT)
+        assert res.exact and res.value == 1
+        assert res.branch_trace["product_route"] == "rank2-products"
+        _assert_sound(res, rho, 1)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_product_party_beside_a_ckw_line_stays_an_interval(self, first):
+        rho = _with_zero_party(_w_ghz_mixture(), first)
+        res = ms.mixed_schmidt_number(rho, SHORT)
+        assert (res.value_lo, res.value_hi) == (2, 4)
+        _assert_sound(res, rho, 4)

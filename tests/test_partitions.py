@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -89,6 +91,14 @@ class TestFactorize:
         rotated = ms.apply_local_operators(st_, ms.random_local_unitary(prof, seed + 7777))
         assert [f.indices for f in ms.factorize(rotated).factors] == factors
 
+    def test_structure_keeps_no_separate_cut_weights(self):
+        # the cut spectra live only in the cut record, beside their SVD factors
+        fields = {f.name for f in dataclasses.fields(ms.PartitionStructure)}
+        assert "cut_weights" not in fields
+        structure = ms.factorize(ms.w_state(3))
+        for _, s, _, weights, _ in structure._cut_factors.values():
+            assert np.array_equal(weights, s**2)
+
     @pytest.mark.parametrize("seed", range(50))
     def test_products_split_to_singletons(self, seed):
         st_ = ms.random_product(ms.DimensionProfile((2, 3, 2)), seed)
@@ -103,6 +113,12 @@ class TestLocalRankVector:
 
     def test_product(self):
         assert ms.local_rank_vector(ms.basis_state(ms.qubits(3), (0, 0, 0))) == (1, 1, 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_single_party(self, d):
+        st_ = ms.random_pure(ms.DimensionProfile((d,)), 0)
+        assert ms.local_rank_vector(st_) == (1,)
+        assert ms.factorize(st_).is_fully_separable
 
     @pytest.mark.parametrize("seed", range(20))
     def test_entries_bounded(self, seed):
