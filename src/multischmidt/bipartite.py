@@ -18,6 +18,7 @@ from .core import (
     DimensionProfile,
     PureState,
     SubsystemSet,
+    _checked_tol,
     entropy_bits,
     unfold,
     weight_rank,
@@ -58,6 +59,7 @@ def schmidt_decompose(
     left vector real positive, so degenerate coefficients come out in a
     reproducible basis.
     """
+    _checked_tol(tol)
     mat = coefficient_matrix(state, left)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     # rank on squared singular values so it agrees with numerical_rank of

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import _coefficients, generalized_eof, pure_schmidt_coefficients
-from .core import DEFAULT_RANK_TOL, DimensionProfile, PureState
+from .core import DEFAULT_RANK_TOL, DimensionProfile, PureState, _checked_tol
 from .errors import SearchError, UnsupportedStructureError
 from .number import DEFAULT_BUDGET, SearchBudget, _Engine, pure_schmidt_number
 from .partitions import factorize, local_rank_vector
@@ -144,17 +144,7 @@ class AnalysisReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=1, default=_jsonable) + "\n"
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.ndarray, tuple, set)):
-        return list(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+        return json.dumps(self.to_payload(), sort_keys=True, indent=1) + "\n"
 
 
 def analyze_state(state: PureState, budget: SearchBudget, tol: float) -> AnalysisReport:
@@ -168,7 +158,7 @@ def analyze_state(state: PureState, budget: SearchBudget, tol: float) -> Analysi
     note = None
     eof = None
     try:
-        cs = _coefficients(state, engine, budget, tol)
+        cs = _coefficients(state, engine, budget)
         coeffs = cs.values
         eof = generalized_eof(cs)
         if not cs.exact:
@@ -332,10 +322,25 @@ def _budget_from(args) -> SearchBudget:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL, help="relative rank tolerance")
+    p.add_argument(
+        "--tol",
+        type=_tol,
+        default=DEFAULT_RANK_TOL,
+        help="relative rank tolerance, strictly between 0 and 1",
+    )
     p.add_argument("--seed", type=int, default=DEFAULT_BUDGET.seed, help="search seed")
     p.add_argument("--restarts", type=int, default=DEFAULT_BUDGET.restarts, help="search restarts")
     p.add_argument("--iters", type=int, default=DEFAULT_BUDGET.iters, help="iterations per restart")
+
+
+def _tol(text: str) -> float:
+    """A ``--tol`` value; anything but a number strictly between 0 and 1 is a usage error."""
+    try:
+        return _checked_tol(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"needs a number strictly between 0 and 1, got {text!r}"
+        ) from None
 
 
 def _parsed_list(text: str, kind, flag: str) -> tuple:

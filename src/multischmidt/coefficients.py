@@ -125,24 +125,24 @@ def pure_schmidt_coefficients(
 ) -> CoefficientSet:
     """Schmidt coefficient multiset of a multipartite pure state."""
     engine = _Engine(budget, tol)
-    return _coefficients(state, engine, budget, tol)
+    return _coefficients(state, engine, budget)
 
 
-def _coefficients(state: PureState, engine: _Engine, budget, tol) -> CoefficientSet:
+def _coefficients(state: PureState, engine: _Engine, budget) -> CoefficientSet:
     m = state.party_count
     if m == 1:
         return _make_set((1.0,), {"rule": "single-party", "exact": True})
     if m == 2:
-        return _bipartite_set(state, tol)
-    structure = factorize(state, tol)
+        return _bipartite_set(state, engine.tol)
+    structure = factorize(state, engine.tol)
     entangled = structure.entangled_factors()
     if not entangled:
         return _make_set((1.0,), {"rule": "fully-separable", "exact": True})
     if len(entangled) == 1:
         factor, factor_state = entangled[0]
         if len(factor) == m:
-            return _genuine_coefficients(state, structure, engine, budget, tol)
-        sub = _coefficients(factor_state, engine, budget, tol)
+            return _genuine_coefficients(state, structure, engine, budget)
+        sub = _coefficients(factor_state, engine, budget)
         prov = {
             "rule": "single-entangled-factor",
             "partition": structure.label,
@@ -159,7 +159,7 @@ def _coefficients(state: PureState, engine: _Engine, budget, tol) -> Coefficient
     exact = True
     parts = []
     for factor, factor_state in entangled:
-        sub = _coefficients(factor_state, engine, budget, tol)
+        sub = _coefficients(factor_state, engine, budget)
         exact = exact and sub.exact
         values.extend(scale * v for v in sub.values)
         parts.append({"factor": list(factor.indices), "size": len(sub.values)})
@@ -175,7 +175,7 @@ def _coefficients(state: PureState, engine: _Engine, budget, tol) -> Coefficient
 
 
 def _genuine_coefficients(
-    state: PureState, structure: PartitionStructure, engine: _Engine, budget, tol
+    state: PureState, structure: PartitionStructure, engine: _Engine, budget
 ) -> CoefficientSet:
     """The genuinely entangled construction, from factorize's ``structure``.
 
@@ -201,7 +201,7 @@ def _genuine_coefficients(
     ]
     # a value-1 reduction has a product witness ensemble; the others need an element
     wanted = [(rest, sub.value_hi) for _, _, rest, sub in parties if sub.value_hi > 1]
-    elements = iter(_max_entropy_element(wanted, engine, budget, tol) if wanted else ())
+    elements = iter(_max_entropy_element(wanted, engine, budget) if wanted else ())
     branches = []
     exact = True
     for party, rec, _, sub in parties:
@@ -255,10 +255,10 @@ def max_entropy_ensemble_element(
     if rank_target < 1:
         raise ValueError("target rank must be >= 1")
     engine = _Engine(budget, tol)
-    return _max_entropy_element([(rho, rank_target)], engine, budget, tol)[0]
+    return _max_entropy_element([(rho, rank_target)], engine, budget)[0]
 
 
-def _max_entropy_element(members, engine, budget, tol) -> list:
+def _max_entropy_element(members, engine, budget) -> list:
     """The element stage of one coefficient call: an element for each (rho, target) member.
 
     Returns (element, its CoefficientSet with the achieved entropy) per
@@ -278,11 +278,11 @@ def _max_entropy_element(members, engine, budget, tol) -> list:
     found = {}
     if closed:
         ranges = [(members[j][0].profile, spectra[j].vectors[:, keeps[j]]) for j in closed]
-        found = dict(zip(closed, _max_concurrence_elements(ranges, tol)))
+        found = dict(zip(closed, _max_concurrence_elements(ranges, engine.tol)))
     out = []
     for j, (rho, target) in enumerate(members):
         if j not in found:
-            out.append(_searched_element(rho, target, spectra[j], engine, budget, tol))
+            out.append(_searched_element(rho, target, spectra[j], engine, budget))
         elif found[j] is None:
             raise SearchError("every state in the range is a product: no rank-2 element")
         else:
@@ -362,7 +362,7 @@ def _pair_score(amplitudes: np.ndarray, dims: tuple[int, ...], rank_target: int)
     return entropy_bits(weights) - 50.0 * penalty
 
 
-def _searched_element(rho, rank_target, eigensystem, engine, budget, tol):
+def _searched_element(rho, rank_target, eigensystem, engine, budget):
     """A max-entropy element of rho with the target Schmidt number, by exact routes or search."""
     w, v = eigensystem
     _, elements = engine._eigen_elements(rho, w, v)
@@ -378,13 +378,14 @@ def _searched_element(rho, rank_target, eigensystem, engine, budget, tol):
         return res.exact and res.value_hi == rank_target
 
     def finish(st: PureState):
-        cs = _coefficients(st, engine, budget, tol)
+        cs = _coefficients(st, engine, budget)
         return st, _with_entropy(cs, generalized_eof(cs))
 
-    if kr == 1:
-        st = make_state(np.ones(1, dtype=np.complex128))
+    if kr == 1 or profile.party_count == 1:
+        # the range's only state, or its first eigen element: one-party states all have value 1
+        st = make_state(np.eye(kr, dtype=np.complex128)[0])
         if not qualifies(st):
-            raise SearchError("range is one-dimensional and misses the rank target")
+            raise SearchError(f"no state in the range has Schmidt number {rank_target}")
         return finish(st)
 
     # exact shortcut: rank-1 targets on a plane range are the product rays
@@ -438,7 +439,7 @@ def _searched_element(rho, rank_target, eigensystem, engine, budget, tol):
         scan_budget = budget.scaled(0.15)
         best = max(
             qualifying,
-            key=lambda st: generalized_eof(_coefficients(st, engine, scan_budget, tol)),
+            key=lambda st: generalized_eof(_coefficients(st, engine, scan_budget)),
         )
         return finish(best)
 
@@ -516,7 +517,7 @@ def mixed_generalized_eof(
     weights, states = engine._eigen_elements(rho, *spectrum(rho))
 
     if len(states) == 1:
-        val = generalized_eof(_coefficients(states[0], engine, budget, tol))
+        val = generalized_eof(_coefficients(states[0], engine, budget))
         return EofBounds(val, val, True, {"route": "pure-state"})
 
     cand = engine.search_ensemble(rho, 1)
@@ -525,7 +526,7 @@ def mixed_generalized_eof(
 
     upper = float(
         sum(
-            p * generalized_eof(_coefficients(s, engine, budget, tol))
+            p * generalized_eof(_coefficients(s, engine, budget))
             for p, s in zip(weights, states)
         )
     )

@@ -7,7 +7,8 @@ Conventions
 - Amplitude vectors are row-major over the multi-index (i_1, ..., i_m) with
   party 1 varying slowest.
 - All tolerances are explicit; the numerical rank cutoff is relative to the
-  largest eigenvalue and defaults to ``DEFAULT_RANK_TOL``.
+  largest eigenvalue and defaults to ``DEFAULT_RANK_TOL``. Every public
+  entry point that takes it requires 0 < tol < 1 (``_checked_tol``).
 - Pure-state ranks and local spectra have one primitive: ``local_weights``
   gives the squared singular values of an amplitude unfolding and
   ``weight_rank`` counts them. Both take stacks, so states of one shape
@@ -374,6 +375,13 @@ def local_weights(amplitudes: np.ndarray, dims: tuple[int, ...], side: Subsystem
     return np.linalg.svd(unfold(amplitudes, dims, side), compute_uv=False) ** 2
 
 
+def _checked_tol(tol: float) -> float:
+    """``tol`` if it is a relative tolerance strictly between 0 and 1 (not NaN), else ValueError."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"rank tolerance must lie strictly between 0 and 1, got {tol!r}")
+    return tol
+
+
 def weight_rank(weights: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> Union[int, np.ndarray]:
     """Count weights above ``tol`` times the largest weight.
 
@@ -390,6 +398,7 @@ def weight_rank(weights: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> Union[int
 
 def numerical_rank(mat: MatrixLike, tol: float = DEFAULT_RANK_TOL) -> int:
     """Count eigenvalues above ``tol`` times the largest eigenvalue."""
+    _checked_tol(tol)
     if isinstance(mat, DensityMatrix):
         return weight_rank(mat.eigensystem.values, tol)
     return weight_rank(np.linalg.eigvalsh(_require_hermitian(mat)), tol)

@@ -76,6 +76,7 @@ from .core import (
     DimensionProfile,
     PureState,
     _checked_state,
+    _checked_tol,
     _cut_reductions,
     local_weights,
     reduce,  # unused here; the benchmark's hook test rebinds it in this module
@@ -318,7 +319,7 @@ class _Engine:
 
     def __init__(self, budget: SearchBudget, tol: float):
         self.budget = budget
-        self.tol = tol
+        self.tol = _checked_tol(tol)
         self._pure_cache: dict = {}
         self._mixed_cache: dict = {}
         self._ray_cache: dict = {}
@@ -794,39 +795,9 @@ class _Engine:
         summary = {"certified": certified, "level": int(r), "range_rays": len(low)}
         return {"certified": certified, "summary": summary}
 
-    # unreachable (every rank-2 range takes _range_rays); the benchmark hooks it
-    def _polish_zero_hunt(self, ray, r: int, zeros: list[np.ndarray], absorb: float) -> bool:
-        """Minimize the continuous low-value surrogate to catch off-grid zeros.
-
-        ``ray(t, ph)`` is the normalized amplitude tensor of a point of the
-        range. Returns False when a genuinely new zero direction turns up
-        (the certificate must then fail); zeros converging into the span of
-        the grid zeros are absorbed.
-        """
-
-        def g(x: np.ndarray) -> float:
-            return _low_value_surrogate(ray(float(x[0]), float(x[1])), r)
-
-        rng = stream(self.budget.seed, "cert-polish", r)
-        starts = [(rng.uniform(0.05, np.pi / 2 - 0.05), rng.uniform(0, 2 * np.pi)) for _ in range(8)]
-        for x0 in starts:
-            res = minimize(
-                g,
-                np.array(x0, dtype=np.float64),
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400},
-            )
-            if res.fun > 1e-10:
-                continue
-            psi = ray(float(res.x[0]), float(res.x[1]))
-            st = PureState(DimensionProfile(psi.shape), psi)
-            val = self.pure_value(st)
-            if val.value_lo > r:
-                continue  # surrogate slack; not an actual low-value state
-            if zeros and _angle_to_span(st.amplitudes, zeros) < absorb:
-                continue  # converged into the known zero span
-            return False
-        return True
+    # only the target of the benchmark's number.polish hook; goes with that hook (ROADMAP item 1)
+    def _polish_zero_hunt(self, *args) -> bool:
+        raise AssertionError("unreachable")
 
     # ---- ensemble search ---------------------------------------------------
 
@@ -1162,13 +1133,6 @@ def _eigen_witness(rho: DensityMatrix, w, v) -> Optional[EnsembleCandidate]:
     return _build_candidate(rho, *_Engine._eigen_elements(rho, w, v))
 
 
-# unreachable, called only by _polish_zero_hunt
-def _angle_to_span(vec: np.ndarray, span_vectors: list[np.ndarray]) -> float:
-    q, _ = np.linalg.qr(np.column_stack(span_vectors))
-    resid = vec - q @ (q.conj().T @ vec)
-    return float(np.linalg.norm(resid))
-
-
 def _ensemble_columns(b_mat: np.ndarray, theta: np.ndarray, n: int) -> np.ndarray:
     """The n unnormalized ensemble columns b_mat U[:k] of the unitary U = exp(i H(theta))."""
     u = expm(1j * _hermitian_from(theta, n))
@@ -1211,27 +1175,6 @@ def _element_tail(vec: np.ndarray, profile: DimensionProfile, target_r: int):
         # necessary condition mass: every local rank must stay below target_r
         tails = sum(_tail(p, target_r - 1) for p in spectra)
     return tails.tolist() if vec.ndim > 1 else float(tails[0])
-
-
-# unreachable, called only by _polish_zero_hunt
-def _low_value_surrogate(psi: np.ndarray, r: int) -> float:
-    """Continuous nonnegative function vanishing on all states of value <= r.
-
-    ``psi`` is a normalized amplitude tensor of three parties, not all
-    qubits. A sound relaxation (necessary conditions only), used by the
-    grid certificate to hunt for off-grid low-value states.
-    """
-    spectra = [local_weights(psi.reshape(-1), psi.shape, s) for s in _party_cuts(psi.ndim)[0]]
-    if r == 1:
-        return float(sum(1.0 - p[0] for p in spectra))
-    m = psi.ndim
-    # biseparable branch: some party splits off and the rest stays rank <= r
-    split = min(
-        (1.0 - spectra[i][0]) + sum(_tail(spectra[j], r) for j in range(m) if j != i)
-        for i in range(m)
-    )
-    ge_proxy = float(sum(_tail(p, r - 1) for p in spectra))
-    return float(min(split, ge_proxy))
 
 
 # ---- public API ---------------------------------------------------------------

@@ -28,6 +28,7 @@ from .core import (
     PureState,
     SubsystemSet,
     _checked_state,
+    _checked_tol,
     local_weights,
     unfold,
     weight_rank,
@@ -145,6 +146,7 @@ def structure_label(factors: tuple[SubsystemSet, ...], m: int) -> str:
 
 def factorize(state: PureState, tol: float = DEFAULT_RANK_TOL) -> PartitionStructure:
     """Finest product factorization of a normalized pure state."""
+    _checked_tol(tol)
     m = state.party_count
     cut_factors: dict = {}
     leaves = _finest(tuple(range(1, m + 1)), state, tol, cut_factors)
@@ -164,6 +166,7 @@ def factorize(state: PureState, tol: float = DEFAULT_RANK_TOL) -> PartitionStruc
 
 def local_rank_vector(state: PureState, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
     """Per-party reduction ranks (the entanglement dimensionality vector); (1,) for one party."""
+    _checked_tol(tol)
     m, dims = state.party_count, state.profile.dims
     if m == 1:
         return (1,)

@@ -81,6 +81,13 @@ class TestEntropy:
 
 
 class TestPPT:
+    def test_negativity_of_a_bell_state_and_a_product(self):
+        first = ms.SubsystemSet((1,))
+        bell = ms.bell_state().density()
+        assert ms.bipartite.ppt_negativity(bell, first) == pytest.approx(0.5, abs=1e-12)
+        product = ms.basis_state(ms.DimensionProfile((2, 2)), (0, 1)).density()
+        assert ms.bipartite.ppt_negativity(product, first) == 0.0
+
     def test_ghz_reduction_is_ppt(self):
         red = ms.reduce(ms.ghz_state(3), ms.SubsystemSet((2, 3)))
         assert not ms.ppt_entangled(red, ms.SubsystemSet((1,)))

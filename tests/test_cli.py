@@ -153,6 +153,21 @@ class TestAnalyze:
         main(["analyze", str(path), "--json", str(s2), "--seed", "3", *FAST_FLAGS])
         assert s1.read_bytes() == s2.read_bytes()
 
+    @pytest.mark.parametrize("tol", ["2", "nan", "0", "1", "-1e-8"])
+    def test_tol_outside_the_open_unit_interval_is_a_usage_error(self, tmp_path, capsys, tol):
+        path = tmp_path / "ghz.json"
+        save_state_file(str(path), ms.ghz_state(3))
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(path), f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "strictly between 0 and 1" in capsys.readouterr().err
+
+    def test_slocc_check_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "w3.json"
+        save_state_file(str(path), ms.w_state(3))
+        assert main(["analyze", str(path), "--slocc-check", *FAST_FLAGS]) == 0
+        assert "slocc check        preserved" in capsys.readouterr().out
+
     def test_product_state_report(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         save_state_file(str(path), ms.basis_state(ms.qubits(3), (0, 0, 0)))

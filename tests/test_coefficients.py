@@ -133,6 +133,17 @@ class TestMaxEntropyElement:
         with pytest.raises(SearchError):
             ms.max_entropy_ensemble_element(rho, 2, FAST)
 
+    def test_one_party_range_gives_its_first_eigen_element(self):
+        rho = DensityMatrix(ms.DimensionProfile((3,)), np.eye(3) / 3)
+        elem, cs = ms.max_entropy_ensemble_element(rho, 1)
+        w, v = ms.spectrum(rho)
+        assert np.array_equal(elem.amplitudes, v[:, 0])
+        assert cs.values == (1.0,)
+        assert cs.provenance["rule"] == "single-party"
+        assert cs.provenance["achieved_entropy"] == 0.0
+        with pytest.raises(SearchError):
+            ms.max_entropy_ensemble_element(rho, 2)
+
     @pytest.mark.parametrize("target", [0, -1])
     def test_nonpositive_rank_target_rejected(self, target):
         red = ms.reduce(ms.w_state(3), ms.SubsystemSet((2, 3)))
@@ -356,9 +367,7 @@ class TestStackedTwoQubitElements:
 
         rhos = ELEMENT_STACKS[name]
         engine = _Engine(ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL)
-        stacked = _max_entropy_element(
-            [(rho, 2) for rho in rhos], engine, ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL
-        )
+        stacked = _max_entropy_element([(rho, 2) for rho in rhos], engine, ms.DEFAULT_BUDGET)
         assert len(stacked) == len(rhos)
         for rho, (elem, cs) in zip(rhos, stacked):
             _, want = ms.max_entropy_ensemble_element(rho, 2)
@@ -377,7 +386,7 @@ class TestStackedTwoQubitElements:
         engine = _Engine(ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL)
         members = [(_random_pair_density(2, 0), 2), (products, 2)]
         with pytest.raises(SearchError, match="every state in the range is a product"):
-            _max_entropy_element(members, engine, ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL)
+            _max_entropy_element(members, engine, ms.DEFAULT_BUDGET)
 
 
 def _reference_score(state: PureState, rank_target: int) -> float:

@@ -27,6 +27,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             ms.SubsystemSet((0,))
 
+    def test_subsystem_of_sorts_and_deduplicates(self):
+        sub = ms.SubsystemSet.of([3, 1, 3])
+        assert sub == ms.SubsystemSet((1, 3))
+        assert list(sub) == [1, 3]
+
     @given(st.integers(2, 7), st.data())
     def test_complement_is_involution(self, m, data):
         size = data.draw(st.integers(1, m - 1))
@@ -52,6 +57,12 @@ class TestDomainTypes:
         mat[3, 3] = bad
         with pytest.raises(ValueError, match="finite"):
             ms.DensityMatrix(prof, mat)
+
+    def test_tensor_has_one_axis_per_party_party_one_slowest(self):
+        st_ = ms.random_pure(ms.DimensionProfile((2, 3, 4)), 0)
+        tensor = st_.tensor()
+        assert tensor.shape == (2, 3, 4)
+        assert tensor[1, 2, 3] == st_.amplitudes[1 * 12 + 2 * 4 + 3]
 
     def test_pure_state_amplitudes_are_read_only(self):
         st_ = ms.w_state(3)
@@ -278,3 +289,41 @@ def test_internal_reductions_equal_reduce_bitwise(name):
         for got, ref in zip((rho.matrix, *rho.eigensystem), (want.matrix, *want.eigensystem)):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
             assert not got.flags.writeable
+
+
+def _tol_calls():
+    ghz = ms.ghz_state(3)
+    rho = ghz.density()
+    red = ms.reduce(ghz, ms.SubsystemSet((2, 3)))
+    fast = ms.SearchBudget(restarts=4, iters=20, seed=0)
+    return {
+        "pure_schmidt_number": lambda tol: ms.pure_schmidt_number(ghz, fast, tol),
+        "mixed_schmidt_number": lambda tol: ms.mixed_schmidt_number(red, fast, tol),
+        "ensemble_search": lambda tol: ms.ensemble_search(red, 1, fast, tol),
+        "slocc_rank_check": lambda tol: ms.slocc_rank_check(
+            ghz, ms.random_local_unitary(ghz.profile, 0), fast, tol
+        ),
+        "pure_schmidt_coefficients": lambda tol: ms.pure_schmidt_coefficients(ghz, fast, tol),
+        "max_entropy_ensemble_element": lambda tol: ms.max_entropy_ensemble_element(
+            red, 1, fast, tol
+        ),
+        "mixed_generalized_eof": lambda tol: ms.mixed_generalized_eof(red, fast, tol),
+        "factorize": lambda tol: ms.factorize(ghz, tol),
+        "local_rank_vector": lambda tol: ms.local_rank_vector(ghz, tol),
+        "schmidt_decompose": lambda tol: ms.schmidt_decompose(
+            ms.bell_state(), ms.SubsystemSet((1,)), tol
+        ),
+        "numerical_rank": lambda tol: ms.numerical_rank(rho, tol),
+        "numerical_rank-array": lambda tol: ms.numerical_rank(rho.matrix, tol),
+    }
+
+
+TOL_CALLS = _tol_calls()
+
+
+class TestRankTolerance:
+    @pytest.mark.parametrize("tol", [float("nan"), 2.0, 1.0, 0.0, -1e-8])
+    @pytest.mark.parametrize("name", list(TOL_CALLS))
+    def test_tol_outside_the_open_unit_interval_is_rejected(self, name, tol):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            TOL_CALLS[name](tol)

@@ -99,6 +99,13 @@ class TestPureSchmidtNumber:
 
 
 class TestMixedSchmidtNumber:
+    def test_one_party_state_is_exactly_one(self):
+        rho = DensityMatrix(ms.DimensionProfile((3,)), np.eye(3) / 3)
+        res = ms.mixed_schmidt_number(rho)
+        assert (res.value_lo, res.value_hi, res.exact) == (1, 1, True)
+        assert res.branch_trace == {"rule": "single-party"}
+        assert res.witness_ensemble is None
+
     def test_pure_projector_short_circuits(self):
         w3 = ms.w_state(3)
         res = ms.mixed_schmidt_number(w3.density())
@@ -183,7 +190,6 @@ class TestMixedSchmidtNumber:
             raise AssertionError("a two-party rank-2 state reached a heuristic")
 
         monkeypatch.setattr(number, "minimize", refuse)
-        monkeypatch.setattr(number._Engine, "_polish_zero_hunt", refuse)
         monkeypatch.setattr(number._Engine, "search_ensemble", refuse)
         rng = np.random.default_rng(7)
         prof = ms.DimensionProfile((3, 4))
@@ -198,7 +204,6 @@ class TestMixedSchmidtNumber:
             raise AssertionError("a qubit range line reached a heuristic")
 
         monkeypatch.setattr(number, "minimize", refuse)
-        monkeypatch.setattr(number._Engine, "_polish_zero_hunt", refuse)
         monkeypatch.setattr(number._Engine, "search_ensemble", refuse)
         for state, want in ((ms.w_state(4), 6), (ms.w_state(5), 8)):
             res = ms.pure_schmidt_number(state)
@@ -232,13 +237,9 @@ class TestMixedSchmidtNumber:
         for st in witness.states:
             assert ms.schmidt_decompose(st, ms.SubsystemSet((1,))).rank == 1
 
-    def test_qutrit_party_line_is_certified_by_its_range_rays(self, monkeypatch):
+    def test_qutrit_party_line_is_certified_by_its_range_rays(self):
         # W_3 on the qubit levels of a (2,2,3) profile mixed with |000>: a
         # three-party line with a qutrit party
-        def refuse(*args, **kwargs):
-            raise AssertionError("a three-party line reached the grid polish")
-
-        monkeypatch.setattr(number._Engine, "_polish_zero_hunt", refuse)
         prof = ms.DimensionProfile((2, 2, 3))
         w3 = sum(ms.basis_state(prof, idx).amplitudes for idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
         zero = ms.basis_state(prof, (0, 0, 0))
@@ -415,11 +416,7 @@ class TestQuditThreePartyLines:
         witness = res.witness_ensemble
         assert np.linalg.norm(witness.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
 
-    def test_no_line_reaches_the_grid(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a three-party line reached the grid polish")
-
-        monkeypatch.setattr(number._Engine, "_polish_zero_hunt", refuse)
+    def test_no_line_reaches_the_grid(self):
         for dims in QUDIT_SHAPES:
             for seed in range(4):
                 res = ms.mixed_schmidt_number(planted_qudit_mixture(dims, seed)[0])
@@ -496,60 +493,6 @@ class TestWoottersOracle:
         assert (res.value_hi == 2) == (margin > 0)
 
 
-def reference_surrogate(state, r):
-    """_low_value_surrogate rebuilt from public reductions and eigvalsh."""
-    m = state.party_count
-    spectra = [
-        local_weights(state.amplitudes, state.profile.dims, ms.SubsystemSet((i,)))
-        for i in range(1, m + 1)
-    ]
-
-    def tail(p, k):
-        return float(np.sum(np.sort(p)[::-1][k:]))
-
-    if r == 1:
-        return sum(1.0 - p[0] for p in spectra)
-    split = min(
-        (1.0 - spectra[i][0]) + sum(tail(spectra[j], r) for j in range(m) if j != i)
-        for i in range(m)
-    )
-    return min(split, sum(tail(p, r - 1) for p in spectra))
-
-
-class TestLowValueSurrogate:
-    @pytest.mark.parametrize(
-        "dims, r",
-        [
-            pytest.param(dims, r, id=f"{r}-dims{k}")
-            for k, dims in enumerate([(2, 2, 2), (2, 2, 3), (2, 3, 3)])
-            for r in (1, 2, 3)
-            if dims != (2, 2, 2) or r < 3  # no grid scans a three-qubit line at level 3
-        ],
-    )
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_public_reference(self, dims, r, seed):
-        st_ = ms.random_pure(ms.DimensionProfile(dims), seed)
-        got = number._low_value_surrogate(st_.tensor(), r)
-        assert abs(got - reference_surrogate(st_, r)) <= 1e-13
-
-    def test_exactly_zero_on_low_value_states(self):
-        prof = ms.qubits(3)
-        product = ms.basis_state(prof, (0, 1, 0))
-        biseparable = PureState(prof, np.kron([1.0, 0.0], ms.bell_state().amplitudes))
-        for st_, r in ((product, 1), (biseparable, 2), (ms.ghz_state(3), 3)):
-            assert number._low_value_surrogate(st_.tensor(), r) == 0.0
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_vanishes_on_seeded_low_value_states(self, seed):
-        prof = ms.qubits(3)
-        product = ms.random_product(prof, seed)
-        pair = ms.random_pure(ms.qubits(2), seed).amplitudes
-        biseparable = PureState(prof, np.kron(ms.random_pure(ms.qubits(1), seed).amplitudes, pair))
-        lu = ms.apply_local_operators(ms.ghz_state(3), ms.random_local_unitary(prof, seed))
-        for st_, r in ((product, 1), (biseparable, 2), (lu, 3)):
-            assert abs(number._low_value_surrogate(st_.tensor(), r)) <= 1e-14
-
-
 class TestEnsembleSearch:
     def test_ghz_reduction_product_ensemble(self):
         red = ms.reduce(ms.ghz_state(3), ms.SubsystemSet((2, 3)))
@@ -568,6 +511,17 @@ class TestEnsembleSearch:
     def test_w3_reduction_product_impossible(self):
         red = ms.reduce(ms.w_state(3), ms.SubsystemSet((2, 3)))
         assert ms.ensemble_search(red, 1, FAST) is None
+
+    @pytest.mark.parametrize("target", [2, 3])
+    def test_target_at_the_eigen_value_takes_the_eigen_ensemble(self, target, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the eigen ensemble already meets the target")
+
+        monkeypatch.setattr(number, "minimize", refuse)
+        red = ms.reduce(ms.w_state(3), ms.SubsystemSet((2, 3)))
+        cand = ms.ensemble_search(red, target)
+        assert cand.weights == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
+        assert np.linalg.norm(cand.reconstruct() - red.matrix) <= 1e-15
 
     def test_rejects_bad_target(self):
         red = ms.reduce(ms.ghz_state(3), ms.SubsystemSet((2, 3)))
