@@ -151,14 +151,15 @@ def analyze_state(state: PureState, budget: SearchBudget, tol: float) -> Analysi
     start = time.perf_counter()
     structure = factorize(state, tol)
     ranks = local_rank_vector(state, tol)
-    # one engine, so the number and the coefficients share every reduction
+    # one engine and one factorization, so the number and the coefficients
+    # share every cut and every reduction
     engine = _Engine(budget, tol)
-    number = engine.pure_value(state)
+    number = engine.pure_value(state, structure)
     coeffs = None
     note = None
     eof = None
     try:
-        cs = _coefficients(state, engine, budget)
+        cs = _coefficients(state, engine, budget, structure)
         coeffs = cs.values
         eof = generalized_eof(cs)
         if not cs.exact:

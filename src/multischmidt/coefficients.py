@@ -16,8 +16,12 @@ rule does. The local ranks and sigma (the square roots of rho_i's spectrum
 over 2) are read off the cut SVDs that ``factorize`` has already made. The
 reductions rho_(not i) are built without re-validation
 (``core._pure_reductions``, bitwise equal to ``reduce``, one stacked ``eigh``
-per shape) and decided together (``_Engine.mixed_values``). The elements of all maximizer parties
-come from one element stage (``_max_entropy_element``).
+per shape). On three qubits the number's closed form decides them where
+every pair concurrence clears max(``CKW_MARGIN``, 4 tol)
+(``_Engine._ckw_reductions``); otherwise they are decided together
+(``_Engine.mixed_values``). The elements of all maximizer parties come from
+one element stage (``_max_entropy_element``), which still needs the
+reductions themselves.
 
 The maximal-entropy element of a two-qubit reduction with target Schmidt
 number 2 is found in closed form: entropy rises with concurrence, and the
@@ -36,7 +40,7 @@ states of any size recurse into their factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize
@@ -128,13 +132,17 @@ def pure_schmidt_coefficients(
     return _coefficients(state, engine, budget)
 
 
-def _coefficients(state: PureState, engine: _Engine, budget) -> CoefficientSet:
+def _coefficients(
+    state: PureState, engine: _Engine, budget, structure: Optional[PartitionStructure] = None
+) -> CoefficientSet:
+    """The coefficient set of ``state``; ``structure`` is factorize(state, engine.tol) if known."""
     m = state.party_count
     if m == 1:
         return _make_set((1.0,), {"rule": "single-party", "exact": True})
     if m == 2:
         return _bipartite_set(state, engine.tol)
-    structure = factorize(state, engine.tol)
+    if structure is None:
+        structure = factorize(state, engine.tol)
     entangled = structure.entangled_factors()
     if not entangled:
         return _make_set((1.0,), {"rule": "fully-separable", "exact": True})
@@ -192,7 +200,7 @@ def _genuine_coefficients(
         )
     records = _party_records(structure)
     rests = _pure_reductions(state, _party_cuts(m)[1], _reduction_profiles(state.profile.dims))
-    subs = engine.mixed_values(rests)
+    subs = engine._ckw_reductions(state, records) or engine.mixed_values(rests)
     total = max(rec.rank + sub.value_hi for rec, sub in zip(records, subs))
     parties = [
         (i, rec, rest, sub)

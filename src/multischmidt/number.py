@@ -36,21 +36,28 @@ Every pure-state spectrum and rank comes from the core primitive
 computed once per pure state, and its reductions are decided together. A
 two-party pure state's value is its Schmidt rank, from one SVD.
 With three or more parties the max-party rule reads each local rank r_i off
-the cut SVDs that factorize has already computed, builds every reduction
-rho_(not i) from the same cuts' factors (core._cut_reductions: no partial
-trace, no second eigh) and decides all of them with one call
-(_Engine.mixed_values). The misses of the memo run the early stages of the
-mixed ladder as stacks per profile: one Schmidt-rank SVD over the kept
-eigenvectors of every two-party reduction and one eigvalsh per cut for the
-PPT test. A Haar (2,2,2) state costs four SVDs and one eigvalsh. The rule
-reads only the reductions' intervals, so their witnesses are built on
-demand: a result holds a builder of its eigen witness, which forms the
-eigen elements and runs the reconstruction check on the first read of
-witness_ensemble. mixed_schmidt_number reads it before returning, so a
-public mixed result carries its witness. The margin test of a range
-line's rank drops takes one stacked SVD per cut, whose spectra also give the
-drops' product test and two-party values, and the ensemble search's
-objective takes one stacked SVD per party for all of its columns.
+the cut SVDs that factorize has already computed. On three qubits it first
+tries a closed form: by Coffman-Kundu-Wootters each pair reduction's squared
+concurrence follows from the cut weights and Cayley's hyperdeterminant
+(_pair_concurrences), and where every one clears the margin
+max(CKW_MARGIN, 4 tol) every reduction is an exact [2, 2], which is what
+the mixed ladder would return there (_Engine._ckw_reductions). Otherwise
+it builds every reduction rho_(not i) from the same cuts' factors
+(core._cut_reductions: no partial trace, no second eigh) and decides all of
+them with one call (_Engine.mixed_values). The misses of the memo run the
+early stages of the mixed ladder as stacks per profile: one Schmidt-rank
+SVD over the kept eigenvectors of every two-party reduction and one
+eigvalsh per cut for the PPT test. A Haar (2,2,2) state costs three SVDs
+(its cuts) and no eigvalsh; a Haar (2,2,3) state five SVDs and two
+eigvalsh. The rule reads only the reductions' intervals, so their
+witnesses are built on demand: a result holds a builder of its eigen
+witness, which forms the eigen elements and runs the reconstruction check
+on the first read of witness_ensemble. mixed_schmidt_number reads it
+before returning, so a public mixed result carries its witness. The margin
+test of a range line's rank drops takes one stacked SVD per cut, whose
+spectra also give the drops' product test and two-party values, and the
+ensemble search's objective takes one stacked SVD per party for all of its
+columns.
 
 Validation happens only at the public boundary. States and reductions built
 inside the recursion from validated data (eigen elements, rays, CKW zeros,
@@ -326,15 +333,20 @@ class _Engine:
 
     # ---- pure states -----------------------------------------------------
 
-    def pure_value(self, state: PureState) -> SchmidtNumberResult:
+    def pure_value(
+        self, state: PureState, structure: Optional[PartitionStructure] = None
+    ) -> SchmidtNumberResult:
+        """The memoized value of a pure state; ``structure`` is factorize(state, tol) if known."""
         key = _state_key(state)
         hit = self._pure_cache.get(key)
         if hit is None:
-            hit = self._pure_value(state)
+            hit = self._pure_value(state, structure)
             self._pure_cache[key] = hit
         return hit
 
-    def _pure_value(self, state: PureState) -> SchmidtNumberResult:
+    def _pure_value(
+        self, state: PureState, structure: Optional[PartitionStructure] = None
+    ) -> SchmidtNumberResult:
         m = state.party_count
         if m == 0:
             raise ValueError("state must have at least one party")
@@ -347,7 +359,8 @@ class _Engine:
                 return _result(1, 1, {"rule": "fully-separable", "partition": FULLY_SEPARABLE})
             return _result(r, r, {"rule": "bipartite-rank", "rank": r})
 
-        structure = factorize(state, self.tol)
+        if structure is None:
+            structure = factorize(state, self.tol)
         entangled = structure.entangled_factors()
         if not entangled:
             return _result(1, 1, {"rule": "fully-separable", "partition": structure.label})
@@ -384,20 +397,24 @@ class _Engine:
     ) -> SchmidtNumberResult:
         """The max-party rule, from the cut SVDs of factorize's ``structure``.
 
-        Each party's cut record (_party_records) gives its local rank and the
-        reduction rho_(not i), whose eigenvectors are the cut side's full
-        singular vectors. The m reductions are decided together
-        (mixed_values).
+        Each party's cut record (_party_records) gives its local rank. On
+        three qubits the pair concurrences may decide every reduction
+        (_ckw_reductions); otherwise each reduction rho_(not i) is built from
+        the record, its eigenvectors the cut side's full singular vectors,
+        and the m reductions are decided together (mixed_values).
         """
         records = _party_records(structure)
-        rhos = _cut_reductions(
-            _reduction_profiles(state.profile.dims),
-            [rec.vectors for rec in records],
-            [rec.s for rec in records],
-        )
+        subs = self._ckw_reductions(state, records)
+        if subs is None:
+            rhos = _cut_reductions(
+                _reduction_profiles(state.profile.dims),
+                [rec.vectors for rec in records],
+                [rec.s for rec in records],
+            )
+            subs = self.mixed_values(rhos)
         lo = hi = 0
         per_party = []
-        for i, (rec, sub) in enumerate(zip(records, self.mixed_values(rhos)), 1):
+        for i, (rec, sub) in enumerate(zip(records, subs), 1):
             r_i = rec.rank
             lo = max(lo, r_i + sub.value_lo)
             hi = max(hi, r_i + sub.value_hi)
@@ -416,6 +433,37 @@ class _Engine:
             "maximizers": maximizers,
         }
         return _result(lo, hi, trace)
+
+    def _ckw_reductions(
+        self, state: PureState, records: list[_PartyCut]
+    ) -> Optional[list[SchmidtNumberResult]]:
+        """Exact [2, 2] for every pair reduction of a genuinely entangled three-qubit state, or None.
+
+        The reductions are decided from their squared concurrences
+        (_pair_concurrences) where every one clears the margin
+        max(CKW_MARGIN, 4 tol); there the mixed ladder would also end in
+        ppt-meets-eigen at [2, 2]:
+
+        - eigen side: an eigenvector whose Schmidt weights have
+          w1 <= tol * w0 has concurrence 2 sqrt(w0 w1) <= 2 sqrt(tol), so
+          by convexity C^2 > 4 tol leaves a kept eigenvector of Schmidt
+          rank 2 (those below EIGEN_WEIGHT_FLOOR add at most their weight
+          to C), and eigen_hi = 2;
+        - PPT side: the negativity is at least sqrt((1-C)^2 + C^2) - (1-C)
+          (Verstraete, Audenaert, Dehaene and De Moor, J. Phys. A 34, 10327),
+          so C^2 >= 1e-6 puts the least eigenvalue of the partial transpose
+          below -2.5e-7, far below -PPT_NEG_TOL.
+
+        None (the ladder decides) on other shapes and where a pair
+        concurrence does not clear the margin: GHZ-like states and the gray
+        zone keep the ladder's answer.
+        """
+        if state.profile.dims != (2, 2, 2):
+            return None
+        margin = max(CKW_MARGIN, 4.0 * self.tol)
+        if np.min(_pair_concurrences(state.amplitudes, records)) <= margin:
+            return None
+        return [_result(2, 2, {"rule": "ckw-concurrence"}) for _ in records]
 
     # ---- mixed states ----------------------------------------------------
 
@@ -922,6 +970,21 @@ def _polar(x: np.ndarray, y: np.ndarray):
         - x[..., 0, 1] * y[..., 1, 0]
         - x[..., 1, 0] * y[..., 0, 1]
     )
+
+
+def _pair_concurrences(amplitudes: np.ndarray, records: list[_PartyCut]) -> np.ndarray:
+    """The squared concurrence of each pair reduction rho_(not i) of a three-qubit state.
+
+    By Coffman-Kundu-Wootters 4 det(rho_i) = C_ij^2 + C_ik^2 + tau at every
+    party i, so C_jk^2 = (4 det rho_j + 4 det rho_k - 4 det rho_i - tau) / 2.
+    det(rho_i) = w0 * w1 from party i's cut weights, and tau = 4 |H| with
+    H = b^2 - 4 det(X) det(Y) Cayley's hyperdeterminant from the party-1
+    slices X, Y (b = _polar(X, Y), det X = _polar(X, X) / 2).
+    """
+    dets = 4.0 * np.array([rec.weights[0] * rec.weights[1] for rec in records])
+    x, y = amplitudes.reshape(2, 2, 2)
+    tau = 4.0 * abs(_polar(x, y) ** 2 - _polar(x, x) * _polar(y, y))
+    return (dets.sum() - 2.0 * dets - tau) / 2.0
 
 
 def _det_line(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -217,11 +217,33 @@ class TestAnalyze:
             return solve(self, rho, *rest)
 
         monkeypatch.setattr(_Engine, "_mixed_value", counted)
-        ms.pure_schmidt_number(ms.w_state(3), ms.DEFAULT_BUDGET, 1e-8)
+        # a locally rotated GHZ state: its pair concurrences vanish, so it builds reductions
+        state = ms.apply_local_operators(ms.ghz_state(3), ms.random_local_unitary(ms.qubits(3), 0))
+        ms.pure_schmidt_number(state, ms.DEFAULT_BUDGET, 1e-8)
         alone = len(calls)
         calls.clear()
-        analyze_state(ms.w_state(3), ms.DEFAULT_BUDGET, 1e-8)
+        analyze_state(state, ms.DEFAULT_BUDGET, 1e-8)
         assert alone > 0 and len(calls) == alone
+
+    @pytest.mark.parametrize(
+        "state",
+        [ms.random_pure(ms.DimensionProfile((2, 2, 2)), 0), ms.w_state(4), ms.bell_state()],
+        ids=["Haar222#0", "W4", "Bell"],
+    )
+    def test_report_factorizes_once(self, state, monkeypatch):
+        from multischmidt import cli, coefficients, number, partitions
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return partitions.factorize(*args, **kwargs)
+
+        for module in (cli, coefficients, number):
+            monkeypatch.setattr(module, "factorize", counted)
+        analyze_state(state, ms.DEFAULT_BUDGET, 1e-8)
+        # W4's reductions factorize their own three-qubit eigen elements
+        assert [st is state for st in calls].count(True) == 1
 
 
 class TestReproduce:

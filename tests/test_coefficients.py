@@ -333,7 +333,7 @@ class TestOneStackedCoefficientPass:
             "local_weights": 0,
             "schmidt_decompose": 0,
             "element": 1,
-            "svd": 5,
+            "svd": 4,
             "eigh": 2,
         }
 
@@ -466,9 +466,10 @@ class TestOneSpectralPrimitive:
     @pytest.mark.parametrize(
         "call, state, want",
         [
-            (ms.pure_schmidt_number, HAAR222_7, (4, 0, 1)),
-            (ms.pure_schmidt_coefficients, HAAR222_7, (5, 2, 1)),
-            (ms.pure_schmidt_coefficients, ms.w_state(3), (5, 2, 1)),
+            # three qubits: the three cuts, then the pair concurrences in closed form
+            (ms.pure_schmidt_number, HAAR222_7, (3, 0, 0)),
+            (ms.pure_schmidt_coefficients, HAAR222_7, (4, 2, 0)),
+            (ms.pure_schmidt_coefficients, ms.w_state(3), (4, 2, 0)),
             # a two-party coefficient call is one Schmidt decomposition
             (ms.pure_schmidt_coefficients, HAAR34_1, (1, 0, 0)),
         ],

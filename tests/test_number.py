@@ -463,6 +463,72 @@ def test_ckw_polynomials_match_wootters_concurrences(seed):
     assert abs(4.0 * s.real - 3.0 * tau - 2.0 * c2) <= 1e-12
 
 
+def _locally_rotated(state, seed):
+    return ms.apply_local_operators(state, ms.random_local_unitary(state.profile, seed))
+
+
+CKW_ORACLE_STATES = {
+    **{f"Haar222#{seed}": ms.random_pure(ms.qubits(3), seed) for seed in range(8)},
+    "W3": ms.w_state(3),
+    "GHZ3": ms.ghz_state(3),
+    **{f"LU-W3#{seed}": _locally_rotated(ms.w_state(3), seed) for seed in range(3)},
+    **{f"LU-GHZ3#{seed}": _locally_rotated(ms.ghz_state(3), seed) for seed in range(3)},
+}
+# GHZ3 + eps W3: the least squared pair concurrence rises from ~7e-9 to near 4/9,
+# through the margin max(CKW_MARGIN, 4 tol) of every tol of the route test
+GHZ_PLUS_W = [
+    ms.normalized_state(ms.qubits(3), ms.ghz_state(3).amplitudes + eps * ms.w_state(3).amplitudes)
+    for eps in np.geomspace(1e-4, 1e2, 25)
+]
+
+
+def _least_pair_concurrence(state, tol):
+    records = number._party_records(ms.factorize(state, tol))
+    return float(np.min(number._pair_concurrences(state.amplitudes, records)))
+
+
+def _outcomes(state, tol):
+    """The number's interval and trace, and the coefficients' values and provenance."""
+    res = ms.pure_schmidt_number(state, FAST, tol)
+    try:
+        cs = ms.pure_schmidt_coefficients(state, FAST, tol)
+        coeffs = (cs.values, cs.provenance)
+    except ms.SearchError as exc:
+        coeffs = repr(exc)
+    return res.value_lo, res.value_hi, res.branch_trace, coeffs
+
+
+class TestCkwRoute:
+    """A three-qubit state's pair reductions decided from its pair concurrences."""
+
+    @pytest.mark.parametrize("name", list(CKW_ORACLE_STATES))
+    def test_pair_concurrences_match_wootters(self, name):
+        """The closed form against Wootters' concurrence of each ``reduce``d pair.
+
+        R has rank <= 2 here, so the square roots of its rounding-level
+        eigenvalues put errors of ~1e-8 into the oracle's C^2.
+        """
+        state = CKW_ORACLE_STATES[name]
+        records = number._party_records(ms.factorize(state))
+        got = number._pair_concurrences(state.amplitudes, records)
+        for i, c2 in enumerate(got, 1):
+            lam = wootters_lambdas(ms.reduce(state, ms.SubsystemSet((i,)).complement(3)).matrix)
+            assert abs(c2 - max(lam[0] - lam[1] - lam[2] - lam[3], 0.0) ** 2) <= 1e-7
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.1])
+    def test_route_agrees_with_the_ladder(self, tol, monkeypatch):
+        """Number and coefficients are identical with the closed form and without it."""
+        margin = max(number.CKW_MARGIN, 4.0 * tol)
+        least = [_least_pair_concurrence(st, tol) for st in GHZ_PLUS_W]
+        assert min(least) <= margin < max(least)  # the family straddles the margin
+        states = [ms.random_pure(ms.qubits(3), seed) for seed in range(200)] + GHZ_PLUS_W
+        closed = [_outcomes(st, tol) for st in states]
+        with monkeypatch.context() as patch:
+            patch.setattr(number._Engine, "_ckw_reductions", lambda self, state, records: None)
+            ladder = [_outcomes(st, tol) for st in states]
+        assert closed == ladder
+
+
 class TestWoottersOracle:
     """Two-qubit densities: the value is 2 iff Wootters' concurrence is positive.
 
@@ -621,8 +687,8 @@ class TestOneSpectralPass:
     @pytest.mark.parametrize("seed", range(3))
     def test_haar_state_decomposes_each_unfolding_once(self, dims, seed, svd_calls):
         ms.pure_schmidt_number(ms.random_pure(ms.DimensionProfile(dims), seed))
-        # factorize's three cuts, then one Schmidt-rank SVD per reduction profile
-        assert len(svd_calls) <= {(2, 2, 2): 4, (2, 2, 3): 5}[dims]
+        # factorize's three cuts; on (2, 2, 3) one Schmidt-rank SVD per reduction profile
+        assert len(svd_calls) <= {(2, 2, 2): 3, (2, 2, 3): 5}[dims]
         seen = set()
         for op in svd_calls:
             for mat in op.reshape(-1, *op.shape[-2:]):
@@ -632,12 +698,18 @@ class TestOneSpectralPass:
                 seen.add(key)
 
 
-    # the PPT tests of the reductions: one eigvalsh per (reduction profile, cut)
-    @pytest.mark.parametrize("dims, count", [((2, 2, 2), 1), ((2, 2, 3), 2)])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_haar_state_tests_ppt_once_per_reduction_profile(
-        self, dims, count, seed, monkeypatch
-    ):
+    # the PPT tests of the reductions: one eigvalsh per (reduction profile, cut);
+    # a Haar three-qubit state's pair concurrences decide its reductions without PPT
+    @pytest.mark.parametrize(
+        "state, count",
+        [
+            *((ms.random_pure(ms.DimensionProfile((2, 2, 2)), seed), 0) for seed in range(3)),
+            *((ms.random_pure(ms.DimensionProfile((2, 2, 3)), seed), 2) for seed in range(3)),
+            (ms.apply_local_operators(ms.ghz_state(3), ms.random_local_unitary(ms.qubits(3), 0)), 1),
+        ],
+        ids=[*(f"Haar222#{seed}" for seed in range(3)), *(f"Haar223#{seed}" for seed in range(3)), "LU-GHZ3"],
+    )
+    def test_haar_state_tests_ppt_once_per_reduction_profile(self, state, count, monkeypatch):
         calls = []
         real = np.linalg.eigvalsh
 
@@ -646,7 +718,7 @@ class TestOneSpectralPass:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        res = ms.pure_schmidt_number(ms.random_pure(ms.DimensionProfile(dims), seed))
+        res = ms.pure_schmidt_number(state)
         assert res.exact
         assert len(calls) == count
 
@@ -753,21 +825,23 @@ class TestCutReductions:
     @pytest.mark.parametrize(
         "state",
         [
-            ms.random_pure(ms.DimensionProfile((2, 2, 2)), 1),
+            # a three-qubit state builds reductions only where the pair concurrences do not decide
+            ms.apply_local_operators(ms.ghz_state(3), ms.random_local_unitary(ms.qubits(3), 1)),
             ms.random_pure(ms.DimensionProfile((2, 2, 3)), 2),
             ms.random_pure(ms.DimensionProfile((2, 3, 4)), 3),
             ms.random_pure(ms.DimensionProfile((3, 3, 3)), 0),
             ms.random_pure(ms.DimensionProfile((2, 2, 2, 2)), 5),
             ms.random_pure(ms.DimensionProfile((2, 2, 2, 3)), 1),
             ms.w_state(5),
-            PureState(ms.qubits(4), np.kron(ms.w_state(3).amplitudes, [0.6, 0.8j])),
+            PureState(ms.qubits(4), np.kron(ms.ghz_state(3).amplitudes, [0.6, 0.8j])),
         ],
-        ids=["Haar222", "Haar223", "Haar234", "Haar333", "Haar2222", "Haar2223", "W5", "W3x1"],
+        ids=["LU-GHZ3", "Haar223", "Haar234", "Haar333", "Haar2222", "Haar2223", "W5", "GHZ3x1"],
     )
     def test_reductions_match_the_partial_trace(self, state, genuine_reductions):
         ms.pure_schmidt_number(state, TINY)
-        assert genuine_reductions
-        for st, reductions in genuine_reductions:
+        built = [(st, reductions) for st, reductions in genuine_reductions if reductions]
+        assert built
+        for st, reductions in built:
             m = st.party_count
             assert len(reductions) == m
             for i, rho in enumerate(reductions, 1):
@@ -779,6 +853,10 @@ class TestCutReductions:
                 assert np.allclose(v.conj().T @ v, np.eye(v.shape[0]), rtol=0, atol=1e-12)
                 assert np.all(w >= 0) and np.all(np.diff(w) <= 0)
                 assert not any(a.flags.writeable for a in (rho.matrix, w, v))
+
+    def test_haar_three_qubit_state_builds_no_reduction(self, genuine_reductions):
+        ms.pure_schmidt_number(ms.random_pure(ms.DimensionProfile((2, 2, 2)), 1), TINY)
+        assert [reductions for _, reductions in genuine_reductions] == [[]]
 
     def test_haar_state_is_validated_only_at_the_boundary(self, monkeypatch):
         from multischmidt import core
