@@ -29,7 +29,7 @@ from .coefficients import _coefficients, generalized_eof, pure_schmidt_coefficie
 from .core import DEFAULT_RANK_TOL, DimensionProfile, PureState, _checked_tol
 from .errors import SearchError, UnsupportedStructureError
 from .number import DEFAULT_BUDGET, SearchBudget, _Engine, pure_schmidt_number
-from .partitions import factorize, local_rank_vector
+from .partitions import local_rank_vector
 from .states import (
     AcinParameters,
     acin_state,
@@ -149,17 +149,16 @@ class AnalysisReport:
 
 def analyze_state(state: PureState, budget: SearchBudget, tol: float) -> AnalysisReport:
     start = time.perf_counter()
-    structure = factorize(state, tol)
     ranks = local_rank_vector(state, tol)
-    # one engine and one factorization, so the number and the coefficients
-    # share every cut and every reduction
+    # one engine, so the number and the coefficients share every
+    # factorization and every reduction
     engine = _Engine(budget, tol)
-    number = engine.pure_value(state, structure)
+    number = engine.pure_value(state)
     coeffs = None
     note = None
     eof = None
     try:
-        cs = _coefficients(state, engine, budget, structure)
+        cs = _coefficients(state, engine, budget)
         coeffs = cs.values
         eof = generalized_eof(cs)
         if not cs.exact:
@@ -171,7 +170,7 @@ def analyze_state(state: PureState, budget: SearchBudget, tol: float) -> Analysi
         note = f"search: {exc}"
     elapsed = time.perf_counter() - start
     return AnalysisReport(
-        classification=structure.label,
+        classification=engine.structure(state).label,
         local_ranks=ranks,
         value_lo=number.value_lo,
         value_hi=number.value_hi,

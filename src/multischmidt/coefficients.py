@@ -11,17 +11,16 @@ the Schmidt number whenever the latter is exact.
 
 A two-party state's coefficients are its Schmidt coefficients, from one
 SVD; Schmidt rank 1 is reported as fully separable. A genuinely entangled
-state of three or more parties takes one pass, as the number's max-party
-rule does. The local ranks and sigma (the square roots of rho_i's spectrum
-over 2) are read off the cut SVDs that ``factorize`` has already made. The
-reductions rho_(not i) are built without re-validation
-(``core._pure_reductions``, bitwise equal to ``reduce``, one stacked ``eigh``
-per shape). On three qubits the number's closed form decides them where
-every pair concurrence clears max(``CKW_MARGIN``, 4 tol)
-(``_Engine._ckw_reductions``); otherwise they are decided together
-(``_Engine.mixed_values``). The elements of all maximizer parties come from
-one element stage (``_max_entropy_element``), which still needs the
-reductions themselves.
+state of three or more parties reads the number's max-party rule instead of
+deciding it again: the maximizer parties, each reduction's interval and the
+total value come from the branch trace of ``_Engine.pure_value``. The local
+ranks and sigma (the square roots of rho_i's spectrum over 2) are read off
+the cut record of the engine's factorization (``_Engine.structure``), the
+one the number used. Only the maximizer reductions rho_(not i) of value
+above 1 need an element; they alone are built, without re-validation
+(``core._pure_reductions``, bitwise equal to ``reduce``, one stacked
+``eigh`` per shape), and their elements come from one element stage
+(``_max_entropy_element``).
 
 The maximal-entropy element of a two-qubit reduction with target Schmidt
 number 2 is found in closed form: entropy rises with concurrence, and the
@@ -40,7 +39,7 @@ states of any size recurse into their factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize
@@ -64,11 +63,10 @@ from .number import (
     EIGEN_WEIGHT_FLOOR,
     SearchBudget,
     _Engine,
-    _party_records,
     _reduction_profiles,
     _unit_state,
 )
-from .partitions import PartitionStructure, _party_cuts, factorize
+from .partitions import PartitionStructure, _party_cuts
 from .seeding import stream
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -132,17 +130,14 @@ def pure_schmidt_coefficients(
     return _coefficients(state, engine, budget)
 
 
-def _coefficients(
-    state: PureState, engine: _Engine, budget, structure: Optional[PartitionStructure] = None
-) -> CoefficientSet:
-    """The coefficient set of ``state``; ``structure`` is factorize(state, engine.tol) if known."""
+def _coefficients(state: PureState, engine: _Engine, budget) -> CoefficientSet:
+    """The coefficient set of ``state``, from the engine's factorization of it."""
     m = state.party_count
     if m == 1:
         return _make_set((1.0,), {"rule": "single-party", "exact": True})
     if m == 2:
         return _bipartite_set(state, engine.tol)
-    if structure is None:
-        structure = factorize(state, engine.tol)
+    structure = engine.structure(state)
     entangled = structure.entangled_factors()
     if not entangled:
         return _make_set((1.0,), {"rule": "fully-separable", "exact": True})
@@ -185,43 +180,44 @@ def _coefficients(
 def _genuine_coefficients(
     state: PureState, structure: PartitionStructure, engine: _Engine, budget
 ) -> CoefficientSet:
-    """The genuinely entangled construction, from factorize's ``structure``.
+    """The genuinely entangled construction, on the number's max-party rule.
 
-    Each party's local rank and the spectrum behind sigma come from its cut
-    record (number._party_records); the reductions rho_(not i) are built
-    without re-validation (core._pure_reductions) and decided together
-    (mixed_values); the elements of the maximizer parties come from one
-    element stage (_max_entropy_element).
+    The maximizer parties, each reduction's interval and the total value
+    come from the branch trace of the number (engine.pure_value); each
+    party's local rank and the spectrum behind sigma from its cut record
+    (structure._party_records()). Only the reductions rho_(not i) that need
+    an element (value > 1) are built, without re-validation
+    (core._pure_reductions), and their elements come from one element stage
+    (_max_entropy_element).
     """
     m = state.party_count
     if m not in (3, 4):
         raise UnsupportedStructureError(
             f"no coefficient construction for genuinely entangled states on {m} parties"
         )
-    records = _party_records(structure)
-    rests = _pure_reductions(state, _party_cuts(m)[1], _reduction_profiles(state.profile.dims))
-    subs = engine._ckw_reductions(state, records) or engine.mixed_values(rests)
-    total = max(rec.rank + sub.value_hi for rec, sub in zip(records, subs))
-    parties = [
-        (i, rec, rest, sub)
-        for i, (rec, rest, sub) in enumerate(zip(records, rests, subs), 1)
-        if rec.rank + sub.value_hi == total
-    ]
+    number = engine.pure_value(state)
+    per_party = number.branch_trace["per_party"]
+    parties = number.branch_trace["maximizers"]
     # a value-1 reduction has a product witness ensemble; the others need an element
-    wanted = [(rest, sub.value_hi) for _, _, rest, sub in parties if sub.value_hi > 1]
-    elements = iter(_max_entropy_element(wanted, engine, budget) if wanted else ())
+    needy = [i for i in parties if per_party[i - 1]["reduction"][1] > 1]
+    keeps, profiles = _party_cuts(m)[1], _reduction_profiles(state.profile.dims)
+    rests = _pure_reductions(state, [keeps[i - 1] for i in needy], [profiles[i - 1] for i in needy])
+    wanted = [(rest, per_party[i - 1]["reduction"][1]) for i, rest in zip(needy, rests)]
+    elements = dict(zip(needy, _max_entropy_element(wanted, engine, budget)))
+    records = structure._party_records()
     branches = []
     exact = True
-    for party, rec, _, sub in parties:
+    for party in parties:
+        rec = records[party - 1]
         # the positive eigenvalues of (1/sqrt 2) rho_i^(1/2), sqrt(lambda/2)
         sigma = np.sqrt(rec.weights[: rec.rank] / 2.0)
-        exact = exact and sub.exact
-        if sub.value_hi == 1:
-            gamma = np.ones(1)
-        else:
-            _, elem = next(elements)
+        exact = exact and per_party[party - 1]["reduction_exact"]
+        if party in elements:
+            _, elem = elements[party]
             exact = exact and elem.exact
             gamma = np.asarray(elem.values)
+        else:
+            gamma = np.ones(1)
         vals = np.concatenate([sigma, SQRT_HALF * gamma])
         if m == 3:
             score = entropy_bits(vals**2)
@@ -236,7 +232,7 @@ def _genuine_coefficients(
         "selected_party": selected,
         "ties": ties,
         "branch_entropies" if m == 3 else "branch_scores": {p: s for p, s, _ in branches},
-        "total_value": int(total),
+        "total_value": number.value_hi,
         "exact": exact,
     }
     if m == 4:

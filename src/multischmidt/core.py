@@ -27,8 +27,9 @@ Conventions
   eigendecomposition, and cuts of one shape are built as one stack.
   ``_pure_reductions`` builds ``reduce``'s reductions of a pure state
   bitwise, without re-validation, with one stacked ``eigh`` per shape; the
-  coefficient construction uses it, because its element searches start from
-  the ``eigh`` eigenbasis. ``reduce`` forms reduced density matrices from a
+  coefficient construction builds with it only the reductions whose
+  max-entropy element it needs, because its element searches start from the
+  ``eigh`` eigenbasis. ``reduce`` forms reduced density matrices from a
   partial trace and serves mixed states and the public API.
 - A ``DensityMatrix`` carries its eigensystem, computed by validation or
   taken from the SVD; ``spectrum`` and ``numerical_rank`` reuse it instead

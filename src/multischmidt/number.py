@@ -96,6 +96,7 @@ from .partitions import (
     PartitionStructure,
     _bipartitions,
     _party_cuts,
+    _PartyCut,
     factorize,
 )
 from .seeding import stream
@@ -262,29 +263,6 @@ def _reduction_profiles(dims: tuple[int, ...]) -> tuple[DimensionProfile, ...]:
     return tuple(profile.restrict(rest) for rest in _party_cuts(len(dims))[1])
 
 
-class _PartyCut(NamedTuple):
-    """Party i's cut of a genuinely entangled state, from factorize's record."""
-
-    rank: int  # the local rank r_i at factorize's tol
-    weights: np.ndarray  # the spectrum of rho_i, descending (squared singular values)
-    s: np.ndarray  # the singular values
-    vectors: np.ndarray  # full singular vectors of the side of rho_(not i): its eigenvectors
-
-
-def _party_records(structure: PartitionStructure) -> list[_PartyCut]:
-    """The cut record of every party of a genuinely entangled state.
-
-    Party i's cut is {1} for i = 1 and otherwise its complement, whose
-    unfolding has the same singular values; the side of rho_(not i) is the
-    columns (Vh^T) for party 1 and the rows (U) otherwise.
-    """
-    out = []
-    for i, rest in enumerate(_party_cuts(structure.party_count)[1], 1):
-        u, s, vh, weights, rank = structure._cut_factors[(1,) if i == 1 else rest.indices]
-        out.append(_PartyCut(rank, weights, s, vh.T if i == 1 else u))
-    return out
-
-
 def _unit_state(profile: DimensionProfile, vec: np.ndarray) -> PureState:
     """The internal state vec / |vec| of a nonzero combination of unit vectors."""
     return _checked_state(profile, vec / np.linalg.norm(vec))
@@ -313,7 +291,9 @@ class _Engine:
     Caches pure/mixed results by rounded amplitudes/matrices and range rays
     by rounded range projectors, so the nested recursion of the genuinely
     entangled rule (pure -> mixed reductions -> range rays -> pure rays)
-    stays affordable.
+    stays affordable. Factorizations are cached by exact amplitudes
+    (``structure``), so the number and the coefficients of one state share
+    one cut record.
 
     Mixed states go through one ladder of stages. ``mixed_values`` decides
     several at once: the cheap early stages (spectrum rank, eigen value,
@@ -327,26 +307,32 @@ class _Engine:
     def __init__(self, budget: SearchBudget, tol: float):
         self.budget = budget
         self.tol = _checked_tol(tol)
+        self._structure_cache: dict = {}
         self._pure_cache: dict = {}
         self._mixed_cache: dict = {}
         self._ray_cache: dict = {}
 
     # ---- pure states -----------------------------------------------------
 
-    def pure_value(
-        self, state: PureState, structure: Optional[PartitionStructure] = None
-    ) -> SchmidtNumberResult:
-        """The memoized value of a pure state; ``structure`` is factorize(state, tol) if known."""
+    def structure(self, state: PureState) -> PartitionStructure:
+        """The memoized factorize(state, tol), keyed by exact (not rounded) amplitudes and dims."""
+        key = (state.profile.dims, state.amplitudes.tobytes())
+        hit = self._structure_cache.get(key)
+        if hit is None:
+            hit = factorize(state, self.tol)
+            self._structure_cache[key] = hit
+        return hit
+
+    def pure_value(self, state: PureState) -> SchmidtNumberResult:
+        """The memoized value of a pure state."""
         key = _state_key(state)
         hit = self._pure_cache.get(key)
         if hit is None:
-            hit = self._pure_value(state, structure)
+            hit = self._pure_value(state)
             self._pure_cache[key] = hit
         return hit
 
-    def _pure_value(
-        self, state: PureState, structure: Optional[PartitionStructure] = None
-    ) -> SchmidtNumberResult:
+    def _pure_value(self, state: PureState) -> SchmidtNumberResult:
         m = state.party_count
         if m == 0:
             raise ValueError("state must have at least one party")
@@ -359,8 +345,7 @@ class _Engine:
                 return _result(1, 1, {"rule": "fully-separable", "partition": FULLY_SEPARABLE})
             return _result(r, r, {"rule": "bipartite-rank", "rank": r})
 
-        if structure is None:
-            structure = factorize(state, self.tol)
+        structure = self.structure(state)
         entangled = structure.entangled_factors()
         if not entangled:
             return _result(1, 1, {"rule": "fully-separable", "partition": structure.label})
@@ -397,13 +382,13 @@ class _Engine:
     ) -> SchmidtNumberResult:
         """The max-party rule, from the cut SVDs of factorize's ``structure``.
 
-        Each party's cut record (_party_records) gives its local rank. On
-        three qubits the pair concurrences may decide every reduction
-        (_ckw_reductions); otherwise each reduction rho_(not i) is built from
-        the record, its eigenvectors the cut side's full singular vectors,
-        and the m reductions are decided together (mixed_values).
+        Each party's cut record (structure._party_records()) gives its local
+        rank. On three qubits the pair concurrences may decide every
+        reduction (_ckw_reductions); otherwise each reduction rho_(not i) is
+        built from the record, its eigenvectors the cut side's full singular
+        vectors, and the m reductions are decided together (mixed_values).
         """
-        records = _party_records(structure)
+        records = structure._party_records()
         subs = self._ckw_reductions(state, records)
         if subs is None:
             rhos = _cut_reductions(
@@ -1276,18 +1261,11 @@ def slocc_rank_check(
     tol: float = DEFAULT_RANK_TOL,
 ) -> bool:
     """Whether the Schmidt number survives an invertible local transformation."""
-    profile = state.profile
-    if len(local_invertibles) != profile.party_count:
-        raise ValueError("need one operator per party")
-    ops = []
-    for d, op in zip(profile.dims, local_invertibles):
-        arr = np.asarray(op, dtype=np.complex128)
-        if arr.shape != (d, d):
-            raise ValueError(f"operator shape {arr.shape} does not match local dimension {d}")
-        if np.linalg.cond(arr) > 1e10:
+    # apply_local_operators checks the operator count and shapes
+    transformed = apply_local_operators(state, local_invertibles)
+    for op in local_invertibles:
+        if np.linalg.cond(np.asarray(op, dtype=np.complex128)) > 1e10:
             raise ValueError("operator is too close to singular (condition number > 1e10)")
-        ops.append(arr)
-    transformed = apply_local_operators(state, ops)
     engine = _Engine(budget, tol)
     before = engine.pure_value(state)
     after = engine.pure_value(transformed)

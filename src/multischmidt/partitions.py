@@ -10,16 +10,19 @@ The SVDs of the cuts are kept: their spectra give the local ranks, and the
 cut {1} and the complement of each single party keep their full singular
 vectors, from which the max-party rule builds each reduction rho_(not i)
 (``core._cut_reductions``) without a partial trace or a second
-decomposition. Validation happens only at the public boundary: the factor
-states are unit singular vectors of a validated state and are built without
-re-validation (``core._checked_state``). Cut tuples are built once per party
-count.
+decomposition. Only this module reads the record's keys: the number and the
+coefficients take one ``_PartyCut`` per party from
+``PartitionStructure._party_records()``. Validation happens only at the
+public boundary: the factor states are unit singular vectors of a validated
+state and are built without re-validation (``core._checked_state``). Cut
+tuples are built once per party count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +40,15 @@ from .errors import ConsistencyError
 
 FULLY_SEPARABLE = "FullySeparable"
 GENUINELY_ENTANGLED = "GenuinelyEntangled"
+
+
+class _PartyCut(NamedTuple):
+    """Party i's cut of a genuinely entangled state, from factorize's record."""
+
+    rank: int  # the local rank r_i at factorize's tol
+    weights: np.ndarray  # the spectrum of rho_i, descending (squared singular values)
+    s: np.ndarray  # the singular values
+    vectors: np.ndarray  # full singular vectors of the side of rho_(not i): its eigenvectors
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,19 @@ class PartitionStructure:
             for f, s, e in zip(self.factors, self.factor_states, self.entangled)
             if e
         ]
+
+    def _party_records(self) -> list[_PartyCut]:
+        """The cut record of every party of a genuinely entangled state.
+
+        Party i's cut is {1} for i = 1 and otherwise its complement, whose
+        unfolding has the same singular values; the side of rho_(not i) is the
+        columns (Vh^T) for party 1 and the rows (U) otherwise.
+        """
+        out = []
+        for i, rest in enumerate(_party_cuts(self.party_count)[1], 1):
+            u, s, vh, weights, rank = self._cut_factors[(1,) if i == 1 else rest.indices]
+            out.append(_PartyCut(rank, weights, s, vh.T if i == 1 else u))
+        return out
 
 
 def enumerate_bipartitions(m: int) -> list[SubsystemSet]:

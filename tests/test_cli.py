@@ -16,6 +16,7 @@ from multischmidt.cli import (
 )
 
 FAST_FLAGS = ["--restarts", "16", "--iters", "150"]
+SQRT_HALF = 1.0 / np.sqrt(2.0)
 DATA = Path(__file__).parent / "data"
 # sidecar name -> ``gen`` arguments; analyzed with the default flags
 GOLDEN = {
@@ -227,23 +228,28 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "state",
-        [ms.random_pure(ms.DimensionProfile((2, 2, 2)), 0), ms.w_state(4), ms.bell_state()],
-        ids=["Haar222#0", "W4", "Bell"],
+        [
+            ms.random_pure(ms.DimensionProfile((2, 2, 2)), 0),
+            ms.w_state(4),
+            ms.bell_state(),
+            ms.PureState(ms.qubits(4), np.kron(ms.w_state(3).amplitudes, [SQRT_HALF, SQRT_HALF])),
+        ],
+        ids=["Haar222#0", "W4", "Bell", "W3+"],
     )
     def test_report_factorizes_once(self, state, monkeypatch):
-        from multischmidt import cli, coefficients, number, partitions
+        """No state is factorized twice: the number and the coefficients share each cut record."""
+        from multischmidt import number, partitions
 
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return partitions.factorize(*args, **kwargs)
+        def counted(st, *args, **kwargs):
+            calls.append(st.amplitudes.tobytes())
+            return partitions.factorize(st, *args, **kwargs)
 
-        for module in (cli, coefficients, number):
-            monkeypatch.setattr(module, "factorize", counted)
+        monkeypatch.setattr(number, "factorize", counted)
         analyze_state(state, ms.DEFAULT_BUDGET, 1e-8)
-        # W4's reductions factorize their own three-qubit eigen elements
-        assert [st is state for st in calls].count(True) == 1
+        assert state.amplitudes.tobytes() in calls
+        assert len(calls) == len(set(calls))
 
 
 class TestReproduce:

@@ -7,6 +7,7 @@ from multischmidt.core import DEFAULT_RANK_TOL, DensityMatrix, PureState, local_
 from multischmidt.errors import SearchError
 
 FAST = ms.SearchBudget(restarts=16, iters=150, seed=0)
+LU_GHZ3 = ms.apply_local_operators(ms.ghz_state(3), ms.random_local_unitary(ms.qubits(3), 0))
 
 
 class TestPureCoefficients:
@@ -63,12 +64,18 @@ class TestPureCoefficients:
         res = ms.pure_schmidt_number(st)
         assert res.exact and len(cs.values) == res.value
 
-    @pytest.mark.parametrize("seed", range(25))
-    def test_normalization_and_cardinality_random_3q(self, seed):
-        st = ms.random_pure(ms.qubits(3), seed)
+    @pytest.mark.parametrize(
+        "st",
+        [ms.random_pure(ms.qubits(3), seed) for seed in range(25)]
+        + [LU_GHZ3, ms.random_pure(ms.DimensionProfile((2, 2, 2, 3)), 1)],
+        ids=[str(seed) for seed in range(25)] + ["LU-GHZ3", "Haar2223#1"],
+    )
+    def test_normalization_and_cardinality_random_3q(self, st):
+        """The coefficients' total value is the number's hi, on an interval too (Haar2223#1)."""
         cs = ms.pure_schmidt_coefficients(st, FAST)
         assert abs(float(np.sum(cs.squares())) - 1.0) < 1e-7
         res = ms.pure_schmidt_number(st)
+        assert cs.provenance["total_value"] == res.value_hi
         if res.exact:
             assert len(cs.values) == res.value
 
@@ -458,6 +465,7 @@ class TestTwoPartySearchObjective:
 
 HAAR222_7 = ms.random_pure(ms.DimensionProfile((2, 2, 2)), 7)
 HAAR34_1 = ms.random_pure(ms.DimensionProfile((3, 4)), 1)
+HAAR223_0 = ms.random_pure(ms.DimensionProfile((2, 2, 3)), 0)
 
 
 class TestOneSpectralPrimitive:
@@ -470,10 +478,22 @@ class TestOneSpectralPrimitive:
             (ms.pure_schmidt_number, HAAR222_7, (3, 0, 0)),
             (ms.pure_schmidt_coefficients, HAAR222_7, (4, 2, 0)),
             (ms.pure_schmidt_coefficients, ms.w_state(3), (4, 2, 0)),
+            # only maximizer reductions of value > 1 are built: none for GHZ3 up to local unitaries
+            (ms.pure_schmidt_coefficients, ms.ghz_state(3), (4, 0, 0)),
+            (ms.pure_schmidt_coefficients, LU_GHZ3, (4, 0, 1)),
+            (ms.pure_schmidt_coefficients, HAAR223_0, (6, 2, 2)),
             # a two-party coefficient call is one Schmidt decomposition
             (ms.pure_schmidt_coefficients, HAAR34_1, (1, 0, 0)),
         ],
-        ids=["number-Haar222#7", "coeffs-Haar222#7", "coeffs-W3", "coeffs-Haar34#1"],
+        ids=[
+            "number-Haar222#7",
+            "coeffs-Haar222#7",
+            "coeffs-W3",
+            "coeffs-GHZ3",
+            "coeffs-LU-GHZ3",
+            "coeffs-Haar223#0",
+            "coeffs-Haar34#1",
+        ],
     )
     def test_lapack_calls(self, call, state, want, monkeypatch):
         """(svd, eigh, eigvalsh) calls of one public call."""

@@ -483,7 +483,7 @@ GHZ_PLUS_W = [
 
 
 def _least_pair_concurrence(state, tol):
-    records = number._party_records(ms.factorize(state, tol))
+    records = ms.factorize(state, tol)._party_records()
     return float(np.min(number._pair_concurrences(state.amplitudes, records)))
 
 
@@ -509,7 +509,7 @@ class TestCkwRoute:
         eigenvalues put errors of ~1e-8 into the oracle's C^2.
         """
         state = CKW_ORACLE_STATES[name]
-        records = number._party_records(ms.factorize(state))
+        records = ms.factorize(state)._party_records()
         got = number._pair_concurrences(state.amplitudes, records)
         for i, c2 in enumerate(got, 1):
             lam = wootters_lambdas(ms.reduce(state, ms.SubsystemSet((i,)).complement(3)).matrix)
@@ -633,9 +633,14 @@ class TestSloccRankCheck:
         assert ms.slocc_rank_check(st, ops)
 
     def test_rejects_singular_operator(self):
-        ops = [np.eye(2), np.eye(2), np.diag([1.0, 0.0])]
-        with pytest.raises(ValueError):
-            ms.slocc_rank_check(ms.ghz_state(3), ops)
+        """A singular operator, a wrong operator count and a wrong shape are all refused."""
+        for ops in (
+            [np.eye(2), np.eye(2), np.diag([1.0, 0.0])],
+            [np.eye(2), np.eye(2)],
+            [np.eye(2), np.eye(2), np.ones((2, 3))],
+        ):
+            with pytest.raises(ValueError):
+                ms.slocc_rank_check(ms.ghz_state(3), ops)
 
 
 class TestResultInvariants:
