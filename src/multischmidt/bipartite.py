@@ -3,6 +3,9 @@
 The PPT (partial transpose) test decides separability exactly on 2x2 and 2x3
 shapes; on larger shapes a violation still certifies entanglement but a pass
 is inconclusive, and callers receive that caveat through ``ppt_decisive``.
+``ppt_entangled`` and the max-party rule's direct test of three-party
+reductions both read the least partial-transpose eigenvalue from
+``_pt_least_eigenvalue``, one stacked ``eigvalsh`` per stack of matrices.
 """
 from __future__ import annotations
 
@@ -136,14 +139,32 @@ def ppt_entangled(
     of matrices on ``profile`` (see ``partial_transpose``) gives a boolean
     array, one flag per matrix, from one stacked ``eigvalsh``.
     """
+    wmin = _pt_least_eigenvalue(rho, cut, profile)
+    return wmin < -tol if np.ndim(wmin) else bool(wmin < -tol)
+
+
+def _pt_least_eigenvalue(
+    rho: Union[DensityMatrix, np.ndarray],
+    cut: SubsystemSet,
+    profile: Optional[DimensionProfile] = None,
+):
+    """The least eigenvalue of the symmetrized partial transpose over ``cut``.
+
+    A stack of matrices on ``profile`` (see ``partial_transpose``) gives an
+    array, one value per matrix, from one stacked ``eigvalsh``.
+    """
     pt = partial_transpose(rho, cut, profile)
-    wmin = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
-    return wmin < -tol if pt.ndim > 2 else bool(wmin < -tol)
+    return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
 
 
 def ppt_decisive(rho: DensityMatrix, cut: SubsystemSet) -> bool:
     """Whether PPT decides separability exactly for this grouped shape."""
-    da, db = _grouped_dims(rho.profile, cut)
+    return _ppt_decides(rho.profile, cut)
+
+
+def _ppt_decides(profile: DimensionProfile, cut: SubsystemSet) -> bool:
+    """``ppt_decisive`` for any matrix on ``profile``."""
+    da, db = _grouped_dims(profile, cut)
     return tuple(sorted((da, db))) in ((2, 2), (2, 3))
 
 

@@ -149,10 +149,15 @@ class AnalysisReport:
 
 def analyze_state(state: PureState, budget: SearchBudget, tol: float) -> AnalysisReport:
     start = time.perf_counter()
-    ranks = local_rank_vector(state, tol)
-    # one engine, so the number and the coefficients share every
+    # one engine, so the ranks, the number and the coefficients share every
     # factorization and every reduction
     engine = _Engine(budget, tol)
+    structure = engine.structure(state)
+    if structure.is_genuinely_entangled:
+        # the ranks the max-party rule reports, from the cut SVDs of the factorization
+        ranks = tuple(rec.rank for rec in structure._party_records())
+    else:
+        ranks = local_rank_vector(state, tol)
     number = engine.pure_value(state)
     coeffs = None
     note = None
@@ -170,7 +175,7 @@ def analyze_state(state: PureState, budget: SearchBudget, tol: float) -> Analysi
         note = f"search: {exc}"
     elapsed = time.perf_counter() - start
     return AnalysisReport(
-        classification=engine.structure(state).label,
+        classification=structure.label,
         local_ranks=ranks,
         value_lo=number.value_lo,
         value_hi=number.value_hi,

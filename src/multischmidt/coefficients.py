@@ -269,7 +269,9 @@ def _max_entropy_element(members, engine, budget) -> list:
     member, in order. Two-qubit members with target 2 and a range of
     dimension k >= 2 take the closed form together
     (_max_concurrence_elements); every other member is searched on its own
-    (_searched_element). The first member without a qualifying element, in
+    (_searched_element), once per distinct (dims, matrix bytes, target):
+    a search's seed depends only on (seed, dims, target), so equal members
+    share one result. The first member without a qualifying element, in
     order, raises its SearchError.
     """
     spectra = [spectrum(rho) for rho, _ in members]
@@ -284,9 +286,13 @@ def _max_entropy_element(members, engine, budget) -> list:
         ranges = [(members[j][0].profile, spectra[j].vectors[:, keeps[j]]) for j in closed]
         found = dict(zip(closed, _max_concurrence_elements(ranges, engine.tol)))
     out = []
+    searched: dict = {}
     for j, (rho, target) in enumerate(members):
         if j not in found:
-            out.append(_searched_element(rho, target, spectra[j], engine, budget))
+            key = (rho.profile.dims, rho.matrix.tobytes(), target)
+            if key not in searched:
+                searched[key] = _searched_element(rho, target, spectra[j], engine, budget)
+            out.append(searched[key])
         elif found[j] is None:
             raise SearchError("every state in the range is a product: no rank-2 element")
         else:

@@ -24,7 +24,9 @@ Conventions
   eigenvectors and rays), and ``_cut_reductions`` builds the reductions of a
   pure state onto one side of its cuts from the cuts' SVDs, which
   ``factorize`` has already computed: no partial trace and no second
-  eigendecomposition, and cuts of one shape are built as one stack.
+  eigendecomposition, and cuts of one shape are built as one stack. Its
+  matrix code, ``_cut_matrices``, also serves callers that need only the
+  matrices, not a ``DensityMatrix``.
   ``_pure_reductions`` builds ``reduce``'s reductions of a pure state
   bitwise, without re-validation, with one stacked ``eigh`` per shape; the
   coefficient construction builds with it only the reductions whose
@@ -244,22 +246,31 @@ def _cut_reductions(profiles, vectors, svals) -> list[DensityMatrix]:
     for j, (vecs, s) in enumerate(zip(vectors, svals)):
         shapes.setdefault((vecs.shape, s.shape), []).append(j)
     for group in shapes.values():
-        weights = np.array([svals[j] for j in group]) ** 2
-        for tr in weights.sum(axis=-1).tolist():
-            if not (math.isfinite(tr) and abs(tr - 1.0) <= TRACE_ATOL):
-                raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
         vecs = np.array([vectors[j] for j in group], dtype=np.complex128)
-        r = weights.shape[-1]
+        weights = np.array([svals[j] for j in group]) ** 2
+        mat = _cut_matrices(vecs, weights)
         values = np.zeros(vecs.shape[:-1])
-        values[:, :r] = weights
-        top = vecs[:, :, :r]
-        mat = (top * weights[:, None, :]) @ top.conj().swapaxes(-1, -2)
-        mat = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
+        values[:, : weights.shape[-1]] = weights
         for arr in (mat, values, vecs):
             arr.setflags(write=False)
         for b, j in enumerate(group):
             out[j] = _built_density(profiles[j], mat[b], values[b], vecs[b])
     return out
+
+
+def _cut_matrices(vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The stacked matrices (U_r w) U_r^dag, symmetrized, of cuts of one shape.
+
+    ``vecs[b]`` is cut b's full unitary of the side's singular vectors and
+    ``weights[b]`` its squared singular values, descending. The trace,
+    sum w, is checked as ``DensityMatrix`` checks it.
+    """
+    for tr in weights.sum(axis=-1).tolist():
+        if not (math.isfinite(tr) and abs(tr - 1.0) <= TRACE_ATOL):
+            raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
+    top = vecs[..., : weights.shape[-1]]
+    mat = (top * weights[..., None, :]) @ top.conj().swapaxes(-1, -2)
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _built_density(profile, matrix, values, vectors) -> DensityMatrix:

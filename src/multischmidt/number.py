@@ -41,19 +41,25 @@ tries a closed form: by Coffman-Kundu-Wootters each pair reduction's squared
 concurrence follows from the cut weights and Cayley's hyperdeterminant
 (_pair_concurrences), and where every one clears the margin
 max(CKW_MARGIN, 4 tol) every reduction is an exact [2, 2], which is what
-the mixed ladder would return there (_Engine._ckw_reductions). Otherwise
-it builds every reduction rho_(not i) from the same cuts' factors
-(core._cut_reductions: no partial trace, no second eigh) and decides all of
-them with one call (_Engine.mixed_values). The misses of the memo run the
-early stages of the mixed ladder as stacks per profile: one Schmidt-rank
-SVD over the kept eigenvectors of every two-party reduction and one
-eigvalsh per cut for the PPT test. A Haar (2,2,2) state costs three SVDs
-(its cuts) and no eigvalsh; a Haar (2,2,3) state five SVDs and two
-eigvalsh. The rule reads only the reductions' intervals, so their
-witnesses are built on demand: a result holds a builder of its eigen
-witness, which forms the eigen elements and runs the reconstruction check
-on the first read of witness_ensemble. mixed_schmidt_number reads it
-before returning, so a public mixed result carries its witness. The margin
+the mixed ladder would return there (_Engine._ckw_reductions). Otherwise a
+three-party state's 2 x 2 and 2 x 3 reductions, where PPT is decisive, are
+decided by the least eigenvalue of their partial transpose wherever it is
+clear of a margin, from matrices built off the cut record with one stacked
+eigvalsh per reduction profile and no DensityMatrix
+(_Engine._ppt_reductions); the mixed ladder would return the same exact
+values there. Every reduction rho_(not i) left is built from the same cuts'
+factors (core._cut_reductions: no partial trace, no second eigh), and all
+of them are decided with one call (_Engine.mixed_values). The misses of the
+memo run the early stages of the mixed ladder as stacks per profile: one
+Schmidt-rank SVD over the kept eigenvectors of every two-party reduction
+and one eigvalsh per cut for the PPT test. A Haar (2,2,2) state costs three
+SVDs (its cuts) and no eigvalsh; a Haar (2,2,3) state three SVDs and two
+eigvalsh, and builds no reduction. The rule reads only the reductions'
+intervals, so their witnesses are built on demand: a result holds a builder
+of its eigen witness, which forms the eigen elements and runs the
+reconstruction check on the first read of witness_ensemble.
+mixed_schmidt_number reads it before returning, so a public mixed result
+carries its witness. The margin
 test of a range line's rank drops takes one stacked SVD per cut, whose
 spectra also give the drops' product test and two-party values, and the
 ensemble search's objective takes one stacked SVD per party for all of its
@@ -76,7 +82,12 @@ import numpy as np
 from scipy.linalg import expm, get_lapack_funcs
 from scipy.optimize import minimize, nnls
 
-from .bipartite import ppt_decisive, ppt_entangled
+from .bipartite import (
+    PPT_NEG_TOL,
+    _ppt_decides,
+    _pt_least_eigenvalue,
+    ppt_entangled,
+)
 from .core import (
     DEFAULT_RANK_TOL,
     DensityMatrix,
@@ -84,6 +95,7 @@ from .core import (
     PureState,
     _checked_state,
     _checked_tol,
+    _cut_matrices,
     _cut_reductions,
     local_weights,
     reduce,  # unused here; the benchmark's hook test rebinds it in this module
@@ -384,19 +396,25 @@ class _Engine:
 
         Each party's cut record (structure._party_records()) gives its local
         rank. On three qubits the pair concurrences may decide every
-        reduction (_ckw_reductions); otherwise each reduction rho_(not i) is
-        built from the record, its eigenvectors the cut side's full singular
-        vectors, and the m reductions are decided together (mixed_values).
+        reduction (_ckw_reductions). Otherwise a three-party state's 2 x 2
+        and 2 x 3 reductions are decided by their partial transpose where it
+        is clear of a margin (_ppt_reductions). Each reduction rho_(not i)
+        left is built from the record, its eigenvectors the cut side's full
+        singular vectors, and those are decided together (mixed_values).
         """
         records = structure._party_records()
         subs = self._ckw_reductions(state, records)
         if subs is None:
+            subs = self._ppt_reductions(state.profile.dims, records)
+            rest = [i for i, sub in enumerate(subs) if sub is None]
+            profiles = _reduction_profiles(state.profile.dims)
             rhos = _cut_reductions(
-                _reduction_profiles(state.profile.dims),
-                [rec.vectors for rec in records],
-                [rec.s for rec in records],
+                [profiles[i] for i in rest],
+                [records[i].vectors for i in rest],
+                [records[i].s for i in rest],
             )
-            subs = self.mixed_values(rhos)
+            for i, sub in zip(rest, self.mixed_values(rhos)):
+                subs[i] = sub
         lo = hi = 0
         per_party = []
         for i, (rec, sub) in enumerate(zip(records, subs), 1):
@@ -449,6 +467,62 @@ class _Engine:
         if np.min(_pair_concurrences(state.amplitudes, records)) <= margin:
             return None
         return [_result(2, 2, {"rule": "ckw-concurrence"}) for _ in records]
+
+    def _ppt_reductions(
+        self, dims: tuple[int, ...], records: list[_PartyCut]
+    ) -> list[Optional[SchmidtNumberResult]]:
+        """Per party, an exact result for a three-party state's 2 x 2 or 2 x 3 reduction, or None.
+
+        On these shapes every state has Schmidt number <= 2 and PPT decides
+        separability, so a reduction's value is 2 if its partial transpose
+        has a negative eigenvalue and 1 if not. The matrices come from the
+        cut records (core._cut_matrices), and the least partial-transpose
+        eigenvalue lam of each from one stacked eigvalsh per reduction
+        profile (bipartite._pt_least_eigenvalue). The mixed ladder, which
+        would take the same matrices, returns the same exact values:
+
+        - lam >= -PPT_NEG_TOL gives [1, 1]. The ladder computes this lam
+          with this threshold and ends in eigen-ensemble or
+          ppt-decisive-separable, both [1, 1].
+        - lam < -margin, margin = max(PPT_NEG_TOL, sqrt(tol + 1e-14) +
+          n EIGEN_WEIGHT_FLOOR) with n the reduction's dimension, gives
+          [2, 2]. Were every kept eigenvector e of Schmidt rank 1 at tol,
+          with Schmidt weights mu1 <= tol mu0, then (e e^dag)^T_A would have
+          least eigenvalue -sqrt(mu0 mu1) >= -sqrt(tol + rounding). Each
+          dropped eigenvector has weight <= EIGEN_WEIGHT_FLOOR and adds at
+          least -1/2 of it. By Weyl's inequality lam would then be >=
+          -margin, so some kept eigenvector has Schmidt rank 2, eigen_hi = 2,
+          and the ladder ends in ppt-meets-eigen at [2, 2], the most these
+          shapes allow.
+
+        None for the other shapes, for states of other party counts, and in
+        the gray zone between: the ladder decides those (mixed_values).
+        Decided reductions take no DensityMatrix, memo key or memo entry.
+        """
+        out: list = [None] * len(records)
+        if len(dims) != 3:
+            return out
+        profiles = _reduction_profiles(dims)
+        first = _party_cuts(2)[0][0]
+        shapes: dict = {}
+        for i, profile in enumerate(profiles):
+            if _ppt_decides(profile, first):
+                shapes.setdefault(profile.dims, []).append(i)
+        for group in shapes.values():
+            profile = profiles[group[0]]
+            mats = _cut_matrices(
+                np.array([records[i].vectors for i in group], dtype=np.complex128),
+                np.array([records[i].s for i in group]) ** 2,
+            )
+            lams = _pt_least_eigenvalue(mats, first, profile).tolist()
+            slack = np.sqrt(self.tol + 1e-14) + profile.total_dim * EIGEN_WEIGHT_FLOOR
+            margin = max(PPT_NEG_TOL, slack)
+            for i, lam in zip(group, lams):
+                if lam < -margin:
+                    out[i] = _result(2, 2, {"rule": "ppt-decisive-entangled"})
+                elif lam >= -PPT_NEG_TOL:
+                    out[i] = _result(1, 1, {"rule": "ppt-decisive-separable"})
+        return out
 
     # ---- mixed states ----------------------------------------------------
 
@@ -555,7 +629,7 @@ class _Engine:
         cuts = _bipartitions(m)
         mats = np.array([rhos[j].matrix for j, _, _ in ppt])
         npt = [ppt_entangled(mats, c, profile=profile) for c in cuts]
-        decisive = all(ppt_decisive(rhos[0], c) for c in cuts)
+        decisive = all(_ppt_decides(profile, c) for c in cuts)
         for b, (j, trace, witness) in enumerate(ppt):
             trace["npt_cuts"] = [list(c.indices) for c, flags in zip(cuts, npt) if flags[b]]
             w, v = spectra[j]

@@ -8,9 +8,9 @@ genuinely entangled on its own parties.
 
 The SVDs of the cuts are kept: their spectra give the local ranks, and the
 cut {1} and the complement of each single party keep their full singular
-vectors, from which the max-party rule builds each reduction rho_(not i)
-(``core._cut_reductions``) without a partial trace or a second
-decomposition. Only this module reads the record's keys: the number and the
+vectors, from which the max-party rule builds each reduction rho_(not i),
+or only its matrix (``core._cut_reductions``, ``core._cut_matrices``),
+without a partial trace or a second decomposition. Only this module reads the record's keys: the number and the
 coefficients take one ``_PartyCut`` per party from
 ``PartitionStructure._party_records()``. Validation happens only at the
 public boundary: the factor states are unit singular vectors of a validated

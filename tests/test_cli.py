@@ -218,8 +218,8 @@ class TestAnalyze:
             return solve(self, rho, *rest)
 
         monkeypatch.setattr(_Engine, "_mixed_value", counted)
-        # a locally rotated GHZ state: its pair concurrences vanish, so it builds reductions
-        state = ms.apply_local_operators(ms.ghz_state(3), ms.random_local_unitary(ms.qubits(3), 0))
+        # a (2, 3, 3) state: its (3, 3) reduction is not decided by PPT, so the ladder decides it
+        state = ms.random_pure(ms.DimensionProfile((2, 3, 3)), 0)
         ms.pure_schmidt_number(state, ms.DEFAULT_BUDGET, 1e-8)
         alone = len(calls)
         calls.clear()
@@ -250,6 +250,37 @@ class TestAnalyze:
         analyze_state(state, ms.DEFAULT_BUDGET, 1e-8)
         assert state.amplitudes.tobytes() in calls
         assert len(calls) == len(set(calls))
+
+    def test_genuine_ranks_come_from_the_cut_record(self, monkeypatch):
+        """A genuinely entangled state's local ranks take no SVD beyond its factorization's."""
+        state = ms.random_pure(ms.DimensionProfile((2, 2, 2)), 0)
+        calls = []
+        real = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        report = analyze_state(state, ms.DEFAULT_BUDGET, 1e-8)
+        # three cuts and the elements' SVD (the ranks took three more before)
+        assert len(calls) == 4
+        assert report.local_ranks == ms.local_rank_vector(state, 1e-8)
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            ms.random_pure(ms.DimensionProfile((2, 3, 4)), 1),
+            ms.w_state(4),
+            ms.bell_state(),
+            ms.random_product(ms.DimensionProfile((2, 3)), 0),
+            ms.PureState(ms.qubits(4), np.kron(ms.w_state(3).amplitudes, [SQRT_HALF, SQRT_HALF])),
+        ],
+        ids=["Haar234#1", "W4", "Bell", "product23", "W3+"],
+    )
+    def test_local_ranks_match_the_rank_vector(self, state):
+        report = analyze_state(state, ms.SearchBudget(restarts=16, iters=150), 1e-8)
+        assert report.local_ranks == ms.local_rank_vector(state, 1e-8)
 
 
 class TestReproduce:

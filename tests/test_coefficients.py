@@ -301,6 +301,21 @@ def _counting(calls, key, real):
     return spy
 
 
+def test_equal_members_are_searched_once(monkeypatch):
+    """W4's four reductions are one matrix: one search, the same coefficients bit for bit."""
+    from multischmidt import coefficients
+
+    calls = {"searched": 0}
+    spy = _counting(calls, "searched", coefficients._searched_element)
+    monkeypatch.setattr(coefficients, "_searched_element", spy)
+    cs = ms.pure_schmidt_coefficients(ms.w_state(4))
+    assert calls["searched"] == 1
+    # the coefficients of the w4 golden sidecar, as searched once per member
+    want = [0.6123724356957945, 0.40824829046386296, 0.3535533905932739,
+            0.3535533905932738, 0.35355339059327356, 0.28867513459481275]
+    assert [v.hex() for v in cs.values] == [v.hex() for v in want]
+
+
 class TestOneStackedCoefficientPass:
     """sigma from the cut record, reductions without re-validation, one element stage."""
 
@@ -466,6 +481,7 @@ class TestTwoPartySearchObjective:
 HAAR222_7 = ms.random_pure(ms.DimensionProfile((2, 2, 2)), 7)
 HAAR34_1 = ms.random_pure(ms.DimensionProfile((3, 4)), 1)
 HAAR223_0 = ms.random_pure(ms.DimensionProfile((2, 2, 3)), 0)
+HAAR232_0 = ms.random_pure(ms.DimensionProfile((2, 3, 2)), 0)
 
 
 class TestOneSpectralPrimitive:
@@ -478,10 +494,13 @@ class TestOneSpectralPrimitive:
             (ms.pure_schmidt_number, HAAR222_7, (3, 0, 0)),
             (ms.pure_schmidt_coefficients, HAAR222_7, (4, 2, 0)),
             (ms.pure_schmidt_coefficients, ms.w_state(3), (4, 2, 0)),
+            # otherwise the three cuts, then one PPT eigvalsh per 2 x 2 or 2 x 3 reduction profile
+            (ms.pure_schmidt_number, HAAR223_0, (3, 0, 2)),
+            (ms.pure_schmidt_number, HAAR232_0, (3, 0, 3)),
             # only maximizer reductions of value > 1 are built: none for GHZ3 up to local unitaries
-            (ms.pure_schmidt_coefficients, ms.ghz_state(3), (4, 0, 0)),
-            (ms.pure_schmidt_coefficients, LU_GHZ3, (4, 0, 1)),
-            (ms.pure_schmidt_coefficients, HAAR223_0, (6, 2, 2)),
+            (ms.pure_schmidt_coefficients, ms.ghz_state(3), (3, 0, 1)),
+            (ms.pure_schmidt_coefficients, LU_GHZ3, (3, 0, 1)),
+            (ms.pure_schmidt_coefficients, HAAR223_0, (4, 2, 2)),
             # a two-party coefficient call is one Schmidt decomposition
             (ms.pure_schmidt_coefficients, HAAR34_1, (1, 0, 0)),
         ],
@@ -489,6 +508,8 @@ class TestOneSpectralPrimitive:
             "number-Haar222#7",
             "coeffs-Haar222#7",
             "coeffs-W3",
+            "number-Haar223#0",
+            "number-Haar232#0",
             "coeffs-GHZ3",
             "coeffs-LU-GHZ3",
             "coeffs-Haar223#0",

@@ -692,8 +692,8 @@ class TestOneSpectralPass:
     @pytest.mark.parametrize("seed", range(3))
     def test_haar_state_decomposes_each_unfolding_once(self, dims, seed, svd_calls):
         ms.pure_schmidt_number(ms.random_pure(ms.DimensionProfile(dims), seed))
-        # factorize's three cuts; on (2, 2, 3) one Schmidt-rank SVD per reduction profile
-        assert len(svd_calls) <= {(2, 2, 2): 3, (2, 2, 3): 5}[dims]
+        # factorize's three cuts; the reductions take no SVD (pair concurrences or PPT)
+        assert len(svd_calls) <= 3
         seen = set()
         for op in svd_calls:
             for mat in op.reshape(-1, *op.shape[-2:]):
@@ -807,49 +807,64 @@ class TestCutReductions:
 
     @pytest.fixture
     def genuine_reductions(self, monkeypatch):
-        """(state, reductions built for it) for every call of the max-party rule."""
+        """(state, parties whose reduction is built, reductions built) per call of the max-party rule.
+
+        A reduction is built where the pair concurrences and the PPT test of
+        _ppt_reductions leave it open.
+        """
         records, active = [], []
         real_genuine, real_cut = number._Engine._genuine_value, number._cut_reductions
+        real_ppt = number._Engine._ppt_reductions
 
         def genuine(self, state, *args):
-            active.append((state, []))
+            active.append((state, [], []))
             try:
                 return real_genuine(self, state, *args)
             finally:
                 records.append(active.pop())
 
+        def ppt(self, *args):
+            subs = real_ppt(self, *args)
+            active[-1][1].extend(i for i, sub in enumerate(subs, 1) if sub is None)
+            return subs
+
         def cut(*args):
             rhos = real_cut(*args)
-            active[-1][1].extend(rhos)
+            active[-1][2].extend(rhos)
             return rhos
 
         monkeypatch.setattr(number._Engine, "_genuine_value", genuine)
+        monkeypatch.setattr(number._Engine, "_ppt_reductions", ppt)
         monkeypatch.setattr(number, "_cut_reductions", cut)
         return records
 
     @pytest.mark.parametrize(
         "state",
         [
-            # a three-qubit state builds reductions only where the pair concurrences do not decide
-            ms.apply_local_operators(ms.ghz_state(3), ms.random_local_unitary(ms.qubits(3), 1)),
-            ms.random_pure(ms.DimensionProfile((2, 2, 3)), 2),
+            # only the (3, 3) reduction: the (2, 3) ones are decided by their partial transpose
+            ms.random_pure(ms.DimensionProfile((2, 3, 3)), 0),
             ms.random_pure(ms.DimensionProfile((2, 3, 4)), 3),
             ms.random_pure(ms.DimensionProfile((3, 3, 3)), 0),
+            ms.ghz_state(3, 3),
             ms.random_pure(ms.DimensionProfile((2, 2, 2, 2)), 5),
             ms.random_pure(ms.DimensionProfile((2, 2, 2, 3)), 1),
             ms.w_state(5),
-            PureState(ms.qubits(4), np.kron(ms.ghz_state(3).amplitudes, [0.6, 0.8j])),
+            PureState(
+                ms.DimensionProfile((3, 3, 3, 2)),
+                np.kron(ms.ghz_state(3, 3).amplitudes, [0.6, 0.8j]),
+            ),
         ],
-        ids=["LU-GHZ3", "Haar223", "Haar234", "Haar333", "Haar2222", "Haar2223", "W5", "GHZ3x1"],
+        ids=["Haar233", "Haar234", "Haar333", "qutritGHZ3", "Haar2222", "Haar2223", "W5", "qutritGHZ3x1"],
     )
     def test_reductions_match_the_partial_trace(self, state, genuine_reductions):
         ms.pure_schmidt_number(state, TINY)
-        built = [(st, reductions) for st, reductions in genuine_reductions if reductions]
+        built = [record for record in genuine_reductions if record[2]]
         assert built
-        for st, reductions in built:
+        for st, parties, reductions in built:
             m = st.party_count
-            assert len(reductions) == m
-            for i, rho in enumerate(reductions, 1):
+            assert len(reductions) == len(parties)
+            assert len(parties) == m or m == 3
+            for i, rho in zip(parties, reductions):
                 want = ms.reduce(st, ms.SubsystemSet((i,)).complement(m))
                 assert rho.profile == want.profile
                 assert np.allclose(rho.matrix, want.matrix, rtol=0, atol=1e-12)
@@ -861,7 +876,7 @@ class TestCutReductions:
 
     def test_haar_three_qubit_state_builds_no_reduction(self, genuine_reductions):
         ms.pure_schmidt_number(ms.random_pure(ms.DimensionProfile((2, 2, 2)), 1), TINY)
-        assert [reductions for _, reductions in genuine_reductions] == [[]]
+        assert [reductions for _, _, reductions in genuine_reductions] == [[]]
 
     def test_haar_state_is_validated_only_at_the_boundary(self, monkeypatch):
         from multischmidt import core
@@ -886,6 +901,130 @@ class TestCutReductions:
         res = ms.pure_schmidt_number(state)
         assert res.exact and res.value == 4
         assert calls == {"eigh": 0, "reduce": 0, "density": 0, "pure": 0}
+
+
+def _haar(dims, seed):
+    return ms.random_pure(ms.DimensionProfile(dims), seed)
+
+
+def _gray_zone_state(b2=2e-6):
+    """A (2, 2, 3) state whose rho_(not 3) has its least PT eigenvalue in (-margin, -PPT_NEG_TOL).
+
+    It is (a/sqrt 2)(|000> + |111>) + b |Phi+>|2> with b^2 = b2, so
+    rho_(not 3) = (a^2/2)(|00><00| + |11><11|) + b^2 |Phi+><Phi+|, whose
+    partial transpose has least eigenvalue -b^2/2 (on (|01> - |10>)/sqrt 2).
+    The other two reductions mix two product states.
+    """
+    t = np.zeros((2, 2, 3), dtype=complex)
+    t[0, 0, 0] = t[1, 1, 1] = np.sqrt((1.0 - b2) / 2.0)
+    t[0, 0, 2] = t[1, 1, 2] = np.sqrt(b2 / 2.0)
+    return PureState(ms.DimensionProfile((2, 2, 3)), t.reshape(-1))
+
+
+def _ladder_only(monkeypatch):
+    """Disable _ppt_reductions, so every reduction it would decide goes to mixed_values."""
+    monkeypatch.setattr(
+        number._Engine, "_ppt_reductions", lambda self, dims, records: [None] * len(records)
+    )
+
+
+class TestPptReductions:
+    """A three-party state's 2 x 2 and 2 x 3 reductions, decided by their partial transpose."""
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            *(_haar(dims, seed) for dims in ((2, 2, 3), (2, 3, 2), (3, 2, 2)) for seed in range(20)),
+            *(_haar(dims, seed) for dims in ((2, 3, 3), (2, 3, 4)) for seed in range(4)),
+            ms.ghz_state(3),
+            ms.apply_local_operators(ms.ghz_state(3), ms.random_local_unitary(ms.qubits(3), 0)),
+        ],
+        ids=[
+            *(f"Haar{d}#{seed}" for d in ("223", "232", "322") for seed in range(20)),
+            *(f"Haar{d}#{seed}" for d in ("233", "234") for seed in range(4)),
+            "GHZ3",
+            "LU-GHZ3",
+        ],
+    )
+    def test_rule_gives_the_ladder_result(self, state, monkeypatch):
+        got = ms.pure_schmidt_number(state, TINY)
+        _ladder_only(monkeypatch)
+        want = ms.pure_schmidt_number(state, TINY)
+        assert (got.value_lo, got.value_hi, got.exact) == (want.value_lo, want.value_hi, want.exact)
+        assert got.branch_trace == want.branch_trace  # per_party included
+
+    @pytest.mark.parametrize("dims, seed", [((2, 2, 3), 25), ((2, 3, 2), 4), ((3, 2, 2), 13)])
+    def test_separable_reduction_gives_the_ladder_result(self, dims, seed, monkeypatch):
+        got = ms.pure_schmidt_number(_haar(dims, seed), TINY)
+        assert [1, 1] in [p["reduction"] for p in got.branch_trace["per_party"]]
+        _ladder_only(monkeypatch)
+        assert got.branch_trace == ms.pure_schmidt_number(_haar(dims, seed), TINY).branch_trace
+
+    def test_gray_zone_goes_to_the_ladder(self, monkeypatch):
+        from multischmidt.bipartite import PPT_NEG_TOL, _pt_least_eigenvalue
+
+        state = _gray_zone_state()
+        rho = ms.reduce(state, ms.SubsystemSet((1, 2)))
+        lam = _pt_least_eigenvalue(rho, ms.SubsystemSet((1,)))
+        margin = max(PPT_NEG_TOL, np.sqrt(DEFAULT_RANK_TOL + 1e-14) + 4 * number.EIGEN_WEIGHT_FLOOR)
+        assert -margin < lam < -PPT_NEG_TOL
+        seen = []
+        real = number._Engine.mixed_values
+
+        def spy(self, rhos):
+            seen.append(list(rhos))
+            return real(self, rhos)
+
+        monkeypatch.setattr(number._Engine, "mixed_values", spy)
+        got = ms.pure_schmidt_number(state, TINY)
+        ((sent,),) = seen
+        assert sent.profile.dims == (2, 2)
+        assert np.allclose(sent.matrix, rho.matrix, rtol=0, atol=1e-12)
+        _ladder_only(monkeypatch)
+        want = ms.pure_schmidt_number(state, TINY)
+        assert got.branch_trace == want.branch_trace
+        assert [p["reduction"] for p in got.branch_trace["per_party"]] == [[1, 1], [1, 1], [2, 2]]
+        assert got.exact and got.value == 4
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            _haar((2, 2, 3), 0),
+            _haar((2, 3, 2), 0),
+            _haar((3, 2, 2), 0),
+            _haar((2, 3, 3), 0),
+            ms.ghz_state(3),
+            ms.apply_local_operators(ms.ghz_state(3), ms.random_local_unitary(ms.qubits(3), 0)),
+            _gray_zone_state(),
+        ],
+        ids=["Haar223", "Haar232", "Haar322", "Haar233", "GHZ3", "LU-GHZ3", "gray-zone"],
+    )
+    def test_matrices_match_the_partial_trace(self, state, monkeypatch):
+        mats = []
+        real = number._cut_matrices
+
+        def spy(*args):
+            out = real(*args)
+            mats.extend(out)
+            return out
+
+        monkeypatch.setattr(number, "_cut_matrices", spy)
+        ms.pure_schmidt_number(state, TINY)
+        m = state.party_count
+        wants = [ms.reduce(state, ms.SubsystemSet((i,)).complement(m)).matrix for i in range(1, m + 1)]
+        decisive = [i for i, want in enumerate(wants) if want.shape[0] in (4, 6)]
+        matched = []
+        for mat in mats:
+            hits = [
+                i
+                for i in decisive
+                if i not in matched
+                and wants[i].shape == mat.shape
+                and np.allclose(mat, wants[i], rtol=0, atol=1e-12)
+            ]
+            assert hits
+            matched.append(hits[0])
+        assert sorted(matched) == decisive
 
 
 def _werner(p):
