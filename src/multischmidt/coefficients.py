@@ -52,28 +52,20 @@ from .core import (
     SubsystemSet,
     _checked_state,
     _pure_reductions,
+    _unit_state,
     entropy_bits,
     local_weights,
     spectrum,
     weight_rank,
 )
 from .errors import SearchError, UnsupportedStructureError
-from .number import (
-    DEFAULT_BUDGET,
-    EIGEN_WEIGHT_FLOOR,
-    SearchBudget,
-    _Engine,
-    _reduction_profiles,
-    _unit_state,
-)
-from .partitions import PartitionStructure, _party_cuts
+from .loci import _max_concurrence_directions
+from .number import DEFAULT_BUDGET, EIGEN_WEIGHT_FLOOR, SearchBudget, _Engine
+from .partitions import PartitionStructure, _party_cuts, _reduction_profiles
 from .seeding import stream
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 TIE_ATOL = 1e-9
-_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
-# sigma_y (x) sigma_y, the spin flip behind two-qubit concurrence
-_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real
 # the two sides of a two-party element
 _FIRST, _SECOND = SubsystemSet((1,)), SubsystemSet((2,))
 
@@ -305,10 +297,11 @@ def _max_concurrence_elements(ranges, tol) -> list:
 
     ``ranges`` holds (profile, eigenvectors spanning the range) pairs. A
     two-qubit state's entropy rises with its concurrence, whose maximum over
-    a range is an eigenvalue problem (_max_concurrence_directions): no search
-    is needed. Ranges of one dimension share one stacked ``eigh``, and all
-    elements share one SVD, which gives both their Schmidt rank (the target
-    2 holds unless the range holds only products) and their coefficients.
+    a range is an eigenvalue problem (loci._max_concurrence_directions): no
+    search is needed. Ranges of one dimension share one stacked ``eigh``, and
+    all elements share one SVD, which gives both their Schmidt rank (the
+    target 2 holds unless the range holds only products) and their
+    coefficients.
     """
     amps = np.empty((len(ranges), 4), dtype=np.complex128)
     by_dim: dict = {}
@@ -329,30 +322,6 @@ def _max_concurrence_elements(ranges, tol) -> list:
         cs = _make_set(s / np.linalg.norm(s), {"rule": "bipartite-svd", "exact": True})
         out.append((_checked_state(profile, vec), _with_entropy(cs, generalized_eof(cs))))
     return out
-
-
-def _max_concurrence_directions(basis: np.ndarray) -> np.ndarray:
-    """Per range of the stack, the unit u maximizing the concurrence |u^T A u| of basis @ u.
-
-    ``basis`` stacks n x 4 x k matrices with orthonormal columns and
-    A = basis^T (sigma_y (x) sigma_y) basis. For complex symmetric A the
-    maximum over unit u is A's top Takagi value (Wootters, PRL 80, 2245;
-    Uhlmann, PRA 62, 032307). With u = x + iy it is the top eigenvalue of the
-    real symmetric [[Re A, -Im A], [-Im A, -Re A]], whose eigenvector (x, y)
-    attains it even when that eigenvalue is degenerate. One ``eigh`` serves
-    the stack.
-    """
-    a = basis.swapaxes(-1, -2) @ _SPIN_FLIP @ basis
-    k = a.shape[-1]
-    block = np.concatenate(
-        [
-            np.concatenate([a.real, -a.imag], axis=-1),
-            np.concatenate([-a.imag, -a.real], axis=-1),
-        ],
-        axis=-2,
-    )
-    top = np.linalg.eigh(block)[1][..., -1]
-    return top[..., :k] + 1j * top[..., k:]
 
 
 def _pair_score(amplitudes: np.ndarray, dims: tuple[int, ...], rank_target: int) -> float:

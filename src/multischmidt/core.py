@@ -178,6 +178,11 @@ def _checked_state(profile: DimensionProfile, amplitudes: np.ndarray) -> PureSta
     return state
 
 
+def _unit_state(profile: DimensionProfile, vec: np.ndarray) -> PureState:
+    """The internal state vec / |vec| of a nonzero combination of unit vectors."""
+    return _checked_state(profile, vec / np.linalg.norm(vec))
+
+
 def normalized_state(profile: DimensionProfile, amplitudes: np.ndarray) -> PureState:
     """Build a PureState from an unnormalized amplitude vector."""
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)

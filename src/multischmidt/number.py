@@ -18,18 +18,14 @@ an ``exact`` flag:
   range-span certificate on rank-2 ranges: every ensemble of rho spans its
   range, so level r is excluded when the states of value <= r on the range
   line cannot mix to rho. Wherever those states are finitely many and all
-  listed, nonnegative least squares decides each level exactly. The list
-  holds the rank drops of every cut's unfolding pencil (its generalized
-  eigenvalues), which include every state that factorizes. Two parties need
-  nothing more. On three qubits the genuinely entangled states of value 3
-  are the zeros of the Coffman-Kundu-Wootters gap (S/3)^2 - |H|^2, found
-  from a Sylvester eliminant as a 28 x 28 generalized eigenproblem. On four
-  or more parties range-only bounds compose: where party i's slices span a
-  fixed plane P_i, every other state has value >= g_i + (the least value of
-  a rank-2 state with range P_i), a bound from one exact solve on P_i. The
-  same composition serves three parties that are not all qubits, whose
-  planes P_i are two-party ranges. Above the composed bound the result
-  stays an interval.
+  listed (the loci module: every cut's rank drops, and on three qubits the
+  zeros of the Coffman-Kundu-Wootters gap), nonnegative least squares
+  decides each level exactly. On four or more parties range-only bounds
+  compose: where party i's slices span a fixed plane P_i, every other state
+  has value >= g_i + (the least value of a rank-2 state with range P_i), a
+  bound from one exact solve on P_i. The same composition serves three
+  parties that are not all qubits, whose planes P_i are two-party ranges.
+  Above the composed bound the result stays an interval.
 
 Every pure-state spectrum and rank comes from the core primitive
 (core.local_weights and core.weight_rank, both stack-aware). Spectra are
@@ -39,13 +35,13 @@ With three or more parties the max-party rule reads each local rank r_i off
 the cut SVDs that factorize has already computed. On three qubits it first
 tries a closed form: by Coffman-Kundu-Wootters each pair reduction's squared
 concurrence follows from the cut weights and Cayley's hyperdeterminant
-(_pair_concurrences), and where every one clears the margin
-max(CKW_MARGIN, 4 tol) every reduction is an exact [2, 2], which is what
-the mixed ladder would return there (_Engine._ckw_reductions). Otherwise a
-three-party state's 2 x 2 and 2 x 3 reductions, where PPT is decisive, are
-decided by the least eigenvalue of their partial transpose wherever it is
-clear of a margin, from matrices built off the cut record with one stacked
-eigvalsh per reduction profile and no DensityMatrix
+(loci._pair_concurrences), and where every one clears the margin
+max(loci.CKW_MARGIN, 4 tol) every reduction is an exact [2, 2], which is
+what the mixed ladder would return there (_Engine._ckw_reductions).
+Otherwise a three-party state's 2 x 2 and 2 x 3 reductions, where PPT is
+decisive, are decided by the least eigenvalue of their partial transpose
+wherever it is clear of a margin, from matrices built off the cut record
+with one stacked eigvalsh per reduction profile and no DensityMatrix
 (_Engine._ppt_reductions); the mixed ladder would return the same exact
 values there. Every reduction rho_(not i) left is built from the same cuts'
 factors (core._cut_reductions: no partial trace, no second eigh), and all
@@ -75,13 +71,14 @@ Anything the machinery cannot prove is reported inexact, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import expm, get_lapack_funcs
+from scipy.linalg import expm
 from scipy.optimize import minimize, nnls
 
+from . import loci
 from .bipartite import (
     PPT_NEG_TOL,
     _ppt_decides,
@@ -97,6 +94,7 @@ from .core import (
     _checked_tol,
     _cut_matrices,
     _cut_reductions,
+    _unit_state,
     local_weights,
     reduce,  # unused here; the benchmark's hook test rebinds it in this module
     spectrum,
@@ -109,6 +107,7 @@ from .partitions import (
     _bipartitions,
     _party_cuts,
     _PartyCut,
+    _reduction_profiles,
     factorize,
 )
 from .seeding import stream
@@ -118,13 +117,6 @@ RECONSTRUCTION_ATOL = 1e-7
 EIGEN_WEIGHT_FLOOR = 1e-12
 # a range ray's dropped weights sit below this (relative) or above the rank tol
 ROOT_FLOOR = 1e-20
-# fixed generic members z*M1 + M2 of a range pencil
-_PROBES = np.exp(1j * np.array([1.0, 2.0, 3.0]))
-# a three-qubit state's relative CKW gap is a zero below CKW_FLOOR and clearly
-# off above CKW_MARGIN; CKW_FLOOR also floors S on unit rays and the CKW
-# eliminant's relative singular values
-CKW_FLOOR = 1e-12
-CKW_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -245,10 +237,6 @@ def _state_key(state: PureState) -> tuple:
     return (state.profile.dims, _stable_bytes(state.amplitudes, 12))
 
 
-def _matrix_key(rho: DensityMatrix) -> tuple:
-    return _matrix_keys([rho])[0]
-
-
 def _matrix_keys(rhos: list[DensityMatrix]) -> list[tuple]:
     """(dims, rounded matrix bytes) of each matrix; matrices of one shape are rounded as one stack."""
     shapes: dict = {}
@@ -266,18 +254,6 @@ def _matrix_keys(rhos: list[DensityMatrix]) -> list[tuple]:
 def _range_key(basis: np.ndarray, dims: tuple[int, ...]) -> tuple:
     proj = basis @ basis.conj().T
     return (dims, _stable_bytes(proj, 9))
-
-
-@lru_cache(maxsize=None)
-def _reduction_profiles(dims: tuple[int, ...]) -> tuple[DimensionProfile, ...]:
-    """The profile of each reduction rho_(not i) of a state on ``dims``, built once per dims."""
-    profile = DimensionProfile(dims)
-    return tuple(profile.restrict(rest) for rest in _party_cuts(len(dims))[1])
-
-
-def _unit_state(profile: DimensionProfile, vec: np.ndarray) -> PureState:
-    """The internal state vec / |vec| of a nonzero combination of unit vectors."""
-    return _checked_state(profile, vec / np.linalg.norm(vec))
 
 
 def _tail(weights: np.ndarray, r: int):
@@ -312,8 +288,8 @@ class _Engine:
     PPT) run as stacks over the memo's misses of
     one profile (``_early_stages``), and the matrices they leave open take
     the later stages one by one (``_mixed_value``: product routes, range
-    rays, certificate, search). ``mixed_value`` is the same ladder for one
-    matrix, and every memo lookup passes through it.
+    rays, certificate, search). It is the only entry into the ladder, and
+    every memo lookup passes through ``mixed_value``.
     """
 
     def __init__(self, budget: SearchBudget, tol: float):
@@ -443,8 +419,8 @@ class _Engine:
         """Exact [2, 2] for every pair reduction of a genuinely entangled three-qubit state, or None.
 
         The reductions are decided from their squared concurrences
-        (_pair_concurrences) where every one clears the margin
-        max(CKW_MARGIN, 4 tol); there the mixed ladder would also end in
+        (loci._pair_concurrences) where every one clears the margin
+        max(loci.CKW_MARGIN, 4 tol); there the mixed ladder would also end in
         ppt-meets-eigen at [2, 2]:
 
         - eigen side: an eigenvector whose Schmidt weights have
@@ -457,14 +433,15 @@ class _Engine:
           so C^2 >= 1e-6 puts the least eigenvalue of the partial transpose
           below -2.5e-7, far below -PPT_NEG_TOL.
 
-        None (the ladder decides) on other shapes and where a pair
-        concurrence does not clear the margin: GHZ-like states and the gray
-        zone keep the ladder's answer.
+        None on other shapes and where a pair concurrence does not clear the
+        margin: GHZ-like states and the gray zone go to _ppt_reductions, and
+        what it leaves to the ladder.
         """
         if state.profile.dims != (2, 2, 2):
             return None
-        margin = max(CKW_MARGIN, 4.0 * self.tol)
-        if np.min(_pair_concurrences(state.amplitudes, records)) <= margin:
+        margin = max(loci.CKW_MARGIN, 4.0 * self.tol)
+        weights = [rec.weights for rec in records]
+        if np.min(loci._pair_concurrences(state.amplitudes, weights)) <= margin:
             return None
         return [_result(2, 2, {"rule": "ckw-concurrence"}) for _ in records]
 
@@ -533,7 +510,7 @@ class _Engine:
         key, run the early stages of the ladder stacked per profile
         (_early_stages); those left undecided continue one by one through
         the later stages (_mixed_value). Every result equals the one
-        mixed_value gives for the matrix alone.
+        mixed_values gives for the matrix alone.
         """
         keys = _matrix_keys(rhos)
         fresh: dict = {}
@@ -549,14 +526,11 @@ class _Engine:
             rungs.update(zip(group, self._early_stages(members[0].profile, members)))
         return [self.mixed_value(rho, key, rungs.get(key)) for key, rho in zip(keys, rhos)]
 
-    def mixed_value(self, rho: DensityMatrix, key=None, rung=None) -> SchmidtNumberResult:
-        """The value of one mixed state, memoized: ``mixed_values([rho])[0]``.
+    def mixed_value(self, rho: DensityMatrix, key, rung) -> SchmidtNumberResult:
+        """The memoized value of one matrix of mixed_values, from its ``key`` and ``rung``.
 
-        ``key`` and ``rung`` (its early stages' outcome) come from
-        mixed_values; a direct call computes both for a stack of one.
+        ``rung`` is its early stages' outcome, or None where the memo holds ``key``.
         """
-        if key is None:
-            key = _matrix_key(rho)
         hit = self._mixed_cache.get(key)
         if hit is None:
             hit = self._mixed_value(rho, rung)
@@ -650,15 +624,12 @@ class _Engine:
                 out[j] = _Open(w, v, ranks[j], trace, lo, hi, witness)
         return out
 
-    def _mixed_value(self, rho: DensityMatrix, rung=None) -> SchmidtNumberResult:
+    def _mixed_value(self, rho: DensityMatrix, rung) -> SchmidtNumberResult:
         """The later stages of the mixed ladder for one matrix.
 
-        ``rung`` is what the early stages left for it (_early_stages; run
-        here for a stack of one when absent): a result, or an _Open record
-        to continue from.
+        ``rung`` is what the early stages (_early_stages) left for it: a
+        result, or an _Open record to continue from.
         """
-        if rung is None:
-            rung = self._early_stages(rho.profile, [rho])[0]
         if not isinstance(rung, _Open):
             return rung
         w, v, k, trace, lo, hi, witness = rung
@@ -728,7 +699,9 @@ class _Engine:
                 return "diagonal-basis", cand
         k = weight_rank(w, self.tol)
         if k > 2:
-            cand = _qubit_pencil_products(rho, v, k, self.tol)
+            found = loci._qubit_pencil_products(rho.profile.dims, v, k, self.tol)
+            products = [] if found is None else [_unit_state(rho.profile, x) for x in found]
+            cand = _solve_mixture(rho, _dedupe_states(products))
             return ("qubit-pencil-products", cand) if cand is not None else ("inconclusive", None)
         if k != 2 or w[1] <= EIGEN_WEIGHT_FLOOR:
             return "inconclusive", None
@@ -778,7 +751,7 @@ class _Engine:
             cuts = single + tuple(c for c in _bipartitions(m) if 1 < len(c) < m - 1)
         generic, drops = [], []
         for cut in cuts:
-            g, found = _pencil_drops(unfold(v1, dims, cut), unfold(v2, dims, cut), self.tol)
+            g, found = loci._pencil_drops(unfold(v1, dims, cut), unfold(v2, dims, cut), self.tol)
             generic.append(g)
             drops.extend(found)
         roots = [_unit_state(profile, a * v1 + b * v2) for a, b in drops]
@@ -827,13 +800,13 @@ class _Engine:
         det(rho_i), H Cayley's hyperdeterminant). Fully product states are
         zeros too; biseparable states are not (their value 2 comes from the
         party drops). ``products`` are the line's fully product drops. Zeros
-        pass a margin test like ROOT_FLOOR's (_ckw_zeros) and must have pure
+        pass a margin test like ROOT_FLOOR's (loci._ckw_zeros) and must have pure
         value <= 3. None when they cannot be listed: P vanishes on the whole
         line (all of it has value <= 3), a singular eliminant, or a zero
         without a clear margin.
         """
         rays = [(np.vdot(v1, st.amplitudes), np.vdot(v2, st.amplitudes)) for st in products]
-        zeros = _ckw_zeros(v1, v2, rays, self.tol)
+        zeros = loci._ckw_zeros(v1, v2, rays, self.tol)
         if zeros is None:
             return None
         out = [_unit_state(profile, a * v1 + b * v2) for a, b in zeros]
@@ -949,7 +922,7 @@ class _Engine:
 
         for attempt in range(restarts):
             n = sizes[attempt % len(sizes)]
-            rng = stream(self.budget.seed, "ensemble", _matrix_key(rho)[1], target_r, attempt)
+            rng = stream(self.budget.seed, "ensemble", _matrix_keys([rho])[0][1], target_r, attempt)
             theta0 = rng.normal(scale=0.7, size=n * n)
             res = minimize(
                 lambda th: _ensemble_objective(_ensemble_columns(b_mat, th, n), profile, target_r),
@@ -981,229 +954,6 @@ class _Engine:
 
 
 # ---- helpers -----------------------------------------------------------------
-
-
-def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
-    """The generic rank g of alpha*a + beta*b and unit rays (alpha, beta) holding its drops.
-
-    Compressed by the leading singular vectors of a generic member, the
-    pencil is a regular g x g one (g its generic rank) whose determinant
-    vanishes wherever the rank falls below g; its g generalized eigenvalues
-    are those rays and possibly others, whose rank the caller tests. A
-    lower-rank ray is generically a semisimple eigenvalue, found to rounding
-    accuracy; the caller's margin test catches the others.
-    """
-    u, s, vh = np.linalg.svd(_PROBES[:, None, None] * a + b)  # the three members at once
-    g = int(weight_rank(s**2, tol).max())
-    best = int(np.argmax(s[:, g - 1] / s[:, 0]))
-    left, right = u[best, :, :g].conj().T, vh[best, :g].conj().T
-    # beta_h * A x = alpha_h * B x, so alpha*A + beta*B is singular at (beta_h, -alpha_h)
-    alpha_h, beta_h = _homogeneous_eigvals(left @ a @ right, left @ b @ right)
-    rays = np.column_stack([beta_h, -alpha_h])
-    return g, rays / np.linalg.norm(rays, axis=1, keepdims=True)
-
-
-def _homogeneous_eigvals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The generalized eigenvalues (alpha, beta) of the square pencil (a, b): beta*a x = alpha*b x.
-
-    LAPACK ggev with the workspace query of scipy.linalg.eigvals(a, b,
-    homogeneous_eigvals=True), without that wrapper's overhead; the inputs
-    are checked to be finite as its check_finite does.
-    """
-    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    (ggev,) = get_lapack_funcs(("ggev",), (a, b))
-    lwork = ggev(a, b, lwork=-1)[-2][0].real.astype(np.int_)
-    alpha, beta, _, _, _, info = ggev(a, b, 0, 0, lwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed (LAPACK info={info})")
-    return alpha, beta
-
-
-def _polar(x: np.ndarray, y: np.ndarray):
-    """b(x, y) in det(x + t*y) = det(x) + t*b(x, y) + t^2*det(y), for 2 x 2 blocks."""
-    return (
-        x[..., 0, 0] * y[..., 1, 1]
-        + x[..., 1, 1] * y[..., 0, 0]
-        - x[..., 0, 1] * y[..., 1, 0]
-        - x[..., 1, 0] * y[..., 0, 1]
-    )
-
-
-def _pair_concurrences(amplitudes: np.ndarray, records: list[_PartyCut]) -> np.ndarray:
-    """The squared concurrence of each pair reduction rho_(not i) of a three-qubit state.
-
-    By Coffman-Kundu-Wootters 4 det(rho_i) = C_ij^2 + C_ik^2 + tau at every
-    party i, so C_jk^2 = (4 det rho_j + 4 det rho_k - 4 det rho_i - tau) / 2.
-    det(rho_i) = w0 * w1 from party i's cut weights, and tau = 4 |H| with
-    H = b^2 - 4 det(X) det(Y) Cayley's hyperdeterminant from the party-1
-    slices X, Y (b = _polar(X, Y), det X = _polar(X, X) / 2).
-    """
-    dets = 4.0 * np.array([rec.weights[0] * rec.weights[1] for rec in records])
-    x, y = amplitudes.reshape(2, 2, 2)
-    tau = 4.0 * abs(_polar(x, y) ** 2 - _polar(x, x) * _polar(y, y))
-    return (dets.sum() - 2.0 * dets - tau) / 2.0
-
-
-def _det_line(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients of det(x + z*y) in ascending powers of z, for 2 x 2 blocks."""
-    return np.stack([_polar(x, x) / 2.0, _polar(x, y), _polar(y, y) / 2.0], axis=-1)
-
-
-def _ckw_polynomials(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S and H of the three-qubit line psi(z) = v1 + z*v2 as coefficient arrays.
-
-    S = sum_i det(rho_i) has bidegree (2, 2) in z and w = conj(z):
-    S = sum_ab sig[a, b] z^a w^b. By Cauchy-Binet det(rho_i) is the summed
-    |2 x 2 minor|^2 of party i's 2 x 4 unfolding. H = h[0] + ... + h[4] z^4
-    is Cayley's hyperdeterminant: with the party-1 slices X, Y,
-    det(X + tY) = a + bt + ct^2 and H = b^2 - 4ac.
-    """
-    t1, t2 = v1.reshape(2, 2, 2), v2.reshape(2, 2, 2)
-    pairs = np.array([(j, k) for j in range(4) for k in range(j + 1, 4)])
-    minors = []
-    for i in range(3):
-        u1 = np.moveaxis(t1, i, 0).reshape(2, 4)[:, pairs].transpose(1, 0, 2)
-        u2 = np.moveaxis(t2, i, 0).reshape(2, 4)[:, pairs].transpose(1, 0, 2)
-        minors.append(_det_line(u1, u2))
-    minors = np.concatenate(minors)
-    x1, y1, x2, y2 = t1[0], t1[1], t2[0], t2[1]
-    b = np.array([_polar(x1, y1), _polar(x1, y2) + _polar(x2, y1), _polar(x2, y2)])
-    h = np.convolve(b, b) - 4.0 * np.convolve(_det_line(x1, x2), _det_line(y1, y2))
-    return minors.T @ minors.conj(), h
-
-
-def _ckw_form(sig: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Coefficients of F(z, w) = S(z, w)^2/9 - H(z)*conj(H)(w), as sig for S."""
-    n = sig.shape[0]
-    f = -np.outer(h, h.conj())
-    for a in range(n):
-        for b in range(n):
-            f[a : a + n, b : b + n] += sig[a, b] * sig / 9.0
-    return f
-
-
-def _ckw_zeros(v1: np.ndarray, v2: np.ndarray, products: list, tol: float) -> Optional[np.ndarray]:
-    """Unit rays (beta, alpha) holding every zero of the CKW gap on span{v1, v2}.
-
-    With S and H from _ckw_polynomials, the gap on psi(z) = v1 + z*v2 is
-    F(z, conj z) for F = S^2/9 - H(z)*conj(H)(w). ``products`` lists the
-    fully product states of the line as rays (a, b) of a*v1 + b*v2. At each
-    of them S vanishes on z = b/a and on w = conj(b/a) and H to second order,
-    which would give every z a common root w; those factors are divided out
-    first. What is left is >= 0 on w = conj(z), so its zeros are critical
-    points, where its z- and w-derivatives share a root w. Their Sylvester
-    matrix in w (7 x 7 with no product on the line), a polynomial in z, is
-    singular there; its companion linearization is a generalized eigenproblem
-    (28 x 28), whose eigenvalue z is the state beta*v1 + alpha*v2. Of those
-    critical points, the zeros are kept. An empty list when H vanishes (the
-    gap S^2/9 is then zero only at fully product states); None when the gap
-    vanishes on the whole line, the eliminant is singular or a critical
-    point is neither clearly a zero nor clearly off. H and F vanish when
-    their coefficients are below ``tol`` times the line's scale: the largest
-    S coefficient for H, its square for F.
-    """
-    sig0, h0 = _ckw_polynomials(v1, v2)
-    scale = np.max(np.abs(sig0))
-    if np.max(np.abs(h0)) <= tol * scale:
-        return np.zeros((0, 2))
-    if np.max(np.abs(_ckw_form(sig0, h0))) <= tol * scale**2:
-        return None
-    if len(products) > 2:
-        return None
-    sig, h = sig0, h0
-    for a, b in products:
-        sig = _deflate(_deflate(sig, a, b, 0), np.conj(a), np.conj(b), 1)
-        h = _deflate(_deflate(h, a, b, 0), a, b, 0)
-    f = _ckw_form(sig, h)
-    n = f.shape[0] - 1  # degree in z and in w
-    if n == 0:
-        return np.zeros((0, 2))
-    fz = f[1:] * np.arange(1, n + 1)[:, None]
-    fw = f[:, 1:] * np.arange(1, n + 1)
-    size = 2 * n - 1
-    syl = np.zeros((n + 1, size, size), dtype=np.complex128)  # by powers of z
-    for row in range(n - 1):
-        syl[:n, row, row : row + n + 1] = fz[:, ::-1]
-    for row in range(n):
-        syl[:, n - 1 + row, row : row + n] = fw[:, ::-1]
-    members = [np.tensordot(z ** np.arange(n + 1), syl, axes=1) for z in _PROBES]
-    spectra = [np.linalg.svd(mat, compute_uv=False) for mat in members]
-    if all(s[-1] <= CKW_FLOOR * s[0] for s in spectra):  # singular: det M(z) == 0
-        return None
-    # x = (v, zv, .., z^(n-1) v): x_(k+1) = z x_k, and M(z) v = 0 in the last block row
-    lhs = np.eye(n * size, k=size, dtype=np.complex128)
-    lhs[-size:] = -syl[:n].transpose(1, 0, 2).reshape(size, n * size)
-    rhs = np.eye(n * size, dtype=np.complex128)
-    rhs[-size:, -size:] = syl[n]
-    alpha, beta = _homogeneous_eigvals(lhs, rhs)
-    rays = np.column_stack([beta, alpha])
-    norms = np.linalg.norm(rays, axis=1, keepdims=True)
-    if not np.all(np.isfinite(rays)) or np.any(norms == 0.0):
-        return None
-    rays = rays / norms
-    # the gap relative to (S/3)^2, 1 - (3|H|/S)^2 in [0, 1], does not shrink
-    # near fully product states (S = 0, where it is 0) as the gap does
-    quad = rays[:, :1] ** np.arange(2, -1, -1) * rays[:, 1:] ** np.arange(3)  # z^k ~ alpha^k
-    quart = rays[:, :1] ** np.arange(4, -1, -1) * rays[:, 1:] ** np.arange(5)
-    s = np.maximum(np.einsum("na,ab,nb->n", quad, sig0, quad.conj()).real, 0.0)
-    ratio = 3.0 * np.abs(quart @ h0) / np.maximum(s, CKW_FLOOR)
-    gap = np.where(s > CKW_FLOOR, 1.0 - ratio**2, 0.0)
-    if np.any((gap > CKW_FLOOR) & (gap < CKW_MARGIN)):
-        return None  # a zero without a clear margin
-    return rays[gap <= CKW_FLOOR]
-
-
-def _deflate(c: np.ndarray, a: complex, b: complex, axis: int) -> np.ndarray:
-    """Quotient of polynomials (ascending coefficients along ``axis``) by a*z - b.
-
-    The division runs from the end where it is stable: from the top when
-    |b/a| <= 1, else from the bottom. The remainder, zero up to rounding, is
-    dropped.
-    """
-    c = np.moveaxis(c, axis, 0)
-    n = c.shape[0] - 1
-    q = np.zeros((n,) + c.shape[1:], dtype=np.complex128)
-    if abs(a) >= abs(b):
-        q[n - 1] = c[n] / a
-        for k in range(n - 1, 0, -1):
-            q[k - 1] = (c[k] + b * q[k]) / a
-    else:
-        q[0] = -c[0] / b
-        for k in range(1, n):
-            q[k] = (a * q[k - 1] - c[k]) / b
-    return np.moveaxis(q, 0, axis)
-
-
-def _qubit_pencil_products(
-    rho: DensityMatrix, v: np.ndarray, k: int, tol: float
-) -> Optional[EnsembleCandidate]:
-    """A product ensemble of a 2 x N rho of rank k <= N, if one exists.
-
-    a (x) b lies in the range iff a^T C b = 0 for every kernel vector c (C
-    its conjugated unfolding, qubit rows), i.e. iff b is a null vector of
-    a0*K0 + a1*K1. With k <= N that (2N-k) x N pencil has full column rank
-    but at finitely many rays a, its generalized eigenvalues, and a product
-    ensemble of rho can only use the products found there. Only a mixture
-    is reported; it passes the reconstruction check of _build_candidate.
-    """
-    dims = rho.profile.dims
-    if len(dims) != 2 or 2 not in dims or k > max(dims):
-        return None
-    q = dims.index(2)
-    mats = v[:, k:].conj().T.reshape(-1, *dims)
-    if q == 1:
-        mats = mats.transpose(0, 2, 1)
-    k0, k1 = mats[:, 0, :], mats[:, 1, :]
-    products = []
-    for a in _pencil_drops(k0, k1, tol)[1]:
-        _, s, vh = np.linalg.svd(a[0] * k0 + a[1] * k1)
-        if weight_rank(s**2, tol) != s.size - 1:
-            continue  # no rank drop, or a continuum of products at this a
-        b = vh[-1].conj()
-        products.append(_unit_state(rho.profile, np.kron(a, b) if q == 0 else np.kron(b, a)))
-    return _solve_mixture(rho, _dedupe_states(products))
 
 
 def _dedupe_index(states: list[PureState]) -> list[int]:
@@ -1313,7 +1063,7 @@ def mixed_schmidt_number(
     rho: DensityMatrix, budget: SearchBudget = DEFAULT_BUDGET, tol: float = DEFAULT_RANK_TOL
 ) -> SchmidtNumberResult:
     """Convex-roof Schmidt number interval of a mixed state, its witness built."""
-    result = _Engine(budget, tol).mixed_value(rho)
+    result = _Engine(budget, tol).mixed_values([rho])[0]
     result.witness_ensemble  # a public result is returned whole: read the witness here
     return result
 

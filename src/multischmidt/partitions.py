@@ -10,12 +10,13 @@ The SVDs of the cuts are kept: their spectra give the local ranks, and the
 cut {1} and the complement of each single party keep their full singular
 vectors, from which the max-party rule builds each reduction rho_(not i),
 or only its matrix (``core._cut_reductions``, ``core._cut_matrices``),
-without a partial trace or a second decomposition. Only this module reads the record's keys: the number and the
-coefficients take one ``_PartyCut`` per party from
-``PartitionStructure._party_records()``. Validation happens only at the
-public boundary: the factor states are unit singular vectors of a validated
-state and are built without re-validation (``core._checked_state``). Cut
-tuples are built once per party count.
+without a partial trace or a second decomposition. Only this module reads
+the record's keys: the number and the coefficients take one ``_PartyCut``
+per party from ``PartitionStructure._party_records()``. Validation happens
+only at the public boundary: the factor states are unit singular vectors of
+a validated state and are built without re-validation
+(``core._checked_state``). Cut tuples and reduction profiles are built once
+per party count and dims.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_RANK_TOL,
+    DimensionProfile,
     PureState,
     SubsystemSet,
     _checked_state,
@@ -127,6 +129,13 @@ def _party_cuts(m: int) -> tuple[tuple[SubsystemSet, ...], tuple[SubsystemSet, .
     """The single parties {i} of m parties and their complements, built once per m."""
     singles = tuple(SubsystemSet((i,)) for i in range(1, m + 1))
     return singles, tuple(c.complement(m) for c in singles)
+
+
+@lru_cache(maxsize=None)
+def _reduction_profiles(dims: tuple[int, ...]) -> tuple[DimensionProfile, ...]:
+    """The profile of each reduction rho_(not i) of a state on ``dims``, built once per dims."""
+    profile = DimensionProfile(dims)
+    return tuple(profile.restrict(rest) for rest in _party_cuts(len(dims))[1])
 
 
 def _finest(parties: tuple[int, ...], state: PureState, tol: float, record=None):

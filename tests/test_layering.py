@@ -1,0 +1,76 @@
+"""Module boundaries, read from the sources' import statements and top-level definitions."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "multischmidt"
+# where each exact-locus helper and the shared state helpers live
+HOMES = {
+    "loci": [
+        "_PROBES",
+        "CKW_FLOOR",
+        "CKW_MARGIN",
+        "_SIGMA_Y",
+        "_SPIN_FLIP",
+        "_pencil_drops",
+        "_homogeneous_eigvals",
+        "_polar",
+        "_det_line",
+        "_pair_concurrences",
+        "_ckw_polynomials",
+        "_ckw_form",
+        "_ckw_zeros",
+        "_deflate",
+        "_qubit_pencil_products",
+        "_max_concurrence_directions",
+    ],
+    "core": ["_unit_state"],
+    "partitions": ["_reduction_profiles"],
+}
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
+def _imports(module: str) -> list[tuple[str, tuple[str, ...]]]:
+    """(imported module, imported names) per import; a relative module keeps its leading dots."""
+    out = []
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Import):
+            out.extend((alias.name, ()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            out.append((source, tuple(alias.name for alias in node.names)))
+    return out
+
+
+def _defined(module: str) -> set[str]:
+    """The names a module's top level defines: functions, classes and assigned names."""
+    names = set()
+    for node in _tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_loci_imports_only_numpy_scipy_and_core():
+    """Besides the annotation aids __future__ and typing, loci needs only array algebra."""
+    sources = {source for source, _ in _imports("loci")}
+    roots = {s if s.startswith(".") else s.split(".")[0] for s in sources}
+    assert roots <= {"__future__", "typing", "numpy", "scipy", ".core"}
+
+
+def test_coefficients_take_only_the_engine_from_number():
+    taken = sorted(name for source, names in _imports("coefficients") if source == ".number" for name in names)
+    assert taken == ["DEFAULT_BUDGET", "EIGEN_WEIGHT_FLOOR", "SearchBudget", "_Engine"]
+
+
+@pytest.mark.parametrize("home, name", [(home, n) for home, names in HOMES.items() for n in names])
+def test_each_helper_is_defined_in_its_home_alone(home, name):
+    owners = [path.stem for path in sorted(SRC.glob("*.py")) if name in _defined(path.stem)]
+    assert owners == [home]

@@ -8,7 +8,7 @@ from scipy.linalg import eigvals
 from scipy.stats import unitary_group
 
 import multischmidt as ms
-from multischmidt import number
+from multischmidt import loci, number
 from multischmidt.core import DEFAULT_RANK_TOL, DensityMatrix, PureState, local_weights, weight_rank
 
 FAST = ms.SearchBudget(restarts=16, iters=150, seed=0)
@@ -450,7 +450,7 @@ def test_ckw_polynomials_match_wootters_concurrences(seed):
     rng = np.random.default_rng([seed, 333])
     v1, v2 = (rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(2))
     z = complex(rng.normal(), rng.normal())
-    sig, h = number._ckw_polynomials(v1, v2)
+    sig, h = loci._ckw_polynomials(v1, v2)
     norm2 = np.linalg.norm(v1 + z * v2) ** 2
     s = (z ** np.arange(3)) @ sig @ (np.conj(z) ** np.arange(3)) / norm2**2
     tau = 4.0 * abs(np.polyval(h[::-1], z)) / norm2**2
@@ -483,8 +483,8 @@ GHZ_PLUS_W = [
 
 
 def _least_pair_concurrence(state, tol):
-    records = ms.factorize(state, tol)._party_records()
-    return float(np.min(number._pair_concurrences(state.amplitudes, records)))
+    weights = [rec.weights for rec in ms.factorize(state, tol)._party_records()]
+    return float(np.min(loci._pair_concurrences(state.amplitudes, weights)))
 
 
 def _outcomes(state, tol):
@@ -509,8 +509,8 @@ class TestCkwRoute:
         eigenvalues put errors of ~1e-8 into the oracle's C^2.
         """
         state = CKW_ORACLE_STATES[name]
-        records = ms.factorize(state)._party_records()
-        got = number._pair_concurrences(state.amplitudes, records)
+        weights = [rec.weights for rec in ms.factorize(state)._party_records()]
+        got = loci._pair_concurrences(state.amplitudes, weights)
         for i, c2 in enumerate(got, 1):
             lam = wootters_lambdas(ms.reduce(state, ms.SubsystemSet((i,)).complement(3)).matrix)
             assert abs(c2 - max(lam[0] - lam[1] - lam[2] - lam[3], 0.0) ** 2) <= 1e-7
@@ -518,7 +518,7 @@ class TestCkwRoute:
     @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.1])
     def test_route_agrees_with_the_ladder(self, tol, monkeypatch):
         """Number and coefficients are identical with the closed form and without it."""
-        margin = max(number.CKW_MARGIN, 4.0 * tol)
+        margin = max(loci.CKW_MARGIN, 4.0 * tol)
         least = [_least_pair_concurrence(st, tol) for st in GHZ_PLUS_W]
         assert min(least) <= margin < max(least)  # the family straddles the margin
         states = [ms.random_pure(ms.qubits(3), seed) for seed in range(200)] + GHZ_PLUS_W
@@ -1062,7 +1062,7 @@ def _reductions(state):
 
 
 class TestStackedMixedValues:
-    """mixed_values decides a list of matrices exactly as mixed_value decides each alone."""
+    """mixed_values decides a list of matrices exactly as it decides each alone."""
 
     @staticmethod
     def assert_same(got, want):
@@ -1079,7 +1079,7 @@ class TestStackedMixedValues:
     def decide(self, rhos):
         stacked = number._Engine(TINY, DEFAULT_RANK_TOL).mixed_values(rhos)
         single = number._Engine(TINY, DEFAULT_RANK_TOL)
-        self.assert_same(stacked, [single.mixed_value(rho) for rho in rhos])
+        self.assert_same(stacked, [single.mixed_values([rho])[0] for rho in rhos])
         return stacked
 
     @pytest.mark.parametrize("name", list(ORACLE_STATES))
@@ -1271,7 +1271,7 @@ class TestLocalUnitaryInvariance:
 
 def _separate_pencil_drops(a, b, tol):
     """The pencil drops with one SVD per probe member, as a reference."""
-    svds = [np.linalg.svd(z * a + b) for z in number._PROBES]
+    svds = [np.linalg.svd(z * a + b) for z in loci._PROBES]
     g = max(weight_rank(s**2, tol) for _, s, _ in svds)
     u, s, vh = max(svds, key=lambda usv: usv[1][g - 1] / usv[1][0])
     left, right = u[:, :g].conj().T, vh[:g].conj().T
@@ -1302,7 +1302,7 @@ def test_pencil_drops_take_one_stacked_svd(shape, rank, seed, monkeypatch):
         return real(arr, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    g, rays = number._pencil_drops(a, b, DEFAULT_RANK_TOL)
+    g, rays = loci._pencil_drops(a, b, DEFAULT_RANK_TOL)
     assert calls == [(3,) + shape]
     assert g == g_want == rank
     assert np.array_equal(rays, rays_want)
@@ -1315,7 +1315,7 @@ def test_homogeneous_eigvals_match_scipy(shape, seed):
     a, b = (rng.normal(size=(2, shape, shape)) + 1j * rng.normal(size=(2, shape, shape)))
     if seed == 3:
         b[:, 0] = 0.0  # a singular member: an infinite eigenvalue, beta = 0
-    alpha, beta = number._homogeneous_eigvals(a, b)
+    alpha, beta = loci._homogeneous_eigvals(a, b)
     want = eigvals(a, b, homogeneous_eigvals=True)
     assert np.array_equal(alpha, want[0]) and np.array_equal(beta, want[1])
 
@@ -1323,7 +1323,7 @@ def test_homogeneous_eigvals_match_scipy(shape, seed):
 def test_homogeneous_eigvals_reject_non_finite_input():
     a = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
-        number._homogeneous_eigvals(a, np.full((2, 2), np.nan, dtype=complex))
+        loci._homogeneous_eigvals(a, np.full((2, 2), np.nan, dtype=complex))
 
 
 def _column_tail(vec, dims, target_r):
@@ -1436,14 +1436,14 @@ class TestExactRouteFallbacks:
         value = ms.mixed_schmidt_number(rho, SHORT).value
         assert value == 4
         listed = []
-        real = number._ckw_zeros
+        real = loci._ckw_zeros
 
         def spy(*args):
             listed.append(real(*args))
             return listed[-1]
 
-        monkeypatch.setattr(number, name, 1.0)
-        monkeypatch.setattr(number, "_ckw_zeros", spy)
+        monkeypatch.setattr(loci, name, 1.0)
+        monkeypatch.setattr(loci, "_ckw_zeros", spy)
         res = ms.mixed_schmidt_number(rho, SHORT)
         assert (res.value_lo, res.value_hi) == (3, 4)
         assert listed and all(zeros is None for zeros in listed)
