@@ -15,6 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import core
 from .core import (
     DEFAULT_RANK_TOL,
     DensityMatrix,
@@ -64,7 +65,7 @@ def schmidt_decompose(
     """
     _checked_tol(tol)
     mat = coefficient_matrix(state, left)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    u, s, vh = core._svd(mat, full_matrices=False)
     # rank on squared singular values so it agrees with numerical_rank of
     # either reduction (whose eigenvalues are the squares)
     rank = max(weight_rank(s**2, tol), 1)

@@ -44,6 +44,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.optimize import minimize
 
+from . import core
 from .bipartite import schmidt_decompose
 from .core import (
     DEFAULT_RANK_TOL,
@@ -313,7 +314,7 @@ def _max_concurrence_elements(ranges, tol) -> list:
         amps[group] = (basis @ _max_concurrence_directions(basis)[..., None])[..., 0]
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     # the coefficients are these singular values; roots of local_weights could move their bits
-    svals = np.linalg.svd(amps.reshape(-1, 2, 2), compute_uv=False)
+    svals = core._svd(amps.reshape(-1, 2, 2), compute_uv=False)
     out = []
     for (profile, _), vec, s, rank in zip(ranges, amps, svals, weight_rank(svals**2, tol)):
         if rank < 2:

@@ -17,6 +17,15 @@ Conventions
   Spectra are computed once per pure state: ``factorize`` hands on the
   spectra of the cuts it decomposed (with their singular vectors), and a
   two-party value or coefficient set takes one SVD.
+- Every SVD goes through one kernel, ``_svd``, which keeps
+  ``np.linalg.svd``'s contract for complex operands. A single matrix goes
+  straight to LAPACK zgesdd through scipy's handle, bound at import:
+  numpy's per-call dispatch costs more than zgesdd itself on a 2 x 4
+  unfolding. A stack keeps numpy's gufunc, which pays that dispatch once.
+  ``eigh`` and ``eigvalsh`` stay on numpy: numpy and scipy ship different
+  OpenBLAS builds (0.3.31 and 0.3.30 when measured), and scipy's zheevd
+  differed from numpy's in the last bits on most seeded matrices, while
+  zgesdd agreed bit for bit on every one tried, so results are unchanged.
 - Validation happens only at the public boundary: ``PureState``,
   ``DensityMatrix`` and ``reduce`` check their input in full. Internal
   objects derived from validated ones skip those checks. ``_checked_state``
@@ -41,9 +50,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 NORM_ATOL = 1e-10
 HERM_ATOL = 1e-10
@@ -389,7 +400,50 @@ def local_weights(amplitudes: np.ndarray, dims: tuple[int, ...], side: Subsystem
     the reduction. Leading axes of ``amplitudes`` before the last stack
     several states, giving one stacked SVD.
     """
-    return np.linalg.svd(unfold(amplitudes, dims, side), compute_uv=False) ** 2
+    return _svd(unfold(amplitudes, dims, side), compute_uv=False) ** 2
+
+
+_GESDD, _GESDD_LWORK = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.complex128)
+
+
+@lru_cache(maxsize=None)
+def _gesdd_lwork(rows: int, cols: int, compute_uv: bool, full_matrices: bool) -> int:
+    """zgesdd's optimal workspace for one shape and job, queried once (numpy queries it per call)."""
+    return int(_GESDD_LWORK(rows, cols, compute_uv, full_matrices)[0].real)
+
+
+def _svd(a, full_matrices: bool = True, compute_uv: bool = True):
+    """``np.linalg.svd`` of a complex operand: (u, s, vh), or s alone without ``compute_uv``.
+
+    A nonempty single matrix goes straight to LAPACK zgesdd, the routine
+    numpy wraps, without numpy's per-call dispatch; u and vh come back
+    C-ordered as numpy returns them. A stack keeps numpy's gufunc, which
+    pays that dispatch once for the whole stack. A non-finite operand or a
+    failed decomposition raises ``np.linalg.LinAlgError``: zgesdd refuses a
+    NaN entry (info -4), and an infinite entry leaves no finite singular
+    value (LAPACK scales the operand by max|a|).
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or not a.size:
+        out = np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+        if not math.isfinite((out[1] if compute_uv else out).sum()):
+            _require_finite(a)
+        return out
+    lwork = _gesdd_lwork(*a.shape, compute_uv, full_matrices)
+    u, s, vt, info = _GESDD(a, compute_uv, full_matrices, lwork)
+    if info:
+        raise np.linalg.LinAlgError(f"SVD did not converge (LAPACK gesdd info={info})")
+    if not math.isfinite(s[0]):
+        _require_finite(a)
+    if not compute_uv:
+        return s
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
+
+
+def _require_finite(a: np.ndarray) -> None:
+    """LinAlgError unless every entry of ``a`` is finite (an overflowing finite ``a`` passes)."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("SVD of a matrix with infs or NaNs")
 
 
 def _checked_tol(tol: float) -> float:

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
+from . import core
 from .core import weight_rank
 
 # fixed generic members z*M1 + M2 of a range pencil
@@ -33,6 +34,8 @@ CKW_MARGIN = 1e-6
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 # sigma_y (x) sigma_y, the spin flip behind two-qubit concurrence
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real
+# LAPACK zggev; _homogeneous_eigvals casts its operands to complex128
+_GGEV = get_lapack_funcs("ggev", dtype=np.complex128)
 
 
 def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
@@ -45,7 +48,7 @@ def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[int, np.nda
     lower-rank ray is generically a semisimple eigenvalue, found to rounding
     accuracy; the caller's margin test catches the others.
     """
-    u, s, vh = np.linalg.svd(_PROBES[:, None, None] * a + b)  # the three members at once
+    u, s, vh = core._svd(_PROBES[:, None, None] * a + b)  # the three members at once
     g = int(weight_rank(s**2, tol).max())
     best = int(np.argmax(s[:, g - 1] / s[:, 0]))
     left, right = u[best, :, :g].conj().T, vh[best, :g].conj().T
@@ -65,9 +68,8 @@ def _homogeneous_eigvals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    (ggev,) = get_lapack_funcs(("ggev",), (a, b))
-    lwork = ggev(a, b, lwork=-1)[-2][0].real.astype(np.int_)
-    alpha, beta, _, _, _, info = ggev(a, b, 0, 0, lwork)
+    lwork = _GGEV(a, b, lwork=-1)[-2][0].real.astype(np.int_)
+    alpha, beta, _, _, _, info = _GGEV(a, b, 0, 0, lwork)
     if info != 0:
         raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed (LAPACK info={info})")
     return alpha, beta
@@ -182,7 +184,7 @@ def _ckw_zeros(v1: np.ndarray, v2: np.ndarray, products: list, tol: float) -> Op
     for row in range(n):
         syl[:, n - 1 + row, row : row + n] = fw[:, ::-1]
     members = [np.tensordot(z ** np.arange(n + 1), syl, axes=1) for z in _PROBES]
-    spectra = [np.linalg.svd(mat, compute_uv=False) for mat in members]
+    spectra = [core._svd(mat, compute_uv=False) for mat in members]
     if all(s[-1] <= CKW_FLOOR * s[0] for s in spectra):  # singular: det M(z) == 0
         return None
     # x = (v, zv, .., z^(n-1) v): x_(k+1) = z x_k, and M(z) v = 0 in the last block row
@@ -252,7 +254,7 @@ def _qubit_pencil_products(
     k0, k1 = mats[:, 0, :], mats[:, 1, :]
     products = []
     for a in _pencil_drops(k0, k1, tol)[1]:
-        _, s, vh = np.linalg.svd(a[0] * k0 + a[1] * k1)
+        _, s, vh = core._svd(a[0] * k0 + a[1] * k1)
         if weight_rank(s**2, tol) != s.size - 1:
             continue  # no rank drop, or a continuum of products at this a
         b = vh[-1].conj()

@@ -78,7 +78,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize, nnls
 
-from . import loci
+from . import core, loci
 from .bipartite import (
     PPT_NEG_TOL,
     _ppt_decides,
@@ -828,7 +828,7 @@ class _Engine:
         for i, g in enumerate(generic):
             side = _party_cuts(len(dims))[0][i]
             slices = np.concatenate([unfold(v1, dims, side), unfold(v2, dims, side)])
-            _, s, vh = np.linalg.svd(slices, full_matrices=False)
+            _, s, vh = core._svd(slices, full_matrices=False)
             least = 1
             if g == 2 and weight_rank(s**2, ROOT_FLOOR) == 2:
                 rest = DimensionProfile(dims[:i] + dims[i + 1 :])

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import core
 from .core import (
     DEFAULT_RANK_TOL,
     DimensionProfile,
@@ -148,7 +149,7 @@ def _finest(parties: tuple[int, ...], state: PureState, tol: float, record=None)
         mat = unfold(state.amplitudes, profile.dims, side)
         # the cut {1} and the complements of single parties give reductions
         full = record is not None and len(side) in (1, k - 1)
-        u, s, vh = np.linalg.svd(mat, full_matrices=full)
+        u, s, vh = core._svd(mat, full_matrices=full)
         weights = s**2
         rank = weight_rank(weights, tol)
         if record is not None:

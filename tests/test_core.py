@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import multischmidt as ms
 from conftest import brute_partial_trace
-from multischmidt.core import local_weights, weight_rank
+from multischmidt.core import _svd, local_weights, weight_rank
 
 
 def ket(label, dims=(2, 2)):
@@ -289,6 +289,50 @@ def test_internal_reductions_equal_reduce_bitwise(name):
         for got, ref in zip((rho.matrix, *rho.eigensystem), (want.matrix, *want.eigensystem)):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
             assert not got.flags.writeable
+
+
+def _gaussian(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+SVD_SHAPES = [(2, 2), (2, 4), (4, 2), (3, 8), (8, 3), (4, 4), (7, 7), (3, 81), (81, 3), (5, 3, 4)]
+
+
+class TestSvdKernel:
+    """core._svd against np.linalg.svd; not bitwise, as numpy's and scipy's LAPACK builds may differ."""
+
+    @pytest.mark.parametrize("shape", SVD_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("full_matrices", [True, False])
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_agrees_with_numpy(self, shape, full_matrices, compute_uv, seed):
+        a = _gaussian(shape, seed)
+        got = _svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+        want = np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+        if not compute_uv:
+            got, want = (got,), (want,)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.flags.c_contiguous == w.flags.c_contiguous
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 2), (3, 2, 4)], ids=["wide", "tall", "stack"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf], ids=["nan", "inf", "-inf", "infj"])
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    def test_non_finite_entries_raise(self, shape, bad, compute_uv):
+        a = _gaussian(shape, 0)
+        a[..., -1, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            _svd(a, compute_uv=compute_uv)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 3)], ids=["matrix", "stack"])
+    def test_overflowing_finite_operand_returns_as_numpy(self, shape):
+        a = np.full(shape, 1e308 + 0j)
+        got, want = _svd(a, compute_uv=False), np.linalg.svd(a, compute_uv=False)
+        assert np.isinf(got[..., 0]).all()
+        np.testing.assert_array_equal(got, want)
 
 
 def _tol_calls():

@@ -35,13 +35,18 @@ def _tree(module: str) -> ast.Module:
 
 
 def _imports(module: str) -> list[tuple[str, tuple[str, ...]]]:
-    """(imported module, imported names) per import; a relative module keeps its leading dots."""
+    """(imported module, imported names) per import; a relative module keeps its leading dots.
+
+    ``from . import core`` imports the sibling module ``.core`` itself.
+    """
     out = []
     for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Import):
             out.extend((alias.name, ()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            out.extend(("." * node.level + alias.name, ()) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            source = "." * node.level + (node.module or "")
+            source = "." * node.level + node.module
             out.append((source, tuple(alias.name for alias in node.names)))
     return out
 
@@ -74,3 +79,20 @@ def test_coefficients_take_only_the_engine_from_number():
 def test_each_helper_is_defined_in_its_home_alone(home, name):
     owners = [path.stem for path in sorted(SRC.glob("*.py")) if name in _defined(path.stem)]
     assert owners == [home]
+
+
+def _svd_calls(module: str) -> list[int]:
+    """Lines of ``module`` that call ``linalg.svd`` (numpy's or scipy's) or import it by name."""
+    lines = []
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.svd"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            lines.extend(node.lineno for alias in node.names if alias.name == "svd")
+    return lines
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_every_svd_goes_through_the_core_kernel(module):
+    """Only core._svd calls linalg.svd; every other module reaches an SVD through it."""
+    assert len(_svd_calls(module)) == (module == "core")
