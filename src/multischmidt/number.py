@@ -29,37 +29,36 @@ an ``exact`` flag:
 
 Every pure-state spectrum and rank comes from the core primitive
 (core.local_weights and core.weight_rank, both stack-aware). Spectra are
-computed once per pure state, and its reductions are decided together. A
-two-party pure state's value is its Schmidt rank, from one SVD.
-With three or more parties the max-party rule reads each local rank r_i off
-the cut SVDs that factorize has already computed. On three qubits it first
-tries a closed form: by Coffman-Kundu-Wootters each pair reduction's squared
-concurrence follows from the cut weights and Cayley's hyperdeterminant
-(loci._pair_concurrences), and where every one clears the margin
-max(loci.CKW_MARGIN, 4 tol) every reduction is an exact [2, 2], which is
-what the mixed ladder would return there (_Engine._ckw_reductions).
-Otherwise a three-party state's 2 x 2 and 2 x 3 reductions, where PPT is
-decisive, are decided by the least eigenvalue of their partial transpose
-wherever it is clear of a margin, from matrices built off the cut record
-with one stacked eigvalsh per reduction profile and no DensityMatrix
-(_Engine._ppt_reductions); the mixed ladder would return the same exact
-values there. Every reduction rho_(not i) left is built from the same cuts'
-factors (core._cut_reductions: no partial trace, no second eigh), and all
-of them are decided with one call (_Engine.mixed_values). The misses of the
-memo run the early stages of the mixed ladder as stacks per profile: one
-Schmidt-rank SVD over the kept eigenvectors of every two-party reduction
-and one eigvalsh per cut for the PPT test. A Haar (2,2,2) state costs three
-SVDs (its cuts) and no eigvalsh; a Haar (2,2,3) state three SVDs and two
+computed once per pure state. A two-party pure state's value is its Schmidt
+rank, from one SVD. With three or more parties the max-party rule reads each
+local rank r_i off the cut SVDs that factorize has already computed. On
+three qubits it first tries a closed form: by Coffman-Kundu-Wootters each
+pair reduction's squared concurrence follows from the cut weights and
+Cayley's hyperdeterminant (loci._pair_concurrences), and where every one
+clears the margin max(loci.CKW_MARGIN, 4 tol) every reduction is an exact
+[2, 2], which is what the mixed ladder would return there
+(_Engine._ckw_reductions). Otherwise a three-party state's 2 x 2 and 2 x 3
+reductions, where PPT is decisive, are decided by the least eigenvalue of
+their partial transpose wherever it is clear of a margin, from matrices
+built off the cut record with one stacked eigvalsh per reduction profile and
+no DensityMatrix (_Engine._ppt_reductions); the mixed ladder would return
+the same exact values there. Every reduction rho_(not i) left is built from
+the same cuts' factors (core._cut_reductions: no partial trace, no second
+eigh) and goes through the mixed ladder one matrix at a time
+(_Engine.mixed_value, memoized per matrix), whose cheap stages come first:
+one Schmidt-rank SVD over the kept eigenvectors of a two-party reduction and
+one eigvalsh per cut for the PPT test. A Haar (2,2,2) state costs three SVDs
+(its cuts) and no eigvalsh; a Haar (2,2,3) state three SVDs and two
 eigvalsh, and builds no reduction. The rule reads only the reductions'
 intervals, so their witnesses are built on demand: a result holds a builder
 of its eigen witness, which forms the eigen elements and runs the
 reconstruction check on the first read of witness_ensemble.
 mixed_schmidt_number reads it before returning, so a public mixed result
-carries its witness. The margin
-test of a range line's rank drops takes one stacked SVD per cut, whose
-spectra also give the drops' product test and two-party values, and the
-ensemble search's objective takes one stacked SVD per party for all of its
-columns.
+carries its witness; it also drops parties of dimension 1, which carry
+nothing, before the ladder. The margin test of a range line's rank drops
+takes one stacked SVD per cut, whose spectra also give the drops' product
+test and two-party values, and the ensemble search's objective takes one
+stacked SVD per party for all of its columns.
 
 Validation happens only at the public boundary. States and reductions built
 inside the recursion from validated data (eigen elements, rays, CKW zeros,
@@ -72,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -90,6 +89,7 @@ from .core import (
     DensityMatrix,
     DimensionProfile,
     PureState,
+    _built_density,
     _checked_state,
     _checked_tol,
     _cut_matrices,
@@ -210,18 +210,6 @@ class SchmidtNumberResult:
         return self.value_hi
 
 
-class _Open(NamedTuple):
-    """A matrix the early stages of the mixed ladder leave undecided."""
-
-    w: np.ndarray
-    v: np.ndarray
-    k: int
-    trace: dict
-    lo: int
-    hi: int
-    witness: Callable[[], Optional[EnsembleCandidate]]  # the eigen witness's builder
-
-
 def _result(lo: int, hi: int, trace: dict, witness=None) -> SchmidtNumberResult:
     lo, hi = int(lo), int(hi)
     return SchmidtNumberResult(lo, hi, lo == hi, witness, trace)
@@ -237,18 +225,8 @@ def _state_key(state: PureState) -> tuple:
     return (state.profile.dims, _stable_bytes(state.amplitudes, 12))
 
 
-def _matrix_keys(rhos: list[DensityMatrix]) -> list[tuple]:
-    """(dims, rounded matrix bytes) of each matrix; matrices of one shape are rounded as one stack."""
-    shapes: dict = {}
-    for j, rho in enumerate(rhos):
-        shapes.setdefault(rho.matrix.shape, []).append(j)
-    keys: list = [None] * len(rhos)
-    for group in shapes.values():
-        blob = _stable_bytes(np.array([rhos[j].matrix for j in group]), 12)
-        size = len(blob) // len(group)
-        for b, j in enumerate(group):
-            keys[j] = (rhos[j].profile.dims, blob[b * size : (b + 1) * size])
-    return keys
+def _matrix_key(rho: DensityMatrix) -> tuple:
+    return (rho.profile.dims, _stable_bytes(rho.matrix, 12))
 
 
 def _range_key(basis: np.ndarray, dims: tuple[int, ...]) -> tuple:
@@ -283,13 +261,10 @@ class _Engine:
     (``structure``), so the number and the coefficients of one state share
     one cut record.
 
-    Mixed states go through one ladder of stages. ``mixed_values`` decides
-    several at once: the cheap early stages (spectrum rank, eigen value,
-    PPT) run as stacks over the memo's misses of
-    one profile (``_early_stages``), and the matrices they leave open take
-    the later stages one by one (``_mixed_value``: product routes, range
-    rays, certificate, search). It is the only entry into the ladder, and
-    every memo lookup passes through ``mixed_value``.
+    Mixed states go through one ladder of stages, one matrix at a time:
+    ``mixed_value`` is its only entry and memo lookup, and its misses run
+    ``_mixed_value``, the cheap stages first (spectrum rank, eigen value,
+    PPT), then product routes, certificate, range rays and search.
     """
 
     def __init__(self, budget: SearchBudget, tol: float):
@@ -376,7 +351,7 @@ class _Engine:
         and 2 x 3 reductions are decided by their partial transpose where it
         is clear of a margin (_ppt_reductions). Each reduction rho_(not i)
         left is built from the record, its eigenvectors the cut side's full
-        singular vectors, and those are decided together (mixed_values).
+        singular vectors, and goes to the mixed ladder (mixed_value).
         """
         records = structure._party_records()
         subs = self._ckw_reductions(state, records)
@@ -389,8 +364,8 @@ class _Engine:
                 [records[i].vectors for i in rest],
                 [records[i].s for i in rest],
             )
-            for i, sub in zip(rest, self.mixed_values(rhos)):
-                subs[i] = sub
+            for i, rho in zip(rest, rhos):
+                subs[i] = self.mixed_value(rho)
         lo = hi = 0
         per_party = []
         for i, (rec, sub) in enumerate(zip(records, subs), 1):
@@ -473,7 +448,7 @@ class _Engine:
           shapes allow.
 
         None for the other shapes, for states of other party counts, and in
-        the gray zone between: the ladder decides those (mixed_values).
+        the gray zone between: the ladder decides those (mixed_value).
         Decided reductions take no DensityMatrix, memo key or memo entry.
         """
         out: list = [None] * len(records)
@@ -503,37 +478,12 @@ class _Engine:
 
     # ---- mixed states ----------------------------------------------------
 
-    def mixed_values(self, rhos: list[DensityMatrix]) -> list[SchmidtNumberResult]:
-        """The values of several mixed states, decided together.
-
-        Each matrix is looked up in the memo. The misses, deduplicated by
-        key, run the early stages of the ladder stacked per profile
-        (_early_stages); those left undecided continue one by one through
-        the later stages (_mixed_value). Every result equals the one
-        mixed_values gives for the matrix alone.
-        """
-        keys = _matrix_keys(rhos)
-        fresh: dict = {}
-        for key, rho in zip(keys, rhos):
-            if key not in self._mixed_cache:
-                fresh.setdefault(key, rho)
-        groups: dict = {}
-        for key, rho in fresh.items():
-            groups.setdefault(rho.profile.dims, []).append(key)
-        rungs = {}
-        for group in groups.values():
-            members = [fresh[key] for key in group]
-            rungs.update(zip(group, self._early_stages(members[0].profile, members)))
-        return [self.mixed_value(rho, key, rungs.get(key)) for key, rho in zip(keys, rhos)]
-
-    def mixed_value(self, rho: DensityMatrix, key, rung) -> SchmidtNumberResult:
-        """The memoized value of one matrix of mixed_values, from its ``key`` and ``rung``.
-
-        ``rung`` is its early stages' outcome, or None where the memo holds ``key``.
-        """
+    def mixed_value(self, rho: DensityMatrix) -> SchmidtNumberResult:
+        """The memoized value of a mixed state: the only entry into the ladder."""
+        key = _matrix_key(rho)
         hit = self._mixed_cache.get(key)
         if hit is None:
-            hit = self._mixed_value(rho, rung)
+            hit = self._mixed_value(rho)
             self._mixed_cache[key] = hit
         return hit
 
@@ -544,95 +494,53 @@ class _Engine:
         states = [_unit_state(rho.profile, v[:, i]) for i in keep]
         return weights, states
 
-    def _early_stages(self, profile: DimensionProfile, rhos: list[DensityMatrix]) -> list:
-        """The early stages of the mixed ladder for distinct matrices of one profile.
+    def _mixed_value(self, rho: DensityMatrix) -> SchmidtNumberResult:
+        """The mixed ladder for one matrix, its cheap stages first.
 
-        Per matrix, its result where these stages decide it, else an _Open
-        record for the later stages. The stages, each stacked over the
-        matrices still open: the spectrum rank (a rank-one matrix takes its
-        eigenvector's pure value); the eigen value eigen_hi, from one
-        Schmidt-rank SVD over the kept eigenvectors of every matrix with two
-        parties and from the eigen elements' pure values otherwise; the PPT
-        test, one eigvalsh per cut. No value reads the eigen witness, so each
-        result and record carries only its builder (_eigen_witness), which
-        forms the elements and runs the reconstruction check when the
-        witness is first read.
+        The spectrum rank (a rank-one matrix takes its eigenvector's pure
+        value); the eigen value eigen_hi, from one Schmidt-rank SVD over the
+        kept eigenvectors for two parties and from the eigen elements' pure
+        values otherwise; the PPT test over every cut. No value reads the
+        eigen witness, so a result carries only its builder (_eigen_witness),
+        which forms the elements and runs the reconstruction check when the
+        witness is first read. What these stages leave open goes on to the
+        product routes, the range-span certificate, the range rays and the
+        ensemble search.
         """
+        profile = rho.profile
         m = profile.party_count
         if m == 1:
-            return [_result(1, 1, {"rule": "single-party"}) for _ in rhos]
-        spectra = [spectrum(rho) for rho in rhos]
-        ranks = weight_rank(np.array([w for w, _ in spectra]), self.tol).tolist()
-        out: list = [None] * len(rhos)
-        rest = []  # (index, kept eigenvectors as rows, witness builder) of the open matrices
-        for j, (rho, (w, v)) in enumerate(zip(rhos, spectra)):
-            keep = np.flatnonzero(w > EIGEN_WEIGHT_FLOOR)
-            witness = partial(_eigen_witness, rho, w, v)
-            if ranks[j] == 1 and len(keep) == 1:
-                sub = self.pure_value(_unit_state(profile, v[:, keep[0]]))
-                trace = {"rule": "rank-one", "pure_trace": sub.branch_trace}
-                out[j] = _result(sub.value_lo, sub.value_hi, trace, witness)
-            else:
-                rest.append((j, v[:, keep].T, witness))
-        if not rest:
-            return out
+            return _result(1, 1, {"rule": "single-party"})
+        w, v = spectrum(rho)
+        k = weight_rank(w, self.tol)
+        keep = np.flatnonzero(w > EIGEN_WEIGHT_FLOOR)
+        witness = partial(_eigen_witness, rho, w, v)
+        if k == 1 and len(keep) == 1:
+            sub = self.pure_value(_unit_state(profile, v[:, keep[0]]))
+            trace = {"rule": "rank-one", "pure_trace": sub.branch_trace}
+            return _result(sub.value_lo, sub.value_hi, trace, witness)
+        vecs = v[:, keep].T
         if m == 2:
-            amps = np.concatenate([vecs for _, vecs, _ in rest])
             first = _party_cuts(2)[0][0]
-            flat = weight_rank(local_weights(amps, profile.dims, first), self.tol).tolist()
-            eigen_his, at = [], 0
-            for _, vecs, _ in rest:
-                eigen_his.append(max(flat[at : at + len(vecs)]))
-                at += len(vecs)
+            hi = int(np.max(weight_rank(local_weights(vecs, profile.dims, first), self.tol)))
         else:
-            eigen_his = [
-                max(self.pure_value(_unit_state(profile, vec)).value_hi for vec in vecs)
-                for _, vecs, _ in rest
-            ]
-        ppt = []  # (index, trace, witness) of the matrices the PPT test may decide
-        for (j, _, witness), eigen_hi in zip(rest, eigen_his):
-            trace = {"rank": ranks[j], "eigen_hi": eigen_hi}
-            if eigen_hi == 1:
-                trace["rule"] = "eigen-ensemble"
-                out[j] = _result(1, 1, trace, witness)
-            else:
-                ppt.append((j, trace, witness))
-        if not ppt:
-            return out
+            hi = max(self.pure_value(_unit_state(profile, vec)).value_hi for vec in vecs)
+        trace = {"rank": k, "eigen_hi": hi}
+        if hi == 1:
+            return _result(1, 1, trace | {"rule": "eigen-ensemble"}, witness)
+
         # PPT lower bound over all bipartitions, decisive shapes annotated
         cuts = _bipartitions(m)
-        mats = np.array([rhos[j].matrix for j, _, _ in ppt])
-        npt = [ppt_entangled(mats, c, profile=profile) for c in cuts]
-        decisive = all(_ppt_decides(profile, c) for c in cuts)
-        for b, (j, trace, witness) in enumerate(ppt):
-            trace["npt_cuts"] = [list(c.indices) for c, flags in zip(cuts, npt) if flags[b]]
-            w, v = spectra[j]
-            hi = trace["eigen_hi"]
-            if trace["npt_cuts"]:
-                lo = 2
-            elif decisive:
-                # Horodecki: PPT on a 2x2 / 2x3 shape proves separability
-                trace["rule"] = "ppt-decisive-separable"
-                out[j] = _result(1, 1, trace, None)
-                continue
-            else:
-                lo = 1
-            if lo == hi:
-                trace["rule"] = "ppt-meets-eigen"
-                out[j] = _result(lo, hi, trace, witness)
-            else:
-                out[j] = _Open(w, v, ranks[j], trace, lo, hi, witness)
-        return out
-
-    def _mixed_value(self, rho: DensityMatrix, rung) -> SchmidtNumberResult:
-        """The later stages of the mixed ladder for one matrix.
-
-        ``rung`` is what the early stages (_early_stages) left for it: a
-        result, or an _Open record to continue from.
-        """
-        if not isinstance(rung, _Open):
-            return rung
-        w, v, k, trace, lo, hi, witness = rung
+        trace["npt_cuts"] = [list(c.indices) for c in cuts if ppt_entangled(rho, c)]
+        if trace["npt_cuts"]:
+            lo = 2
+        elif all(_ppt_decides(profile, c) for c in cuts):
+            # Horodecki: PPT on a 2x2 / 2x3 shape proves separability
+            return _result(1, 1, trace | {"rule": "ppt-decisive-separable"}, None)
+        else:
+            lo = 1
+        if lo == hi:
+            return _result(lo, hi, trace | {"rule": "ppt-meets-eigen"}, witness)
 
         # exact product-ensemble routes; they also sharpen lo when products
         # provably cannot mix to rho
@@ -922,7 +830,7 @@ class _Engine:
 
         for attempt in range(restarts):
             n = sizes[attempt % len(sizes)]
-            rng = stream(self.budget.seed, "ensemble", _matrix_keys([rho])[0][1], target_r, attempt)
+            rng = stream(self.budget.seed, "ensemble", _matrix_key(rho)[1], target_r, attempt)
             theta0 = rng.normal(scale=0.7, size=n * n)
             res = minimize(
                 lambda th: _ensemble_objective(_ensemble_columns(b_mat, th, n), profile, target_r),
@@ -1062,8 +970,26 @@ def pure_schmidt_number(
 def mixed_schmidt_number(
     rho: DensityMatrix, budget: SearchBudget = DEFAULT_BUDGET, tol: float = DEFAULT_RANK_TOL
 ) -> SchmidtNumberResult:
-    """Convex-roof Schmidt number interval of a mixed state, its witness built."""
-    result = _Engine(budget, tol).mixed_values([rho])[0]
+    """Convex-roof Schmidt number interval of a mixed state, its witness built.
+
+    A party of dimension 1 carries nothing, so the matrix is decided on the
+    other parties (one is kept if every party has dimension 1), and the
+    witness states are relabelled on rho's profile.
+    """
+    engine = _Engine(budget, tol)
+    dims = rho.profile.dims
+    kept = [i for i, d in enumerate(dims, 1) if d > 1] or [1]
+    if len(kept) == len(dims):
+        result = engine.mixed_value(rho)
+    else:
+        profile = DimensionProfile(tuple(dims[i - 1] for i in kept))
+        sub = engine.mixed_value(_built_density(profile, rho.matrix, *rho.eigensystem))
+        trace = {"rule": "unit-parties-dropped", "kept": kept, "kept_trace": sub.branch_trace}
+        witness = sub.witness_ensemble
+        if witness is not None:
+            states = tuple(_checked_state(rho.profile, s.amplitudes) for s in witness.states)
+            witness = EnsembleCandidate(witness.weights, states)
+        result = _result(sub.value_lo, sub.value_hi, trace, witness)
     result.witness_ensemble  # a public result is returned whole: read the witness here
     return result
 

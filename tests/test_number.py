@@ -920,7 +920,7 @@ def _gray_zone_state(b2=2e-6):
 
 
 def _ladder_only(monkeypatch):
-    """Disable _ppt_reductions, so every reduction it would decide goes to mixed_values."""
+    """Disable _ppt_reductions, so every reduction it would decide goes to mixed_value."""
     monkeypatch.setattr(
         number._Engine, "_ppt_reductions", lambda self, dims, records: [None] * len(records)
     )
@@ -967,15 +967,15 @@ class TestPptReductions:
         margin = max(PPT_NEG_TOL, np.sqrt(DEFAULT_RANK_TOL + 1e-14) + 4 * number.EIGEN_WEIGHT_FLOOR)
         assert -margin < lam < -PPT_NEG_TOL
         seen = []
-        real = number._Engine.mixed_values
+        real = number._Engine.mixed_value
 
-        def spy(self, rhos):
-            seen.append(list(rhos))
-            return real(self, rhos)
+        def spy(self, rho):
+            seen.append(rho)
+            return real(self, rho)
 
-        monkeypatch.setattr(number._Engine, "mixed_values", spy)
+        monkeypatch.setattr(number._Engine, "mixed_value", spy)
         got = ms.pure_schmidt_number(state, TINY)
-        ((sent,),) = seen
+        (sent,) = seen
         assert sent.profile.dims == (2, 2)
         assert np.allclose(sent.matrix, rho.matrix, rtol=0, atol=1e-12)
         _ladder_only(monkeypatch)
@@ -1059,30 +1059,18 @@ def _reductions(state):
     return [ms.reduce(state, ms.SubsystemSet((i,)).complement(m)) for i in range(1, m + 1)]
 
 
-class TestStackedMixedValues:
-    """mixed_values decides a list of matrices exactly as it decides each alone."""
+class TestMixedValue:
+    """One engine's mixed_value decides each matrix as a fresh engine does, and each matrix once."""
 
     @staticmethod
     def assert_same(got, want):
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert (a.value_lo, a.value_hi, a.exact) == (b.value_lo, b.value_hi, b.exact)
-            assert json.dumps(a.branch_trace) == json.dumps(b.branch_trace)
-            assert (a.witness_ensemble is None) == (b.witness_ensemble is None)
-            if a.witness_ensemble is not None:
-                assert a.witness_ensemble.weights == b.witness_ensemble.weights
-                for x, y in zip(a.witness_ensemble.states, b.witness_ensemble.states):
-                    assert np.array_equal(x.amplitudes, y.amplitudes)
-
-    def decide(self, rhos):
-        stacked = number._Engine(TINY, DEFAULT_RANK_TOL).mixed_values(rhos)
-        single = number._Engine(TINY, DEFAULT_RANK_TOL)
-        self.assert_same(stacked, [single.mixed_values([rho])[0] for rho in rhos])
-        return stacked
-
-    @pytest.mark.parametrize("name", list(ORACLE_STATES))
-    def test_reductions_of_a_state(self, name):
-        self.decide(_reductions(ORACLE_STATES[name]))
+        assert (got.value_lo, got.value_hi, got.exact) == (want.value_lo, want.value_hi, want.exact)
+        assert json.dumps(got.branch_trace) == json.dumps(want.branch_trace)
+        assert (got.witness_ensemble is None) == (want.witness_ensemble is None)
+        if got.witness_ensemble is not None:
+            assert got.witness_ensemble.weights == want.witness_ensemble.weights
+            for x, y in zip(got.witness_ensemble.states, want.witness_ensemble.states):
+                assert np.array_equal(x.amplitudes, y.amplitudes)
 
     def test_mixed_profiles_and_rules(self):
         rhos = [
@@ -1093,7 +1081,11 @@ class TestStackedMixedValues:
             _planted_products((2, 4), 3, 1),
             *_reductions(ORACLE_STATES["Haar223"]),
         ]
-        rules = [res.branch_trace.get("rule") for res in self.decide(rhos)]
+        shared = number._Engine(TINY, DEFAULT_RANK_TOL)
+        results = [shared.mixed_value(rho) for rho in rhos]
+        for rho, res in zip(rhos, results):
+            self.assert_same(res, number._Engine(TINY, DEFAULT_RANK_TOL).mixed_value(rho))
+        rules = [res.branch_trace.get("rule") for res in results]
         assert rules[:2] == ["ppt-decisive-separable", "product-ensemble"]
         assert "rank-one" in rules[2:6]
 
@@ -1101,13 +1093,14 @@ class TestStackedMixedValues:
         misses = []
         real = number._Engine._mixed_value
 
-        def counted(self, rho, *rest):
+        def counted(self, rho):
             misses.append(rho)
-            return real(self, rho, *rest)
+            return real(self, rho)
 
         monkeypatch.setattr(number._Engine, "_mixed_value", counted)
         rhos = _reductions(ms.w_state(5))  # five copies of one matrix
-        results = number._Engine(TINY, DEFAULT_RANK_TOL).mixed_values(rhos)
+        engine = number._Engine(TINY, DEFAULT_RANK_TOL)
+        results = [engine.mixed_value(rho) for rho in rhos]
         assert [rho.party_count for rho in misses].count(4) == 1  # the rest are nested
         assert all(res is results[0] for res in results)
 
@@ -1156,7 +1149,7 @@ class TestWitnessOnDemand:
         engine = number._Engine(TINY, DEFAULT_RANK_TOL)
         rhos = _reductions(ORACLE_STATES[name])
         checked = 0
-        for rho, res in zip(rhos, engine.mixed_values(rhos)):
+        for rho, res in zip(rhos, map(engine.mixed_value, rhos)):
             if not _eigen_witnessed(res.branch_trace):
                 continue
             want = number._build_candidate(rho, *engine._eigen_elements(rho, *ms.spectrum(rho)))
@@ -1463,3 +1456,50 @@ class TestExactRouteFallbacks:
         res = ms.mixed_schmidt_number(rho, SHORT)
         assert (res.value_lo, res.value_hi) == (2, 4)
         _assert_sound(res, rho, 4)
+
+
+def _haar_pair_mixture(dims, s):
+    """Haar (3,3) states of seeds 2s and 2s+1, half and half, as a matrix on ``dims``."""
+    prof = ms.DimensionProfile((3, 3))
+    rho = mixture([ms.random_pure(prof, 2 * s), ms.random_pure(prof, 2 * s + 1)], [0.5, 0.5])
+    return DensityMatrix(ms.DimensionProfile(dims), rho.matrix)
+
+
+def _w_and_zero(dims):
+    """W3 0.75 + |000><000| 0.25, as a matrix on ``dims``."""
+    zero = PureState(ms.qubits(3), np.eye(8)[0])
+    rho = mixture([ms.w_state(3), zero], [0.75, 0.25])
+    return DensityMatrix(ms.DimensionProfile(dims), rho.matrix)
+
+
+class TestDimensionOneParties:
+    """A party of dimension 1 carries nothing: the matrix is decided on the others."""
+
+    @pytest.mark.parametrize(
+        "rho, kept, value",
+        [
+            *(
+                (_haar_pair_mixture(dims, s), kept, 3)
+                for s in range(3)
+                for dims, kept in (
+                    ((1, 3, 3), [2, 3]),
+                    ((3, 1, 3), [1, 3]),
+                    ((3, 3, 1), [1, 2]),
+                    ((1, 1, 3, 3), [3, 4]),
+                )
+            ),
+            (_w_and_zero((2, 2, 2, 1)), [1, 2, 3], 4),
+            (_w_and_zero((1, 2, 2, 2)), [2, 3, 4], 4),
+            (DensityMatrix(ms.DimensionProfile((1, 1)), np.eye(1)), [1], 1),
+        ],
+    )
+    def test_value_is_the_stripped_matrix_value(self, rho, kept, value):
+        res = ms.mixed_schmidt_number(rho, SHORT)
+        stripped = ms.DimensionProfile([rho.profile.dims[i - 1] for i in kept])
+        want = ms.mixed_schmidt_number(DensityMatrix(stripped, rho.matrix), SHORT)
+        assert res.exact and res.value == want.value == value
+        trace = {"rule": "unit-parties-dropped", "kept": kept, "kept_trace": want.branch_trace}
+        assert res.branch_trace == trace
+        _assert_sound(res, rho, value)
+        if value > 1:  # a one-party matrix has no witness
+            assert all(st.profile == rho.profile for st in res.witness_ensemble.states)
