@@ -14,18 +14,20 @@ an ``exact`` flag:
   range rays on rank-2 ranges, exact product mixtures of 2 x N states of
   rank <= N from their kernel pencil, or seeded ensemble search over the
   isometry parametrization of all decompositions);
-- value_lo combines the partial-transpose test over all bipartitions with a
-  range-span certificate on rank-2 ranges: every ensemble of rho spans its
-  range, so level r is excluded when the states of value <= r on the range
-  line cannot mix to rho. Wherever those states are finitely many and all
-  listed (the loci module: every cut's rank drops, and on three qubits the
-  zeros of the Coffman-Kundu-Wootters gap), nonnegative least squares
-  decides each level exactly. On four or more parties range-only bounds
-  compose: where party i's slices span a fixed plane P_i, every other state
-  has value >= g_i + (the least value of a rank-2 state with range P_i), a
-  bound from one exact solve on P_i. The same composition serves three
-  parties that are not all qubits, whose planes P_i are two-party ranges.
-  Above the composed bound the result stays an interval.
+- value_lo combines the partial-transpose test over all bipartitions with
+  one level walk on rank-2 ranges (_Engine._span_certificate): every
+  ensemble of rho spans its range, so level r holds iff the states of value
+  <= r on the range line mix to rho. Wherever those are finitely many and
+  all listed (the loci module: every cut's rank drops, and on three qubits
+  the zeros of the Coffman-Kundu-Wootters gap), nonnegative least squares
+  decides the levels lowest first: the first that mixes is the value, each
+  that does not a lower bound. Product routes are skipped after an NPT cut,
+  as rho then has no product ensemble. On four or more parties range-only
+  bounds compose: where party i's slices span a fixed plane P_i, every other
+  state has value >= g_i + (the least value of a rank-2 state with range
+  P_i), a bound from one exact solve on P_i. The same composition serves
+  three parties that are not all qubits, whose planes P_i are two-party
+  ranges. Above the composed bound the result stays an interval.
 
 Every pure-state spectrum and rank comes from the core primitive
 (core.local_weights and core.weight_rank, both stack-aware). Spectra are
@@ -54,11 +56,12 @@ intervals, so their witnesses are built on demand: a result holds a builder
 of its eigen witness, which forms the eigen elements and runs the
 reconstruction check on the first read of witness_ensemble.
 mixed_schmidt_number reads it before returning, so a public mixed result
-carries its witness; it also drops parties of dimension 1, which carry
-nothing, before the ladder. The margin test of a range line's rank drops
-takes one stacked SVD per cut, whose spectra also give the drops' product
-test and two-party values, and the ensemble search's objective takes one
-stacked SVD per party for all of its columns.
+has its witness built (single-party and ppt-decisive-separable results have
+none); it also drops parties of dimension 1 before the ladder. The margin
+test of a range line's rank drops takes one stacked SVD per cut, whose
+spectra also give the drops' product test and two-party values, and the
+ensemble search's objective takes one stacked SVD per party for all of its
+columns.
 
 Validation happens only at the public boundary. States and reductions built
 inside the recursion from validated data (eigen elements, rays, CKW zeros,
@@ -264,7 +267,8 @@ class _Engine:
     Mixed states go through one ladder of stages, one matrix at a time:
     ``mixed_value`` is its only entry and memo lookup, and its misses run
     ``_mixed_value``, the cheap stages first (spectrum rank, eigen value,
-    PPT), then product routes, certificate, range rays and search.
+    PPT), then product routes (only where PPT leaves separability open), the
+    range line's level walk and search.
     """
 
     def __init__(self, budget: SearchBudget, tol: float):
@@ -504,8 +508,9 @@ class _Engine:
         eigen witness, so a result carries only its builder (_eigen_witness),
         which forms the elements and runs the reconstruction check when the
         witness is first read. What these stages leave open goes on to the
-        product routes, the range-span certificate, the range rays and the
-        ensemble search.
+        product routes, skipped after an NPT cut (no product ensemble exists
+        then), one level walk of a rank-2 range line (_span_certificate) and
+        the ensemble search.
         """
         profile = rho.profile
         m = profile.party_count
@@ -542,37 +547,26 @@ class _Engine:
         if lo == hi:
             return _result(lo, hi, trace | {"rule": "ppt-meets-eigen"}, witness)
 
-        # exact product-ensemble routes; they also sharpen lo when products
-        # provably cannot mix to rho
-        route, cand = self._product_route(rho, w, v)
-        trace["product_route"] = route
-        if cand is not None:
-            return _result(1, 1, trace | {"rule": "product-ensemble"}, cand)
-        if route in ("no-products-in-range", "products-cannot-mix"):
-            lo = max(lo, 2)
-            if lo == hi:
-                trace["rule"] = "product-exclusion-meets-eigen"
-                return _result(lo, hi, trace, witness)
+        # exact product routes, only while PPT leaves separability open
+        if lo == 1:
+            route, cand = self._product_route(rho, w, v)
+            trace["product_route"] = route
+            if cand is not None:
+                return _result(1, 1, trace | {"rule": "product-ensemble"}, cand)
+            if route in ("no-products-in-range", "products-cannot-mix"):
+                lo = 2
+                if hi == 2:
+                    return _result(2, 2, trace | {"rule": "product-exclusion-meets-eigen"}, witness)
 
-        # range-span certificate: prove nothing below the eigen value exists
-        plane = k == 2 and w[1] > EIGEN_WEIGHT_FLOOR
-        if lo < hi and plane:
-            cert = self._span_certificate(rho, v, hi - 1)
-            trace["certificate"] = cert["summary"]
-            if cert["certified"]:
+        # the range line's level walk, up to the eigen value
+        if k == 2 and w[1] > EIGEN_WEIGHT_FLOOR:
+            walk = self._span_certificate(rho, v, lo, hi)
+            trace["certificate"] = walk["summary"]
+            lo = walk["lo"]
+            if walk["mixture"] is not None:
+                return _result(lo, lo, trace | {"rule": "range-ray-mixture"}, walk["mixture"])
+            if walk["certified"]:
                 return _result(hi, hi, trace | {"rule": "range-span-certified"}, witness)
-
-        # the range rays decide every level up to their top exactly, lowest
-        # first: the first level whose rays mix to rho is the value, and each
-        # level whose rays cannot mix is a proved lower bound
-        found = self._range_rays(rho.profile, v) if plane else None
-        if found is not None:
-            rays, top = found
-            for r in range(lo, min(hi, top + 1)):
-                cand = _solve_mixture(rho, [s for s, val in rays if val <= r])
-                if cand is not None:
-                    return _result(r, r, trace | {"rule": "range-ray-mixture"}, cand)
-                lo = r + 1
 
         # ensemble searches, ascending target
         attempts = []
@@ -597,11 +591,8 @@ class _Engine:
         if float(np.max(np.abs(off))) <= 1e-11 * max(float(diag.max()), 1e-30):
             idx = [int(i) for i in np.flatnonzero(diag > EIGEN_WEIGHT_FLOOR)]
             weights = diag[idx] / diag[idx].sum()
-            states = []
-            for i in idx:
-                vec = np.zeros(rho.profile.total_dim, dtype=np.complex128)
-                vec[i] = 1.0
-                states.append(_checked_state(rho.profile, vec))
+            basis = np.eye(rho.profile.total_dim, dtype=np.complex128)
+            states = [_checked_state(rho.profile, basis[i]) for i in idx]
             cand = _build_candidate(rho, weights, states)
             if cand is not None:
                 return "diagonal-basis", cand
@@ -613,16 +604,12 @@ class _Engine:
             return ("qubit-pencil-products", cand) if cand is not None else ("inconclusive", None)
         if k != 2 or w[1] <= EIGEN_WEIGHT_FLOOR:
             return "inconclusive", None
-        found = self._range_rays(rho.profile, v)
-        if found is None:
+        walk = self._span_certificate(rho, v, 1, 2)
+        if walk["mixture"] is not None:
+            return "rank2-products", walk["mixture"]
+        if not walk["certified"]:
             return "inconclusive", None
-        rays, top = found
-        products = [s for s, val in rays if val == 1]
-        cand = _solve_mixture(rho, products)
-        if cand is not None:
-            return "rank2-products", cand
-        if top < 1:
-            return "inconclusive", None
+        products = walk["summary"]["range_rays"]
         return ("products-cannot-mix" if products else "no-products-in-range"), None
 
     def _range_rays(self, profile: DimensionProfile, v: np.ndarray) -> Optional[tuple]:
@@ -761,27 +748,38 @@ class _Engine:
 
     # ---- range-span lower bound -------------------------------------------
 
-    def _span_certificate(self, rho: DensityMatrix, v: np.ndarray, r: int) -> dict:
-        """Certify that no ensemble of rho can consist of value <= r states.
+    def _span_certificate(self, rho: DensityMatrix, v: np.ndarray, lo: int, hi: int) -> dict:
+        """Walk the levels lo ... min(hi - 1, top) of rho's range line, lowest first.
 
-        Returns {"certified", "summary"}. ``_range_rays`` lists every state of
-        value <= r on the range line up to the rays' top (pencil drops; the
-        CKW zeros on three qubits; the range composition on three or more
-        parties not all qubits): certified iff those states cannot mix to
-        rho. Above the top the summary is "inconclusive", and "ambiguous"
-        when a root is too shallow to list the rays at all.
+        Every ensemble of rho spans the line, whose rays (_range_rays) include
+        every state of value <= top, so level r holds iff the rays of value
+        <= r mix to rho. The first level that mixes is the value and its
+        mixture the witness; each that does not is a proved lower bound. lo
+        must be one too, so a level whose rays did not grow since is skipped.
+        Returns {"certified": lo reached hi, "lo", "mixture", "summary"}, the
+        summary naming the level the walk ended on and its ray count, or why
+        it stopped: "inconclusive" above the top, "ambiguous" without rays.
         """
         found = self._range_rays(rho.profile, v)
         if found is None:
-            return {"certified": False, "summary": {"certified": False, "reason": "ambiguous"}}
+            summary = {"certified": False, "reason": "ambiguous"}
+            return {"certified": False, "lo": lo, "mixture": None, "summary": summary}
         rays, top = found
-        if r > top:
-            summary = {"certified": False, "level": int(r), "reason": "inconclusive"}
-            return {"certified": False, "summary": summary}
-        low = [s for s, val in rays if val <= r]
-        certified = _solve_mixture(rho, low) is None
-        summary = {"certified": certified, "level": int(r), "range_rays": len(low)}
-        return {"certified": certified, "summary": summary}
+        solved = sum(val < lo for _, val in rays)
+        for r in range(lo, min(hi, top + 1)):
+            low = [s for s, val in rays if val <= r]
+            if len(low) > solved:
+                solved = len(low)
+                mixture = _solve_mixture(rho, low)
+                if mixture is not None:
+                    summary = {"certified": False, "level": r, "range_rays": len(low)}
+                    return {"certified": False, "lo": r, "mixture": mixture, "summary": summary}
+            lo = r + 1
+        if lo >= hi:
+            summary = {"certified": True, "level": hi - 1, "range_rays": solved}
+        else:
+            summary = {"certified": False, "level": lo, "reason": "inconclusive"}
+        return {"certified": lo >= hi, "lo": lo, "mixture": None, "summary": summary}
 
     # only the target of the benchmark's number.polish hook; goes with that hook (ROADMAP item 1)
     def _polish_zero_hunt(self, *args) -> bool:
@@ -972,9 +970,10 @@ def mixed_schmidt_number(
 ) -> SchmidtNumberResult:
     """Convex-roof Schmidt number interval of a mixed state, its witness built.
 
-    A party of dimension 1 carries nothing, so the matrix is decided on the
-    other parties (one is kept if every party has dimension 1), and the
-    witness states are relabelled on rho's profile.
+    Single-party and ppt-decisive-separable results have no witness. A party
+    of dimension 1 carries nothing, so the matrix is decided on the other
+    parties (one is kept if every party has dimension 1), and the witness
+    states are relabelled on rho's profile.
     """
     engine = _Engine(budget, tol)
     dims = rho.profile.dims

@@ -398,6 +398,147 @@ def planted_qudit_mixture(dims, seed):
     return mixture(states, [w, 1.0 - w]), states
 
 
+RANK_TWO_FUZZ = {
+    **{
+        f"{''.join(map(str, dims))}-{k1}{k2}": (dims, (k1, k2), 0)
+        for dims in [(2, 4), (3, 3), (3, 4), (4, 4)]
+        for k1 in (1, 2, 3, 4)
+        for k2 in (1, 2, 3, 4)
+        if k1 <= k2 <= min(dims)
+    },
+    **{
+        f"222-{kind}-{seed}": ((2, 2, 2), kind, seed)
+        for kind in ("product+product", "w-class pair", "lu-ghz+product")
+        for seed in range(2)
+    },
+    **{f"223-{seed}": ((2, 2, 3), "qudit", seed) for seed in range(8)},
+    **{f"2222-lu-ghz-{seed}": ((2, 2, 2, 2), "lu-ghz", seed) for seed in range(3)},
+    "2222-product": ((2, 2, 2, 2), "product", 0),
+}
+
+
+def rank_two_fuzz(name):
+    """A planted rank-2 mixture: two-party, three-qubit, (2,2,3) or (2,2,2,2)."""
+    dims, kind, seed = RANK_TWO_FUZZ[name]
+    if len(dims) == 2:
+        rng = np.random.default_rng([seed, *kind, *dims])
+        prof = ms.DimensionProfile(dims)
+        return mixture([PureState(prof, planted_ket(rng, dims, k)) for k in kind], [0.4, 0.6])
+    if dims == (2, 2, 2):
+        return planted_three_qubit(kind, seed)[0]
+    if dims == (2, 2, 3):
+        return planted_qudit_mixture(dims, seed)[0]
+    if kind == "product":
+        return mixture([ms.random_product(ms.qubits(4), j) for j in (0, 1)], [0.35, 0.65])
+    rng = np.random.default_rng([seed, 44])
+    states = [lu_ghz(rng, 4), lu_ghz(rng, 4)]
+    w = rng.uniform(0.2, 0.8)
+    return mixture(states, [w, 1.0 - w])
+
+
+def walk_oracle(rho, budget):
+    """(lo, hi, decided) from solving the range line's levels one by one.
+
+    Brute force: from the PPT bound, every level up to min(eigen value - 1,
+    top) is solved over engine._range_rays, none skipped and no shortcut to
+    the level below the eigen value. The first level that mixes is the value;
+    reaching the eigen value decides it too.
+    """
+    engine = number._Engine(budget, DEFAULT_RANK_TOL)
+    w, v = ms.spectrum(rho)
+    kept = v[:, w > number.EIGEN_WEIGHT_FLOOR].T
+    hi = max(engine.pure_value(PureState(rho.profile, vec)).value_hi for vec in kept)
+    if hi == 1:
+        return 1, 1, True  # the eigen ensemble
+    cuts = number._bipartitions(rho.profile.party_count)
+    lo = 2 if any(number.ppt_entangled(rho, c) for c in cuts) else 1
+    found = engine._range_rays(rho.profile, v)
+    if found is None:
+        return lo, hi, lo == hi
+    rays, top = found
+    for r in range(lo, min(hi, top + 1)):
+        if number._solve_mixture(rho, [s for s, val in rays if val <= r]) is not None:
+            return r, r, True
+        lo = r + 1
+    return lo, hi, lo == hi
+
+
+# NPT rank-2 matrices: their interval and the walk's certificate summary
+NPT_LINES = {
+    "W4-234": ((4, 4), {"certified": True, "level": 3, "range_rays": 1}),
+    "W3+000-223": ((4, 4), {"certified": True, "level": 3, "range_rays": 1}),
+    "Haar34-r2": ((3, 3), {"certified": True, "level": 2, "range_rays": 0}),
+}
+
+
+def npt_line(name):
+    """(rho, interval, certificate summary) for a name of NPT_LINES."""
+    if name == "W4-234":
+        rho = ms.reduce(ms.w_state(4), ms.SubsystemSet((2, 3, 4)))
+    elif name == "W3+000-223":  # W_3 on the qubit levels of a (2,2,3) profile, mixed with |000>
+        prof = ms.DimensionProfile((2, 2, 3))
+        w3 = sum(ms.basis_state(prof, idx).amplitudes for idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+        rho = mixture([PureState(prof, w3 / np.sqrt(3)), ms.basis_state(prof, (0, 0, 0))], [0.75, 0.25])
+    else:
+        prof = ms.DimensionProfile((3, 4))
+        rho = mixture([ms.random_pure(prof, s) for s in (0, 1)], [0.3, 0.7])
+    return (rho, *NPT_LINES[name])
+
+
+class TestRangeLineWalk:
+    """One walk decides a range line's levels, each ray set solved once, products only under PPT."""
+
+    @pytest.mark.parametrize("name", sorted(RANK_TWO_FUZZ))
+    def test_walk_matches_the_brute_force_oracle(self, name):
+        rho = rank_two_fuzz(name)
+        lo, hi, decided = walk_oracle(rho, SHORT)
+        res = ms.mixed_schmidt_number(rho, SHORT)
+        if not decided:  # the search may still lower hi
+            assert res.value_lo == lo and res.value_hi <= hi
+            return
+        assert (res.value_lo, res.value_hi) == (lo, hi)
+        witness = res.witness_ensemble
+        assert max(ms.pure_schmidt_number(st).value_hi for st in witness.states) == hi
+
+    @pytest.fixture(params=sorted(NPT_LINES))
+    def pinned(self, request):
+        return npt_line(request.param)
+
+    def test_no_product_route_after_an_npt_cut(self, pinned, monkeypatch):
+        rho, interval, summary = pinned
+        routed = []
+        real = number._Engine._product_route
+
+        def spy(self, sub, *args):
+            routed.append(sub)
+            return real(self, sub, *args)
+
+        monkeypatch.setattr(number._Engine, "_product_route", spy)
+        res = ms.mixed_schmidt_number(rho, SHORT)
+        assert (res.value_lo, res.value_hi) == interval
+        assert res.branch_trace["certificate"] == summary
+        assert res.branch_trace["npt_cuts"] and "product_route" not in res.branch_trace
+        for sub in routed:  # nested reductions may still take the route, but only under PPT
+            cuts = number._bipartitions(sub.profile.party_count)
+            assert not any(number.ppt_entangled(sub, c) for c in cuts)
+
+    def test_each_ray_set_is_solved_once(self, pinned, monkeypatch):
+        rho, interval, summary = pinned
+        solved = []
+        real = number._solve_mixture
+
+        def spy(sub, states):
+            rays = tuple(sorted(s.amplitudes.tobytes() for s in states))
+            solved.append(hash((sub.matrix.tobytes(), rays)))
+            return real(sub, states)
+
+        monkeypatch.setattr(number, "_solve_mixture", spy)
+        res = ms.mixed_schmidt_number(rho, SHORT)
+        assert (res.value_lo, res.value_hi) == interval
+        assert res.branch_trace["certificate"] == summary
+        assert len(set(solved)) == len(solved)
+
+
 class TestQuditThreePartyLines:
     """Three parties, not all qubits: every rank-2 range takes the exact range rays."""
 
@@ -1187,6 +1328,17 @@ class TestWitnessOnDemand:
         assert witness is not None
         assert np.linalg.norm(witness.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
 
+    def test_only_one_party_and_decisive_ppt_results_have_no_witness(self):
+        rhos = [rank_two_fuzz(name) for name in sorted(RANK_TWO_FUZZ)]
+        rhos += [_werner(0.2), DensityMatrix(ms.DimensionProfile((3,)), np.eye(3) / 3)]
+        rules = set()
+        for rho in rhos:
+            res = ms.mixed_schmidt_number(rho, SHORT)
+            rules.add(res.branch_trace["rule"])
+            bare = res.branch_trace["rule"] in {"single-party", "ppt-decisive-separable"}
+            assert (res.witness_ensemble is None) == bare
+        assert {"single-party", "ppt-decisive-separable"} <= rules
+
 
 def _local_rotation(rho, ops):
     """U rho U^dag for the local unitary U = ops[0] (x) ops[1] (x) ..."""
@@ -1417,7 +1569,7 @@ class TestExactRouteFallbacks:
         monkeypatch.setattr(number, "ROOT_FLOOR", 0.0)
         res = ms.mixed_schmidt_number(rho, SHORT)
         assert (res.value_lo, res.value_hi) == (2, 3)
-        assert res.branch_trace["product_route"] == "inconclusive"
+        assert "product_route" not in res.branch_trace  # an NPT cut: no product ensemble
         assert res.branch_trace["certificate"] == {"certified": False, "reason": "ambiguous"}
         _assert_sound(res, rho, value)
 
