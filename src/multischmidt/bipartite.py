@@ -3,9 +3,10 @@
 The PPT (partial transpose) test decides separability exactly on 2x2 and 2x3
 shapes; on larger shapes a violation still certifies entanglement but a pass
 is inconclusive, and callers receive that caveat through ``ppt_decisive``.
-``ppt_entangled`` and the max-party rule's direct test of three-party
-reductions both read the least partial-transpose eigenvalue from
-``_pt_least_eigenvalue``, one stacked ``eigvalsh`` per stack of matrices.
+``ppt_entangled`` (one matrix) and the max-party rule's direct test of
+three-party reductions (a stack of matrices, one ``eigvalsh``) both read the
+least partial-transpose eigenvalue from ``_pt_least_eigenvalue``. The module
+builds on ``core`` alone.
 """
 from __future__ import annotations
 
@@ -127,21 +128,13 @@ def partial_transpose(
     return blk.swapaxes(k, k + 2).reshape(lead + (da * db, da * db))
 
 
-def ppt_entangled(
-    rho: Union[DensityMatrix, np.ndarray],
-    cut: SubsystemSet,
-    tol: float = PPT_NEG_TOL,
-    profile: Optional[DimensionProfile] = None,
-):
+def ppt_entangled(rho: DensityMatrix, cut: SubsystemSet, tol: float = PPT_NEG_TOL) -> bool:
     """True iff the partial transpose over ``cut`` has an eigenvalue < -tol.
 
     A True result certifies entanglement across cut|rest for any shape; a
-    False result certifies separability only where PPT is decisive. A stack
-    of matrices on ``profile`` (see ``partial_transpose``) gives a boolean
-    array, one flag per matrix, from one stacked ``eigvalsh``.
+    False result certifies separability only where PPT is decisive.
     """
-    wmin = _pt_least_eigenvalue(rho, cut, profile)
-    return wmin < -tol if np.ndim(wmin) else bool(wmin < -tol)
+    return bool(_pt_least_eigenvalue(rho, cut) < -tol)
 
 
 def _pt_least_eigenvalue(
@@ -174,18 +167,3 @@ def ppt_negativity(rho: DensityMatrix, cut: SubsystemSet) -> float:
     pt = partial_transpose(rho, cut)
     w = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
     return float(-np.sum(w[w < 0.0]))
-
-
-def mixed_bipartite_schmidt_number(rho: DensityMatrix, budget=None, tol: float = DEFAULT_RANK_TOL):
-    """Schmidt number interval of a two-party mixed state.
-
-    Defers to the general mixed-state engine: the lower bound combines the
-    PPT test (decisive on 2x2 / 2x3) with exact rank-2 range analysis, the
-    upper bound comes from ensemble search.
-    """
-    from .number import DEFAULT_BUDGET, mixed_schmidt_number
-
-    if rho.party_count != 2:
-        raise ValueError("mixed_bipartite_schmidt_number expects a two-party profile")
-    return mixed_schmidt_number(rho, budget=budget or DEFAULT_BUDGET, tol=tol)
-

@@ -489,9 +489,11 @@ def mixed_generalized_eof(
 ) -> EofBounds:
     """Convex-roof generalized EoF: certified upper bound, trivial lower bound.
 
-    A pure projector collapses to the exact pure value; a found product
-    ensemble certifies zero. Otherwise the upper bound is the best searched
-    ensemble average and the result is flagged inexact.
+    A pure projector collapses to the exact pure value. Separability gives
+    exact zero, proved by PPT where it is decisive at every cut
+    (``ppt-decisive-separable``) or by a product ensemble searched for where
+    no cut is NPT (``product-ensemble``). Otherwise the upper bound is the
+    eigen-ensemble average and the result is flagged inexact.
     """
     engine = _Engine(budget, tol)
     weights, states = engine._eigen_elements(rho, *spectrum(rho))
@@ -500,8 +502,10 @@ def mixed_generalized_eof(
         val = generalized_eof(_coefficients(states[0], engine, budget))
         return EofBounds(val, val, True, {"route": "pure-state"})
 
-    cand = engine.search_ensemble(rho, 1)
-    if cand is not None:
+    npt_cuts, decisive = engine._ppt_stage(rho)
+    if decisive and not npt_cuts:
+        return EofBounds(0.0, 0.0, True, {"route": "ppt-decisive-separable"})
+    if not npt_cuts and engine.search_ensemble(rho, 1) is not None:
         return EofBounds(0.0, 0.0, True, {"route": "product-ensemble"})
 
     upper = float(

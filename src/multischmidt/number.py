@@ -301,8 +301,6 @@ class _Engine:
 
     def _pure_value(self, state: PureState) -> SchmidtNumberResult:
         m = state.party_count
-        if m == 0:
-            raise ValueError("state must have at least one party")
         if m == 1:
             return _result(1, 1, {"rule": "single-party"})
         if m == 2:
@@ -534,16 +532,10 @@ class _Engine:
         if hi == 1:
             return _result(1, 1, trace | {"rule": "eigen-ensemble"}, witness)
 
-        # PPT lower bound over all bipartitions, decisive shapes annotated
-        cuts = _bipartitions(m)
-        trace["npt_cuts"] = [list(c.indices) for c in cuts if ppt_entangled(rho, c)]
-        if trace["npt_cuts"]:
-            lo = 2
-        elif all(_ppt_decides(profile, c) for c in cuts):
-            # Horodecki: PPT on a 2x2 / 2x3 shape proves separability
+        trace["npt_cuts"], decisive = self._ppt_stage(rho)
+        if decisive and not trace["npt_cuts"]:
             return _result(1, 1, trace | {"rule": "ppt-decisive-separable"}, None)
-        else:
-            lo = 1
+        lo = 2 if trace["npt_cuts"] else 1
         if lo == hi:
             return _result(lo, hi, trace | {"rule": "ppt-meets-eigen"}, witness)
 
@@ -553,10 +545,6 @@ class _Engine:
             trace["product_route"] = route
             if cand is not None:
                 return _result(1, 1, trace | {"rule": "product-ensemble"}, cand)
-            if route in ("no-products-in-range", "products-cannot-mix"):
-                lo = 2
-                if hi == 2:
-                    return _result(2, 2, trace | {"rule": "product-exclusion-meets-eigen"}, witness)
 
         # the range line's level walk, up to the eigen value
         if k == 2 and w[1] > EIGEN_WEIGHT_FLOOR:
@@ -580,6 +568,18 @@ class _Engine:
         trace["search_attempts"] = attempts
         trace["rule"] = "interval"
         return _result(lo, hi, trace, witness)
+
+    @staticmethod
+    def _ppt_stage(rho: DensityMatrix) -> tuple[list[list[int]], bool]:
+        """(the cuts of negative partial transpose, whether PPT is decisive at every cut).
+
+        An NPT cut proves rho entangled, so it has no product ensemble; with
+        none, decisive PPT (2x2 and 2x3, Horodecki) proves it separable. One
+        party has no cut, and PPT decides nothing there.
+        """
+        cuts = _bipartitions(rho.party_count)
+        npt = [list(c.indices) for c in cuts if ppt_entangled(rho, c)]
+        return npt, bool(cuts) and all(_ppt_decides(rho.profile, c) for c in cuts)
 
     # ---- exact product routes --------------------------------------------
 
@@ -991,6 +991,13 @@ def mixed_schmidt_number(
         result = _result(sub.value_lo, sub.value_hi, trace, witness)
     result.witness_ensemble  # a public result is returned whole: read the witness here
     return result
+
+
+def mixed_bipartite_schmidt_number(rho: DensityMatrix, budget=None, tol: float = DEFAULT_RANK_TOL):
+    """Schmidt number interval of a two-party mixed state: mixed_schmidt_number on two parties."""
+    if rho.party_count != 2:
+        raise ValueError("mixed_bipartite_schmidt_number expects a two-party profile")
+    return mixed_schmidt_number(rho, budget=budget or DEFAULT_BUDGET, tol=tol)
 
 
 def ensemble_search(

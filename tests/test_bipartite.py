@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import multischmidt as ms
+from multischmidt.bipartite import PPT_NEG_TOL, _pt_least_eigenvalue
 from multischmidt.core import DensityMatrix
 
 
@@ -128,7 +129,7 @@ class TestPPT:
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (2, 2, 2, 2)])
     def test_stack_matches_each_matrix(self, dims):
-        """Leading axes stack matrices of one profile: one flag per matrix, bit for bit."""
+        """Leading axes stack matrices of one profile: one least eigenvalue per matrix, bit for bit."""
         prof = ms.DimensionProfile(dims)
         keep = ms.SubsystemSet(tuple(range(1, len(dims) + 1)))
         purified = [ms.random_pure(ms.DimensionProfile(dims + (2,)), seed) for seed in range(4)]
@@ -137,11 +138,13 @@ class TestPPT:
         stack = np.array([rho.matrix for rho in rhos])
         for cut in ms.enumerate_bipartitions(len(dims)):
             pts = ms.partial_transpose(stack, cut, prof)
-            flags = ms.ppt_entangled(stack, cut, profile=prof)
-            assert flags.shape == (len(rhos),)
-            for rho, pt, flag in zip(rhos, pts, flags):
+            lams = _pt_least_eigenvalue(stack, cut, prof)
+            assert lams.shape == (len(rhos),)
+            for rho, pt, lam in zip(rhos, pts, lams):
                 assert np.array_equal(pt, ms.partial_transpose(rho, cut))
-                assert flag == ms.ppt_entangled(rho, cut)
+                assert lam == _pt_least_eigenvalue(rho, cut)
+                assert (lam < -PPT_NEG_TOL) == ms.ppt_entangled(rho, cut)
+            flags = lams < -PPT_NEG_TOL
             assert flags.any() and not flags[-1]
 
 

@@ -95,8 +95,10 @@ class TestStateFiles:
             "5",
             '{"dims": [2], "amplitudes": [["1", 0.0], [0.0, 0.0]]}',
             '{"dims": [2], "amplitudes": [null, [1.0, 0.0]]}',
+            '{"dims": [2], "amplitudes": {"re": [1.0, 0.0]}}',
+            '{"dims": [2], "amplitudes": [[1' + "0" * 400 + ', 0.0], [0.0, 0.0]]}',
         ],
-        ids=["bare-numbers", "scalar-dims", "top-level-number", "string", "null"],
+        ids=["bare-numbers", "scalar-dims", "top-level-number", "string", "null", "object", "int-overflow"],
     )
     def test_malformed_payload_exits_2(self, payload, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -123,6 +125,14 @@ class TestStateFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+    def test_slightly_unnormalized_file_warns_and_renormalizes(self, tmp_path, capsys):
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"dims": [2], "amplitudes": [[1.0 + 5e-9, 0.0], [0.0, 0.0]]}))
+        assert load_state_file(str(path)).amplitudes.tolist() == [1.0, 0.0]
+        assert "warning: renormalizing" in capsys.readouterr().err
+        assert main(["analyze", str(path)]) == 0
+        assert "warning: renormalizing" in capsys.readouterr().err
 
     def test_unnormalized_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 import multischmidt as ms
+from multischmidt import number
 from multischmidt.core import DEFAULT_RANK_TOL, DensityMatrix, PureState, local_weights
 from multischmidt.errors import SearchError
 
@@ -261,6 +262,29 @@ class TestGeneralizedEof:
             ms.generalized_eof(vals[::-1]), abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [((0.8, 0.6, 0.0), "positive"), ((0.6, -0.8), "positive"), ((0.6, 0.8), "descending")],
+        ids=["zero", "negative", "ascending"],
+    )
+    def test_coefficient_set_validation(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            ms.CoefficientSet(values, {})
+
+
+def _werner(p):
+    """p |Phi+><Phi+| + (1 - p) I/4 on two qubits."""
+    phi = ms.bell_state().amplitudes
+    return DensityMatrix(ms.DimensionProfile((2, 2)), p * np.outer(phi, phi.conj()) + (1 - p) * np.eye(4) / 4)
+
+
+def _pure_mixture(dims):
+    """The 0.5 / 0.3 / 0.2 mixture of random_pure seeds 0-2 on ``dims``."""
+    prof = ms.DimensionProfile(dims)
+    states = [ms.random_pure(prof, seed) for seed in range(3)]
+    mat = sum(w * np.outer(st.amplitudes, st.amplitudes.conj()) for w, st in zip((0.5, 0.3, 0.2), states))
+    return DensityMatrix(prof, mat)
+
 
 class TestMixedEof:
     def test_pure_ghz_projector(self):
@@ -291,6 +315,41 @@ class TestMixedEof:
         assert not bounds.exact
         assert bounds.lower == 0.0
         assert bounds.upper > 0.0
+
+    @pytest.mark.parametrize("p", [0.1, 0.2, 1 / 3])
+    def test_ppt_decisive_separable_is_exact_zero(self, p):
+        """Werner states at p <= 1/3 are PPT on 2 x 2, which proves them separable: no search."""
+        bounds = ms.mixed_generalized_eof(_werner(p))
+        assert (bounds.lower, bounds.upper, bounds.exact) == (0.0, 0.0, True)
+        assert bounds.trace["route"] == "ppt-decisive-separable"
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            _werner(0.5),
+            _pure_mixture((3, 3)),
+            _pure_mixture((2, 2, 3)),
+            ms.reduce(ms.w_state(3), ms.SubsystemSet((2, 3))),
+        ],
+        ids=["werner-0.5", "haar-3x3", "haar-2x2x3", "w3-reduction"],
+    )
+    def test_npt_input_takes_the_eigen_average_without_search(self, rho, monkeypatch):
+        """An NPT cut rules out a product ensemble, so no target-1 search runs."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched for a product ensemble")
+
+        monkeypatch.setattr(number, "minimize", refuse)
+        bounds = ms.mixed_generalized_eof(rho)
+        w, v = ms.spectrum(rho)
+        keep = np.flatnonzero(w > number.EIGEN_WEIGHT_FLOOR)
+        eigen_average = sum(
+            w[i] / w[keep].sum()
+            * ms.generalized_eof(ms.pure_schmidt_coefficients(ms.normalized_state(rho.profile, v[:, i])))
+            for i in keep
+        )
+        assert (bounds.lower, bounds.exact, bounds.trace["route"]) == (0.0, False, "eigen-ensemble")
+        assert bounds.upper == pytest.approx(eigen_average, abs=1e-9)
 
 
 def _counting(calls, key, real):

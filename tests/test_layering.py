@@ -5,6 +5,20 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multischmidt"
+# every module but __init__, each importing only modules before it
+ORDER = [
+    "errors",
+    "seeding",
+    "core",
+    "partitions",
+    "bipartite",
+    "states",
+    "loci",
+    "number",
+    "coefficients",
+    "cli",
+    "__main__",
+]
 # where each exact-locus helper and the shared state helpers live
 HOMES = {
     "loci": [
@@ -61,6 +75,21 @@ def _defined(module: str) -> set[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
     return names
+
+
+def test_order_lists_every_module():
+    assert sorted(ORDER) == sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", ORDER)
+def test_relative_imports_point_to_earlier_modules(module):
+    """Imports inside functions count too: no module calls back into a later one."""
+    targets = {source.lstrip(".").split(".")[0] for source, _ in _imports(module) if source.startswith(".")}
+    assert targets <= set(ORDER[: ORDER.index(module)])
+
+
+def test_bipartite_imports_only_core():
+    assert {source for source, _ in _imports("bipartite") if source.startswith(".")} == {".core"}
 
 
 def test_loci_imports_only_numpy_scipy_and_core():

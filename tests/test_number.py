@@ -796,6 +796,22 @@ class TestResultInvariants:
         with pytest.raises(ValueError):
             _ = res.value
 
+    @pytest.mark.parametrize(
+        "weights, states, message",
+        [
+            ((0.5, 0.5), ("00",), "nonempty and aligned"),
+            ((), (), "nonempty and aligned"),
+            ((1.5, -0.5), ("00", "11"), "positive"),
+            ((0.5, 0.4), ("00", "11"), "sum to 1"),
+            ((0.5, 0.5), ("00", "000"), "one profile"),
+        ],
+        ids=["misaligned", "empty", "non-positive-weight", "weights-off-1", "mixed-profiles"],
+    )
+    def test_ensemble_candidate_validation(self, weights, states, message):
+        basis = [ms.basis_state(ms.qubits(len(s)), tuple(map(int, s))) for s in states]
+        with pytest.raises(ValueError, match=message):
+            ms.EnsembleCandidate(weights, tuple(basis))
+
 
 class TestOneSpectralPass:
     """Each unfolding of a pure state is decomposed once; shapes share one stacked SVD."""
@@ -1254,7 +1270,6 @@ def _eigen_witnessed(trace):
         "rank-one",
         "eigen-ensemble",
         "ppt-meets-eigen",
-        "product-exclusion-meets-eigen",
         "range-span-certified",
     }
 
