@@ -344,8 +344,7 @@ def _pair_score(amplitudes: np.ndarray, dims: tuple[int, ...], rank_target: int)
 
 def _searched_element(rho, rank_target, eigensystem, engine, budget):
     """A max-entropy element of rho with the target Schmidt number, by exact routes or search."""
-    w, v = eigensystem
-    _, elements = engine._eigen_elements(rho, w, v)
+    _, elements = engine._eigen_elements(rho, *eigensystem)
     basis = np.column_stack([s.amplitudes for s in elements])
     kr = basis.shape[1]
     profile = rho.profile
@@ -368,13 +367,12 @@ def _searched_element(rho, rank_target, eigensystem, engine, budget):
             raise SearchError(f"no state in the range has Schmidt number {rank_target}")
         return finish(st)
 
-    # exact shortcut: rank-1 targets on a plane range are the product rays
-    if rank_target == 1 and kr == 2:
-        route, cand = engine._product_route(rho, w, v)
-        if cand is not None:
-            for st in cand.states:
-                if qualifies(st):
-                    return finish(st)
+    # a rank-1 target takes an element of a product ensemble where one is found
+    found = engine.find_ensemble(rho, 1) if rank_target == 1 else None
+    if found is not None:
+        for st in found.states:
+            if qualifies(st):
+                return finish(st)
 
     heavy = profile.party_count >= 3
 
@@ -491,9 +489,10 @@ def mixed_generalized_eof(
 
     A pure projector collapses to the exact pure value. Separability gives
     exact zero, proved by PPT where it is decisive at every cut
-    (``ppt-decisive-separable``) or by a product ensemble searched for where
-    no cut is NPT (``product-ensemble``). Otherwise the upper bound is the
-    eigen-ensemble average and the result is flagged inexact.
+    (``ppt-decisive-separable``) or by ``_Engine.find_ensemble``, which finds
+    no product ensemble after an NPT cut (``product-ensemble``). Otherwise
+    the upper bound is the eigen-ensemble average, inexact. An eigen element
+    genuinely entangled on 5+ parties (W_5's) raises UnsupportedStructureError.
     """
     engine = _Engine(budget, tol)
     weights, states = engine._eigen_elements(rho, *spectrum(rho))
@@ -505,7 +504,7 @@ def mixed_generalized_eof(
     npt_cuts, decisive = engine._ppt_stage(rho)
     if decisive and not npt_cuts:
         return EofBounds(0.0, 0.0, True, {"route": "ppt-decisive-separable"})
-    if not npt_cuts and engine.search_ensemble(rho, 1) is not None:
+    if engine.find_ensemble(rho, 1) is not None:  # None after an NPT cut
         return EofBounds(0.0, 0.0, True, {"route": "product-ensemble"})
 
     upper = float(

@@ -9,7 +9,8 @@ class UnsupportedStructureError(NotImplementedError):
     """The requested quantity has no defined construction for this state class.
 
     Raised for Schmidt coefficients of genuinely entangled states on five or
-    more parties, where no construction is defined.
+    more parties, where no construction is defined, and so by
+    mixed_generalized_eof where an eigen element is one (W_5's projector).
     """
 
 

@@ -10,10 +10,11 @@ Mixed states use the convex roof over pure ensembles. Because the roof is
 not computable in general, results are intervals [value_lo, value_hi] with
 an ``exact`` flag:
 
-- value_hi comes from explicit ensembles (eigen-ensemble, exact mixtures of
-  range rays on rank-2 ranges, exact product mixtures of 2 x N states of
-  rank <= N from their kernel pencil, or seeded ensemble search over the
-  isometry parametrization of all decompositions);
+- value_hi comes from explicit ensembles: the eigen ensemble, exact mixtures
+  of range rays on rank-2 ranges, exact product mixtures of 2 x N states of
+  rank <= N from their kernel pencil, or the seeded search stage
+  (_Engine.search_ensemble, rule searched-ensemble where it closes the
+  interval); outside the ladder _Engine.find_ensemble runs the same stages;
 - value_lo combines the partial-transpose test over all bipartitions with
   one level walk on rank-2 ranges (_Engine._span_certificate): every
   ensemble of rho spans its range, so level r holds iff the states of value
@@ -235,12 +236,6 @@ def _matrix_key(rho: DensityMatrix) -> tuple:
 def _range_key(basis: np.ndarray, dims: tuple[int, ...]) -> tuple:
     proj = basis @ basis.conj().T
     return (dims, _stable_bytes(proj, 9))
-
-
-def _tail(weights: np.ndarray, r: int):
-    """The sum of all but the first r of descending weights; leading axes stack weight vectors."""
-    tail = np.sum(weights[..., r:], axis=-1)
-    return float(tail) if weights.ndim == 1 else tail
 
 
 def _hermitian_from(theta: np.ndarray, n: int) -> np.ndarray:
@@ -562,11 +557,10 @@ class _Engine:
             cand = self.search_ensemble(rho, r)
             attempts.append({"target": r, "found": cand is not None})
             if cand is not None:
-                hi = r
-                witness = cand
+                hi, witness = r, cand
                 break
         trace["search_attempts"] = attempts
-        trace["rule"] = "interval"
+        trace["rule"] = "interval" if lo < hi else "searched-ensemble"
         return _result(lo, hi, trace, witness)
 
     @staticmethod
@@ -787,41 +781,46 @@ class _Engine:
 
     # ---- ensemble search ---------------------------------------------------
 
-    def search_ensemble(self, rho: DensityMatrix, target_r: int) -> Optional[EnsembleCandidate]:
-        """Find an ensemble of rho whose elements all have value <= target_r.
+    def find_ensemble(self, rho: DensityMatrix, r: int) -> Optional[EnsembleCandidate]:
+        """An ensemble of rho whose elements all have value <= r, or None.
 
-        Tries the eigen-ensemble, the exact product routes (target 1), then
-        seeded smooth optimization over the isometry parametrization of all
-        decompositions; candidates pass a hard per-element re-verification.
-        The optimization is skipped where its surrogate (_element_tail)
-        vanishes on every state: three or more parties with target_r - 1 at
-        least every local rank bound. Absence of a result is not a proof of
-        impossibility.
+        The exact stages before a search, in order: the eigen ensemble; at
+        r = 1 an NPT cut (_ppt_stage), which proves None, then the product
+        routes, whose no-products-in-range and products-cannot-mix prove None
+        too. Then the search stage (search_ensemble), whose None proves nothing.
         """
-        if target_r < 1:
+        if r < 1:
             raise ValueError("target rank must be >= 1")
         w, v = spectrum(rho)
         weights, elements = self._eigen_elements(rho, w, v)
-        if all(self.pure_value(s).value_hi <= target_r for s in elements):
+        if all(self.pure_value(s).value_hi <= r for s in elements):
             cand = _build_candidate(rho, weights, elements)
             if cand is not None:
                 return cand
-        if target_r == 1:
-            route, cand = self._product_route(rho, w, v)
-            if cand is not None:
-                return cand
-            if route in ("no-products-in-range", "products-cannot-mix"):
+        if r == 1:
+            if self._ppt_stage(rho)[0]:
                 return None
-        dims, total = rho.profile.dims, rho.profile.total_dim
+            route, cand = self._product_route(rho, w, v)
+            if cand is not None or route in ("no-products-in-range", "products-cannot-mix"):
+                return cand
+        return self.search_ensemble(rho, r)
+
+    def search_ensemble(self, rho: DensityMatrix, target_r: int) -> Optional[EnsembleCandidate]:
+        """The search stage alone: an ensemble of value <= target_r by seeded L-BFGS, or None.
+
+        It optimizes over the isometry parametrization of all decompositions
+        of the eigen elements, and every element of a candidate is verified.
+        The ladder and find_ensemble run the exact stages first. Skipped where
+        the surrogate (_element_tail) vanishes on every state: three or more
+        parties with target_r - 1 at least every local rank bound.
+        """
+        profile = rho.profile
+        dims, total = profile.dims, profile.total_dim
         if len(dims) >= 3 and all(target_r - 1 >= min(d, total // d) for d in dims):
             return None  # _element_tail vanishes identically: nothing to minimize
-        return self._optimized_ensemble(rho, target_r, weights, elements)
-
-    def _optimized_ensemble(self, rho, target_r, weights, elements):
+        weights, elements = self._eigen_elements(rho, *spectrum(rho))
         k = len(elements)
-        basis = np.column_stack([s.amplitudes for s in elements])
-        b_mat = basis * np.sqrt(weights)
-        profile = rho.profile
+        b_mat = np.column_stack([s.amplitudes for s in elements]) * np.sqrt(weights)
         sizes = sorted({min(n, k * k) for n in (k, k + 1, 2 * k)})
         restarts = max(1, self.budget.restarts // 8)
         iters = max(30, self.budget.iters // 5)
@@ -840,22 +839,19 @@ class _Engine:
                 continue
             cols = _ensemble_columns(b_mat, res.x, n)
             out_w, out_s = [], []
-            ok = True
             for j in range(cols.shape[1]):
                 p = float(np.vdot(cols[:, j], cols[:, j]).real)
                 if p < EIGEN_WEIGHT_FLOOR:
                     continue
                 st = _checked_state(profile, cols[:, j] / np.sqrt(p))
                 if self.pure_value(st).value_hi > target_r:
-                    ok = False
                     break
                 out_w.append(p)
                 out_s.append(st)
-            if not ok or not out_s:
-                continue
-            cand = _build_candidate(rho, np.array(out_w) / sum(out_w), out_s)
-            if cand is not None:
-                return cand
+            else:  # every element verified
+                cand = _build_candidate(rho, np.array(out_w) / sum(out_w), out_s) if out_s else None
+                if cand is not None:
+                    return cand
         return None
 
 
@@ -948,10 +944,10 @@ def _element_tail(vec: np.ndarray, profile: DimensionProfile, target_r: int):
     if target_r == 1:
         tails = sum(1.0 - p[:, 0] for p in spectra)
     elif profile.party_count == 2:
-        tails = _tail(spectra[0], target_r)
+        tails = np.sum(spectra[0][:, target_r:], axis=-1)
     else:
         # necessary condition mass: every local rank must stay below target_r
-        tails = sum(_tail(p, target_r - 1) for p in spectra)
+        tails = sum(np.sum(p[:, target_r - 1 :], axis=-1) for p in spectra)
     return tails.tolist() if vec.ndim > 1 else float(tails[0])
 
 
@@ -1006,8 +1002,12 @@ def ensemble_search(
     budget: SearchBudget = DEFAULT_BUDGET,
     tol: float = DEFAULT_RANK_TOL,
 ) -> Optional[EnsembleCandidate]:
-    """Search for an ensemble of rho whose elements all have value <= target_r."""
-    return _Engine(budget, tol).search_ensemble(rho, target_r)
+    """An ensemble of rho whose elements all have value <= target_r, or None.
+
+    The exact stages, then the seeded search (_Engine.find_ensemble); at
+    target 1 an NPT cut gives None at once.
+    """
+    return _Engine(budget, tol).find_ensemble(rho, target_r)
 
 
 def slocc_rank_check(

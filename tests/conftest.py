@@ -71,6 +71,14 @@ def near_bell_times_zero():
     return ms.normalized_state(ms.qubits(3), clean + 1e-3 * noise / np.linalg.norm(noise))
 
 
+def product_mixture(dims, s):
+    """The 0.5 / 0.3 / 0.2 mixture of random_product seeds 3s, 3s + 1 and 3s + 2 on ``dims``."""
+    prof = ms.DimensionProfile(dims)
+    states = [ms.random_product(prof, 3 * s + j) for j in range(3)]
+    mat = sum(w * np.outer(st.amplitudes, st.amplitudes.conj()) for w, st in zip((0.5, 0.3, 0.2), states))
+    return ms.DensityMatrix(prof, mat)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -44,9 +44,17 @@ class TestSchmidtDecompose:
         mat = ms.bipartite.coefficient_matrix(st, ms.SubsystemSet((1, 3)))
         assert np.linalg.norm(dec.reconstruct() - mat) <= 1e-8
 
-    def test_rejects_full_or_empty_left(self):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cut: ms.schmidt_decompose(ms.bell_state(), cut),
+            lambda cut: ms.partial_transpose(ms.bell_state().density(), cut),
+        ],
+        ids=["schmidt-decompose", "partial-transpose"],
+    )
+    def test_rejects_full_or_empty_left(self, call):
         with pytest.raises(ValueError):
-            ms.schmidt_decompose(ms.bell_state(), ms.SubsystemSet((1, 2)))
+            call(ms.SubsystemSet((1, 2)))
 
     @pytest.mark.parametrize("seed", range(50))
     def test_rank_equals_reduction_rank(self, seed):

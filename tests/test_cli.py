@@ -6,6 +6,7 @@ import pytest
 
 import multischmidt as ms
 from conftest import near_bell_times_zero
+from multischmidt import cli
 from multischmidt.cli import (
     analyze_state,
     load_state_file,
@@ -58,6 +59,24 @@ class TestStateFiles:
         main(["gen", "random", "--dims", "2,2,2", "--seed", "7", "--out", str(a)])
         main(["gen", "random", "--dims", "2,2,2", "--seed", "7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            (
+                ["acin", "--lams", "0.5,0.5,0.5,0.5,0", "--theta", "0.5"],
+                ms.acin_state(ms.AcinParameters((0.5, 0.5, 0.5, 0.5, 0.0), 0.5)),
+            ),
+            (["random-product", "--dims", "2,3", "--seed", "0"], ms.random_product(ms.DimensionProfile((2, 3)), 0)),
+        ],
+        ids=["acin", "random-product"],
+    )
+    def test_gen_acin_and_random_product(self, tmp_path, args, want):
+        out = tmp_path / "s.json"
+        assert main(["gen", *args, "--out", str(out)]) == 0
+        state = load_state_file(str(out))
+        assert state.profile == want.profile
+        assert np.allclose(state.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
 
     def test_round_trip_byte_identical(self, tmp_path):
         path = tmp_path / "state.json"
@@ -301,6 +320,18 @@ class TestReproduce:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.strip().endswith("rows passed")
+
+    def test_a_crashing_row_is_a_failing_row(self, monkeypatch, capsys):
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "pure_schmidt_number", crash)
+        assert main(["reproduce"]) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        failed = [line for line in lines if line.startswith("[FAIL]")]
+        assert len(failed) == 8  # seven value rows and the refinement row
+        assert all("computed error: RuntimeError: boom" in line for line in failed)
+        assert lines[-1] == "6/14 rows passed"
 
     def test_broken_tolerance_fails_rank_rows(self, capsys):
         assert main(["reproduce", "--tol", "0.5"]) != 0

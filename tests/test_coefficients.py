@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 import multischmidt as ms
+from conftest import product_mixture
 from multischmidt import number
 from multischmidt.core import DEFAULT_RANK_TOL, DensityMatrix, PureState, local_weights
 from multischmidt.errors import SearchError
@@ -128,6 +129,18 @@ class TestMaxEntropyElement:
         elem, cs = ms.max_entropy_ensemble_element(red, 1, FAST)
         assert len(cs.values) == 1 and cs.values[0] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 4)])
+    @pytest.mark.parametrize("s", range(3))
+    def test_rank_one_element_of_a_product_mixture(self, dims, s):
+        # (2,4) takes the qubit-pencil product route, the others the ensemble search
+        rho = product_mixture(dims, s)
+        elem, cs = ms.max_entropy_ensemble_element(rho, 1)
+        assert cs.values == (1.0,) and cs.provenance["rule"] == "fully-separable"
+        assert ms.factorize(elem).label == ms.FULLY_SEPARABLE
+        w, v = ms.spectrum(rho)
+        kept = v[:, w > number.EIGEN_WEIGHT_FLOOR]
+        assert np.linalg.norm(kept @ (kept.conj().T @ elem.amplitudes) - elem.amplitudes) <= 1e-9
+
     def test_unreachable_rank_raises(self):
         # every state in span{|00>, |01>} is product: no rank-2 element exists
         prof = ms.DimensionProfile((2, 2))
@@ -242,8 +255,9 @@ class TestClosedFormTwoQubitElement:
 
 
 class TestGeneralizedEof:
-    def test_trivial(self):
-        assert ms.generalized_eof([1.0]) == 0.0
+    @pytest.mark.parametrize("values", [[1.0], [0.0, 0.0]], ids=["one", "all-zero"])
+    def test_trivial(self, values):
+        assert ms.generalized_eof(values) == 0.0
 
     def test_ghz3_value(self):
         cs = ms.pure_schmidt_coefficients(ms.ghz_state(3))

@@ -19,13 +19,19 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             ms.DimensionProfile(())
 
-    def test_subsystem_rejects_bad_indices(self):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ms.SubsystemSet(()),
+            lambda: ms.SubsystemSet((2, 2)),
+            lambda: ms.SubsystemSet((0,)),
+            lambda: ms.SubsystemSet((1, 2)).complement(2),
+        ],
+        ids=["empty", "repeated", "zero", "complement-of-all"],
+    )
+    def test_subsystem_rejects_bad_indices(self, make):
         with pytest.raises(ValueError):
-            ms.SubsystemSet(())
-        with pytest.raises(ValueError):
-            ms.SubsystemSet((2, 2))
-        with pytest.raises(ValueError):
-            ms.SubsystemSet((0,))
+            make()
 
     def test_subsystem_of_sorts_and_deduplicates(self):
         sub = ms.SubsystemSet.of([3, 1, 3])
@@ -40,10 +46,20 @@ class TestDomainTypes:
         sub = ms.SubsystemSet(indices)
         assert sub.complement(m).complement(m) == sub
 
-    def test_pure_state_requires_normalization(self):
-        prof = ms.DimensionProfile((2, 2))
-        with pytest.raises(ValueError):
-            ms.PureState(prof, np.array([1.0, 1.0, 0.0, 0.0]))
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda prof: ms.PureState(prof, np.array([1.0, 1.0, 0.0, 0.0])), "norm"),
+            (lambda prof: ms.PureState(prof, np.array([1.0, 0.0, 0.0])), "length"),
+            (lambda prof: ms.normalized_state(prof, np.zeros(4)), "zero vector"),
+            (lambda prof: ms.basis_state(prof, (0,)), "one label per party"),
+            (lambda prof: ms.basis_state(prof, (0, 2)), "out of range"),
+        ],
+        ids=["unnormalized", "length-mismatch", "zero-vector", "label-count", "label-range"],
+    )
+    def test_pure_state_validation(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make(ms.DimensionProfile((2, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_input_rejected(self, bad):
@@ -69,14 +85,14 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             st_.amplitudes[0] = 1.0
 
-    def test_density_matrix_validation(self):
-        prof = ms.DimensionProfile((2,))
+    @pytest.mark.parametrize(
+        "mat",
+        [np.array([[0.5, 1j], [2j, 0.5]]), np.diag([1.5, -0.5]), np.diag([0.7, 0.7]), np.eye(3) / 3],
+        ids=["non-hermitian", "negative", "trace", "shape-mismatch"],
+    )
+    def test_density_matrix_validation(self, mat):
         with pytest.raises(ValueError):
-            ms.DensityMatrix(prof, np.array([[0.5, 1j], [2j, 0.5]]))
-        with pytest.raises(ValueError):
-            ms.DensityMatrix(prof, np.diag([1.5, -0.5]))
-        with pytest.raises(ValueError):
-            ms.DensityMatrix(prof, np.diag([0.7, 0.7]))
+            ms.DensityMatrix(ms.DimensionProfile((2,)), mat)
 
 
 class TestReduce:
@@ -144,9 +160,11 @@ class TestReduce:
 
 
 class TestRankAndSpectrum:
-    def test_trivial_ranks(self):
-        assert ms.numerical_rank(np.eye(2) / 2) == 2
-        assert ms.numerical_rank(np.diag([1.0, 0.0])) == 1
+    @pytest.mark.parametrize(
+        "mat, want", [(np.eye(2) / 2, 2), (np.diag([1.0, 0.0]), 1), (np.zeros((2, 2)), 0)]
+    )
+    def test_trivial_ranks(self, mat, want):
+        assert ms.numerical_rank(mat) == want
 
     def test_w3_reduction_rank(self):
         w3 = ms.w_state(3)
@@ -155,9 +173,12 @@ class TestRankAndSpectrum:
         assert sorted(np.round(evals, 10)) == [pytest.approx(1 / 3), pytest.approx(2 / 3)]
         assert ms.numerical_rank(ms.reduce(w3, ms.SubsystemSet((1,)))) == 2
 
-    def test_non_hermitian_rejected(self):
+    @pytest.mark.parametrize(
+        "mat", [np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 3))], ids=["non-hermitian", "non-square"]
+    )
+    def test_non_hermitian_rejected(self, mat):
         with pytest.raises(ValueError):
-            ms.numerical_rank(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            ms.numerical_rank(mat)
 
     def test_spectrum_descending_and_reconstructs(self):
         w3 = ms.w_state(3)

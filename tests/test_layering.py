@@ -104,6 +104,16 @@ def test_coefficients_take_only_the_engine_from_number():
     assert taken == ["DEFAULT_BUDGET", "EIGEN_WEIGHT_FLOOR", "SearchBudget", "_Engine"]
 
 
+def test_coefficients_ask_the_engine_few_questions():
+    """No product route or search stage of its own: ensemble questions go through find_ensemble."""
+    used = {
+        node.attr
+        for node in ast.walk(_tree("coefficients"))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "engine"
+    }
+    assert used <= {"structure", "pure_value", "_eigen_elements", "_ppt_stage", "find_ensemble", "tol"}
+
+
 @pytest.mark.parametrize("home, name", [(home, n) for home, names in HOMES.items() for n in names])
 def test_each_helper_is_defined_in_its_home_alone(home, name):
     owners = [path.stem for path in sorted(SRC.glob("*.py")) if name in _defined(path.stem)]

@@ -8,6 +8,7 @@ from scipy.linalg import eigvals
 from scipy.stats import unitary_group
 
 import multischmidt as ms
+from conftest import product_mixture
 from multischmidt import core, loci, number
 from multischmidt.core import DEFAULT_RANK_TOL, DensityMatrix, PureState, local_weights, weight_rank
 
@@ -99,6 +100,18 @@ class TestPureSchmidtNumber:
 
 
 class TestMixedSchmidtNumber:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3)])
+    @pytest.mark.parametrize("s", range(3))
+    def test_a_search_that_closes_the_interval_is_labelled_searched_ensemble(self, dims, s):
+        rho = product_mixture(dims, s)
+        res = ms.mixed_schmidt_number(rho)
+        assert (res.value_lo, res.value_hi, res.exact) == (1, 1, True)
+        assert res.branch_trace["rule"] == "searched-ensemble"
+        assert res.branch_trace["search_attempts"] == [{"target": 1, "found": True}]
+        witness = res.witness_ensemble
+        assert np.linalg.norm(witness.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
+        assert all(ms.pure_schmidt_number(st).value == 1 for st in witness.states)
+
     def test_one_party_state_is_exactly_one(self):
         rho = DensityMatrix(ms.DimensionProfile((3,)), np.eye(3) / 3)
         res = ms.mixed_schmidt_number(rho)
@@ -746,6 +759,41 @@ class TestEnsembleSearch:
         assert number._element_tail(ms.random_pure(prof, 9).amplitudes, prof, 3) == 0.0
         rho = mixture([ms.random_pure(prof, k) for k in range(3)], [0.5, 0.3, 0.2])
         assert ms.ensemble_search(rho, 3, FAST) is None
+
+    @pytest.mark.parametrize("name", ["werner", "haar33", "haar223"])
+    def test_an_npt_cut_rules_out_target_one_without_search(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an NPT matrix reached the ensemble optimizer at target 1")
+
+        monkeypatch.setattr(number, "minimize", refuse)
+        if name == "werner":
+            rho = _werner(0.5)
+        else:
+            prof = ms.DimensionProfile((3, 3) if name == "haar33" else (2, 2, 3))
+            rho = mixture([ms.random_pure(prof, k) for k in range(3)], [0.5, 0.3, 0.2])
+        assert ms.ensemble_search(rho, 1) is None
+
+    def test_the_ladder_routes_each_reduction_once(self, monkeypatch):
+        # the three reductions of a rotated qutrit GHZ_3 are 3x3 rank-3 separable
+        # mixtures searched at target 1; the search stage repeats no product route
+        calls = {"route": 0, "solve": 0}
+        real_route, real_solve = number._Engine._product_route, number._solve_mixture
+
+        def route(self, *args):
+            calls["route"] += 1
+            return real_route(self, *args)
+
+        def solve(*args):
+            calls["solve"] += 1
+            return real_solve(*args)
+
+        monkeypatch.setattr(number._Engine, "_product_route", route)
+        monkeypatch.setattr(number, "_solve_mixture", solve)
+        prof = ms.DimensionProfile((3, 3, 3))
+        state = ms.apply_local_operators(ms.ghz_state(3, 3), ms.random_local_unitary(prof, 0))
+        res = ms.pure_schmidt_number(state)
+        assert (res.value_lo, res.value_hi, res.exact) == (4, 4, True)
+        assert calls == {"route": 3, "solve": 3}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_candidates_always_reconstruct(self, seed):
@@ -1584,6 +1632,7 @@ class TestExactRouteFallbacks:
         monkeypatch.setattr(number, "ROOT_FLOOR", 0.0)
         res = ms.mixed_schmidt_number(rho, SHORT)
         assert (res.value_lo, res.value_hi) == (2, 3)
+        assert res.branch_trace["rule"] == "interval"
         assert "product_route" not in res.branch_trace  # an NPT cut: no product ensemble
         assert res.branch_trace["certificate"] == {"certified": False, "reason": "ambiguous"}
         _assert_sound(res, rho, value)

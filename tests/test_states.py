@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import multischmidt as ms
+from multischmidt.seeding import stream
 
 
 class TestWStates:
@@ -85,11 +86,18 @@ class TestAcinStates:
         assert ms.numerical_rank(ms.reduce(st, ms.SubsystemSet((1,)))) == 1
         assert ms.pure_schmidt_number(st).value == 2
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ms.AcinParameters((1, 1, 0, 0, 0))
-        with pytest.raises(ValueError):
-            ms.AcinParameters((1, 0, 0, 0, 0), theta=4.0)
+    @pytest.mark.parametrize(
+        "lams, theta, message",
+        [
+            ((1, 1, 0, 0, 0), 0.0, "sum to 1"),
+            ((1, 0, 0, 0, 0), 4.0, "theta"),
+            ((-0.6, 0.8, 0, 0, 0), 0.0, "nonnegative"),
+        ],
+        ids=["norm", "theta", "negative"],
+    )
+    def test_validation(self, lams, theta, message):
+        with pytest.raises(ValueError, match=message):
+            ms.AcinParameters(lams, theta)
 
 
 class TestRandomGenerators:
@@ -126,6 +134,18 @@ class TestRandomGenerators:
         for op in ops:
             assert np.allclose(op @ op.conj().T, np.eye(op.shape[0]), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: ms.random_local_invertible(ms.qubits(2), 0, max_condition=0.5), RuntimeError),
+            (lambda: stream(0, 1.5), TypeError),
+        ],
+        ids=["condition-below-one", "float-tag"],
+    )
+    def test_rejects_what_it_cannot_draw(self, call, error):
+        with pytest.raises(error):
+            call()
+
     def test_invertibles_are_well_conditioned(self):
         ops = ms.random_local_invertible(ms.DimensionProfile((2, 2, 2)), 4)
         for op in ops:
@@ -159,8 +179,15 @@ class TestApplyLocalOperators:
             tracemalloc.stop()
         assert peak < 1_000_000  # the 1024 x 1024 Kronecker product alone is 16 MB
 
-    def test_rejects_mismatched_operators(self):
-        with pytest.raises(ValueError):
-            ms.apply_local_operators(ms.w_state(3), [np.eye(2), np.eye(2)])
-        with pytest.raises(ValueError):
-            ms.apply_local_operators(ms.w_state(3), [np.eye(2), np.eye(3), np.eye(2)])
+    @pytest.mark.parametrize(
+        "ops, message",
+        [
+            ([np.eye(2), np.eye(2)], "operator"),
+            ([np.eye(2), np.eye(3), np.eye(2)], "operator"),
+            ([np.diag([1.0, 0.0])] * 3, "vanished"),  # W_3 has no |000> component
+        ],
+        ids=["count", "shape", "vanishing"],
+    )
+    def test_rejects_mismatched_operators(self, ops, message):
+        with pytest.raises(ValueError, match=message):
+            ms.apply_local_operators(ms.w_state(3), ops)
