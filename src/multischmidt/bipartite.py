@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -116,16 +117,27 @@ def partial_transpose(
         mat, profile = rho.matrix, rho.profile
     else:
         mat = np.asarray(rho)
-    m = profile.party_count
     lead = mat.shape[:-2]
     k = len(lead)
-    cut_axes = [k + i - 1 for i in cut.indices]
-    rest_axes = [k + a for a in range(m) if a + 1 not in cut]
-    da, db = _grouped_dims(profile, cut)
-    t = mat.reshape(lead + profile.dims + profile.dims)
-    perm = list(range(k)) + cut_axes + rest_axes + [m + a for a in cut_axes + rest_axes]
-    blk = t.transpose(perm).reshape(lead + (da, db, da, db))
-    return blk.swapaxes(k, k + 2).reshape(lead + (da * db, da * db))
+    dims = profile.dims
+    perm, blocks, n = _pt_plan(k, dims, cut.indices)
+    blk = mat.reshape(lead + dims + dims).transpose(perm).reshape(lead + blocks)
+    return blk.swapaxes(k, k + 2).reshape(lead + (n, n))
+
+
+@lru_cache(maxsize=None)
+def _pt_plan(k: int, dims: tuple[int, ...], indices: tuple[int, ...]):
+    """``partial_transpose``'s axis permutation, block shape and order for ``k`` leading axes.
+
+    Built once per shape and cut; a bad cut raises on every call.
+    """
+    da, db = _grouped_dims(DimensionProfile(dims), SubsystemSet(indices))
+    m = len(dims)
+    cut_axes = [k + i - 1 for i in indices]
+    rest_axes = [k + a for a in range(m) if a + 1 not in indices]
+    axes = cut_axes + rest_axes
+    perm = tuple(range(k)) + tuple(axes) + tuple(m + a for a in axes)
+    return perm, (da, db, da, db), da * db
 
 
 def ppt_entangled(rho: DensityMatrix, cut: SubsystemSet, tol: float = PPT_NEG_TOL) -> bool:
@@ -156,8 +168,9 @@ def ppt_decisive(rho: DensityMatrix, cut: SubsystemSet) -> bool:
     return _ppt_decides(rho.profile, cut)
 
 
+@lru_cache(maxsize=None)
 def _ppt_decides(profile: DimensionProfile, cut: SubsystemSet) -> bool:
-    """``ppt_decisive`` for any matrix on ``profile``."""
+    """``ppt_decisive`` for any matrix on ``profile``, decided once per profile and cut."""
     da, db = _grouped_dims(profile, cut)
     return tuple(sorted((da, db))) in ((2, 2), (2, 3))
 

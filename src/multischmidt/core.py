@@ -45,6 +45,27 @@ Conventions
 - A ``DensityMatrix`` carries its eigensystem, computed by validation or
   taken from the SVD; ``spectrum`` and ``numerical_rank`` reuse it instead
   of decomposing again.
+
+Kernel rules
+------------
+Every pure state passes through the same few primitives many times, on
+arrays of 2 to 8 elements, where numpy's Python-level dispatch costs more
+than the arithmetic. The primitives on that path keep every LAPACK call,
+evaluate each expression in the order numpy would, and follow three rules:
+
+- no numpy wrapper on a 0-d value or a few-element vector in a hot path:
+  ``weight_rank`` counts a single vector in Python after one ``tolist``,
+  and the CKW scalars (``loci._pair_concurrences``) are Python floats and
+  complex numbers;
+- anything that depends only on a shape is built once per shape and cached:
+  ``unfold``'s axis permutation (``_unfold_plan``), the partial transpose's
+  (``bipartite._pt_plan``), PPT decisiveness per profile and cut, factor
+  sets, cut tuples, reduction profiles, and the LAPACK workspaces of zgesdd
+  and zggev. A plan that raises is not cached, so a bad cut fails on every
+  call;
+- ``eigh`` and ``eigvalsh`` stay on ``numpy.linalg`` (see ``_svd`` above),
+  and eigen elements keep their per-column normalization, because the seeded
+  searches start from those exact bits.
 """
 from __future__ import annotations
 
@@ -320,12 +341,22 @@ def unfold(amplitudes: np.ndarray, dims: tuple[int, ...], side: SubsystemSet) ->
     last stack several states, giving a stack of unfoldings.
     """
     lead = amplitudes.shape[:-1]
-    k = len(lead)
-    side_axes = [k + i - 1 for i in side.indices]
-    rest_axes = [k + a for a in range(len(dims)) if a + 1 not in side]
+    dims = tuple(dims)
+    perm, rows = _unfold_plan(len(lead), dims, side.indices)
+    return amplitudes.reshape(lead + dims).transpose(perm).reshape(lead + (rows, -1))
+
+
+@lru_cache(maxsize=None)
+def _unfold_plan(k: int, dims: tuple[int, ...], side: tuple[int, ...]):
+    """``unfold``'s axis permutation and row count for ``k`` leading axes.
+
+    Built once per shape and side; a side naming a missing party raises on
+    every call.
+    """
+    side_axes = tuple(k + i - 1 for i in side)
+    rest_axes = tuple(k + a for a in range(len(dims)) if a + 1 not in side)
     rows = math.prod(dims[a - k] for a in side_axes)
-    tensor = amplitudes.reshape(lead + tuple(dims))
-    return tensor.transpose(list(range(k)) + side_axes + rest_axes).reshape(lead + (rows, -1))
+    return tuple(range(k)) + side_axes + rest_axes, rows
 
 
 def reduce(state: Union[PureState, DensityMatrix], keep: SubsystemSet) -> DensityMatrix:
@@ -456,15 +487,19 @@ def _checked_tol(tol: float) -> float:
 def weight_rank(weights: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> Union[int, np.ndarray]:
     """Count weights above ``tol`` times the largest weight.
 
-    A stack of descending weight vectors (leading axes before the last)
-    gives an array of one count per vector.
+    A stack of weight vectors (leading axes before the last), each
+    descending, gives an array of one count per vector. A single vector may
+    come in any order; it counts 0 when its largest weight is not positive
+    or when it holds a NaN, as a numpy reduction over it would.
     """
-    if np.ndim(weights) > 1:
+    if weights.ndim > 1:
         return np.count_nonzero(weights > tol * weights[..., :1], axis=-1)
-    top = float(np.max(weights))
-    if top <= 0.0:
+    vals = weights.tolist()
+    top = max(vals)
+    if not top > 0.0 or math.isnan(sum(vals)):  # a NaN anywhere, or +inf beside -inf
         return 0
-    return int(np.count_nonzero(weights > tol * top))
+    cut = tol * top
+    return len([x for x in vals if x > cut])
 
 
 def numerical_rank(mat: MatrixLike, tol: float = DEFAULT_RANK_TOL) -> int:

@@ -36,6 +36,7 @@ _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real
 # LAPACK zggev; _homogeneous_eigvals casts its operands to complex128
 _GGEV = get_lapack_funcs("ggev", dtype=np.complex128)
+_GGEV_LWORK: dict[int, int] = {}  # by order, filled on first use (_ggev_lwork)
 
 
 def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
@@ -61,18 +62,29 @@ def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[int, np.nda
 def _homogeneous_eigvals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The generalized eigenvalues (alpha, beta) of the square pencil (a, b): beta*a x = alpha*b x.
 
-    LAPACK ggev with the workspace query of scipy.linalg.eigvals(a, b,
+    LAPACK ggev with the workspace of scipy.linalg.eigvals(a, b,
     homogeneous_eigvals=True), without that wrapper's overhead; the inputs
     are checked to be finite as its check_finite does.
     """
     a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    lwork = _GGEV(a, b, lwork=-1)[-2][0].real.astype(np.int_)
-    alpha, beta, _, _, _, info = _GGEV(a, b, 0, 0, lwork)
+    alpha, beta, _, _, _, info = _GGEV(a, b, 0, 0, _ggev_lwork(a.shape[0]))
     if info != 0:
         raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed (LAPACK info={info})")
     return alpha, beta
+
+
+def _ggev_lwork(n: int) -> int:
+    """zggev's optimal workspace for order n, queried once as scipy queries it per call.
+
+    The query, with eigenvectors as scipy asks, reads only the order.
+    """
+    lwork = _GGEV_LWORK.get(n)
+    if lwork is None:
+        z = np.zeros((n, n), dtype=np.complex128)
+        lwork = _GGEV_LWORK[n] = int(_GGEV(z, z, lwork=-1)[-2][0].real)
+    return lwork
 
 
 def _polar(x: np.ndarray, y: np.ndarray):
@@ -85,7 +97,7 @@ def _polar(x: np.ndarray, y: np.ndarray):
     )
 
 
-def _pair_concurrences(amplitudes: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
+def _pair_concurrences(amplitudes: np.ndarray, weights: list[np.ndarray]) -> list[float]:
     """The squared concurrence of each pair reduction rho_(not i) of a three-qubit state.
 
     ``weights`` holds each party's cut weights, the spectrum of rho_i. By
@@ -93,12 +105,22 @@ def _pair_concurrences(amplitudes: np.ndarray, weights: list[np.ndarray]) -> np.
     party i, so C_jk^2 = (4 det rho_j + 4 det rho_k - 4 det rho_i - tau) / 2.
     det(rho_i) = w0 * w1 from party i's cut weights, and tau = 4 |H| with
     H = b^2 - 4 det(X) det(Y) Cayley's hyperdeterminant from the party-1
-    slices X, Y (b = _polar(X, Y), det X = _polar(X, X) / 2).
+    slices X, Y (b = _polar(X, Y), det X = _polar(X, X) / 2). The scalars
+    are Python floats and complex numbers: numpy's dispatch on 0-d values
+    costs more than the arithmetic. numpy's loops on 0-d arrays may fuse a
+    complex product into multiply-adds where the CPU has them, so a numpy
+    evaluation of the same expression can differ in the last bit.
     """
-    dets = 4.0 * np.array([w[0] * w[1] for w in weights])
-    x, y = amplitudes.reshape(2, 2, 2)
-    tau = 4.0 * abs(_polar(x, y) ** 2 - _polar(x, x) * _polar(y, y))
-    return (dets.sum() - 2.0 * dets - tau) / 2.0
+    dets = [4.0 * float(w[0] * w[1]) for w in weights]
+    x, y = amplitudes.reshape(2, 2, 2).tolist()
+    tau = 4.0 * abs(_polar_2x2(x, y) ** 2 - _polar_2x2(x, x) * _polar_2x2(y, y))
+    total = dets[0] + dets[1] + dets[2]
+    return [(total - 2.0 * d - tau) / 2.0 for d in dets]
+
+
+def _polar_2x2(x: list, y: list) -> complex:
+    """``_polar`` of one pair of 2 x 2 blocks given as nested lists."""
+    return x[0][0] * y[1][1] + x[1][1] * y[0][0] - x[0][1] * y[1][0] - x[1][0] * y[0][1]
 
 
 def _det_line(x: np.ndarray, y: np.ndarray) -> np.ndarray:

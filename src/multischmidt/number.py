@@ -73,8 +73,9 @@ Anything the machinery cannot prove is reported inexact, never guessed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -220,7 +221,7 @@ def _result(lo: int, hi: int, trace: dict, witness=None) -> SchmidtNumberResult:
 
 
 def _stable_bytes(arr: np.ndarray, decimals: int) -> bytes:
-    rounded = np.round(arr, decimals)
+    rounded = arr.round(decimals)
     rounded = rounded + (0.0 + 0.0j)  # normalize signed zeros in both parts
     return rounded.tobytes()
 
@@ -249,6 +250,21 @@ def _hermitian_from(theta: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=None)
+def _ppt_groups(dims: tuple[int, ...]) -> tuple[tuple[DimensionProfile, tuple[int, ...]], ...]:
+    """(profile, parties) per reduction profile where PPT decides a state's rho_(not i).
+
+    The parties of a three-party state on ``dims`` whose reductions are
+    2 x 2 or 2 x 3, grouped by their profile; built once per dims.
+    """
+    first = _party_cuts(2)[0][0]
+    shapes: dict = {}
+    for i, profile in enumerate(_reduction_profiles(dims)):
+        if _ppt_decides(profile, first):
+            shapes.setdefault(profile.dims, (profile, []))[1].append(i)
+    return tuple((profile, tuple(group)) for profile, group in shapes.values())
+
+
 class _Engine:
     """Memoized evaluator shared by one public call.
 
@@ -273,6 +289,7 @@ class _Engine:
         self._pure_cache: dict = {}
         self._mixed_cache: dict = {}
         self._ray_cache: dict = {}
+        self._ppt_cache: dict = {}
 
     # ---- pure states -----------------------------------------------------
 
@@ -413,9 +430,9 @@ class _Engine:
             return None
         margin = max(loci.CKW_MARGIN, 4.0 * self.tol)
         weights = [rec.weights for rec in records]
-        if np.min(loci._pair_concurrences(state.amplitudes, weights)) <= margin:
+        if min(loci._pair_concurrences(state.amplitudes, weights)) <= margin:
             return None
-        return [_result(2, 2, {"rule": "ckw-concurrence"}) for _ in records]
+        return [_result(2, 2, {"rule": "ckw-concurrence"})] * len(records)  # read, never stored
 
     def _ppt_reductions(
         self, dims: tuple[int, ...], records: list[_PartyCut]
@@ -451,20 +468,14 @@ class _Engine:
         out: list = [None] * len(records)
         if len(dims) != 3:
             return out
-        profiles = _reduction_profiles(dims)
         first = _party_cuts(2)[0][0]
-        shapes: dict = {}
-        for i, profile in enumerate(profiles):
-            if _ppt_decides(profile, first):
-                shapes.setdefault(profile.dims, []).append(i)
-        for group in shapes.values():
-            profile = profiles[group[0]]
+        for profile, group in _ppt_groups(dims):
             mats = _cut_matrices(
                 np.array([records[i].vectors for i in group], dtype=np.complex128),
-                np.array([records[i].s for i in group]) ** 2,
+                np.array([records[i].weights for i in group]),
             )
             lams = _pt_least_eigenvalue(mats, first, profile).tolist()
-            slack = np.sqrt(self.tol + 1e-14) + profile.total_dim * EIGEN_WEIGHT_FLOOR
+            slack = math.sqrt(self.tol + 1e-14) + profile.total_dim * EIGEN_WEIGHT_FLOOR
             margin = max(PPT_NEG_TOL, slack)
             for i, lam in zip(group, lams):
                 if lam < -margin:
@@ -563,17 +574,23 @@ class _Engine:
         trace["rule"] = "interval" if lo < hi else "searched-ensemble"
         return _result(lo, hi, trace, witness)
 
-    @staticmethod
-    def _ppt_stage(rho: DensityMatrix) -> tuple[list[list[int]], bool]:
+    def _ppt_stage(self, rho: DensityMatrix) -> tuple[list[list[int]], bool]:
         """(the cuts of negative partial transpose, whether PPT is decisive at every cut).
 
         An NPT cut proves rho entangled, so it has no product ensemble; with
         none, decisive PPT (2x2 and 2x3, Horodecki) proves it separable. One
-        party has no cut, and PPT decides nothing there.
+        party has no cut, and PPT decides nothing there. Memoized per matrix,
+        keyed by its exact entries, so the ladder, find_ensemble and the
+        generalized EoF test each matrix once; callers must not mutate the list.
         """
-        cuts = _bipartitions(rho.party_count)
-        npt = [list(c.indices) for c in cuts if ppt_entangled(rho, c)]
-        return npt, bool(cuts) and all(_ppt_decides(rho.profile, c) for c in cuts)
+        key = (rho.profile.dims, rho.matrix.tobytes())
+        hit = self._ppt_cache.get(key)
+        if hit is None:
+            cuts = _bipartitions(rho.party_count)
+            npt = [list(c.indices) for c in cuts if ppt_entangled(rho, c)]
+            hit = npt, bool(cuts) and all(_ppt_decides(rho.profile, c) for c in cuts)
+            self._ppt_cache[key] = hit
+        return hit
 
     # ---- exact product routes --------------------------------------------
 

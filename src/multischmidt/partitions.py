@@ -15,8 +15,8 @@ the record's keys: the number and the coefficients take one ``_PartyCut``
 per party from ``PartitionStructure._party_records()``. Validation happens
 only at the public boundary: the factor states are unit singular vectors of
 a validated state and are built without re-validation
-(``core._checked_state``). Cut tuples and reduction profiles are built once
-per party count and dims.
+(``core._checked_state``). Cut tuples, factor sets and reduction profiles are
+built once per party count, party tuple and dims.
 """
 from __future__ import annotations
 
@@ -139,6 +139,12 @@ def _reduction_profiles(dims: tuple[int, ...]) -> tuple[DimensionProfile, ...]:
     return tuple(profile.restrict(rest) for rest in _party_cuts(len(dims))[1])
 
 
+@lru_cache(maxsize=None)
+def _subsystem(parties: tuple[int, ...]) -> SubsystemSet:
+    """The SubsystemSet of a party tuple, built once per tuple (a factor of ``factorize``)."""
+    return SubsystemSet(parties)
+
+
 def _finest(parties: tuple[int, ...], state: PureState, tol: float, record=None):
     """Finest factors of ``state``; ``record`` collects the SVD factors of its cuts."""
     k = len(parties)
@@ -186,7 +192,7 @@ def factorize(state: PureState, tol: float = DEFAULT_RANK_TOL) -> PartitionStruc
     cut_factors: dict = {}
     leaves = _finest(tuple(range(1, m + 1)), state, tol, cut_factors)
     leaves.sort(key=lambda item: item[0][0])
-    factors = tuple(SubsystemSet(p) for p, _ in leaves)
+    factors = tuple(_subsystem(p) for p, _ in leaves)
     states = tuple(s for _, s in leaves)
     entangled = tuple(len(f) >= 2 for f in factors)
     return PartitionStructure(

@@ -365,6 +365,14 @@ class TestMixedEof:
         assert (bounds.lower, bounds.exact, bounds.trace["route"]) == (0.0, False, "eigen-ensemble")
         assert bounds.upper == pytest.approx(eigen_average, abs=1e-9)
 
+    def test_ppt_runs_once_per_matrix(self, monkeypatch):
+        """The EoF's own PPT stage and find_ensemble's share one verdict: one test for one cut."""
+        calls = {"ppt": 0}
+        monkeypatch.setattr(number, "ppt_entangled", _counting(calls, "ppt", number.ppt_entangled))
+        bounds = ms.mixed_generalized_eof(product_mixture((3, 3), 0))
+        assert calls["ppt"] == 1
+        assert (bounds.upper, bounds.exact, bounds.trace["route"]) == (0.0, True, "product-ensemble")
+
 
 def _counting(calls, key, real):
     def spy(*args, **kwargs):
