@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
-"""One md5 over every result of the three benchmark workloads at seeds 1-4.
+"""One md5 over every result of the three benchmark workloads at seeds 1-4, and one over range lines.
 
-The inputs are the benchmark's own: this script imports
+The workload inputs are the benchmark's own: this script imports
 ``perfbench/workloads.py`` and calls each case's public function with the
-default SearchBudget at ``seed = S``, as ``perfbench/run.py`` does. Each
+default SearchBudget at ``seed = S``, as ``perfbench/run.py`` does. Their
+per-workload lines and the ``all`` line over them come first. A last line,
+``lines``, covers the three- and four-party range lines that the workloads
+barely reach: ``mixed_schmidt_number`` of seeded rank-2 mixtures of two
+Haar states on (2,2,2), (2,2,3) and (2,2,2,2), and ``pure_schmidt_number``
+of seeded Haar (2,2,2,2) states, each with the default SearchBudget. Each
 result is written out canonically and hashed:
 
 - a Schmidt number: its interval, ``exact`` flag and ``branch_trace``, and
@@ -96,6 +101,40 @@ def workload_digest(name: str) -> str:
     return h.hexdigest()
 
 
+# (dims, number of seeded rank-2 mixtures) for the range-line digest
+LINE_MIXTURES = (((2, 2, 2), 8), ((2, 2, 3), 8), ((2, 2, 2, 2), 4))
+LINE_HAAR_QUBITS4 = 20
+
+
+def rank_two_mixture(profile, seed: int):
+    """A seeded mixture of the Haar states ``random_pure`` seeds 2 S and 2 S + 1."""
+    weights = np.random.default_rng(seed).uniform(0.2, 1.0, size=2)
+    weights /= weights.sum()
+    kets = [ms.random_pure(profile, 2 * seed + j).amplitudes for j in range(2)]
+    rho = sum(w * np.outer(k, k.conj()) for w, k in zip(weights, kets))
+    return ms.DensityMatrix(profile, (rho + rho.conj().T) / 2.0)
+
+
+def line_digest() -> str:
+    h = hashlib.md5()
+    cases = []
+    for dims, count in LINE_MIXTURES:
+        profile = ms.DimensionProfile(dims)
+        for seed in range(count):
+            cases.append((f"mix{dims}#{seed}", "mixed_schmidt_number", rank_two_mixture(profile, seed)))
+    for seed in range(LINE_HAAR_QUBITS4):
+        cases.append((f"haar2222#{seed}", "pure_schmidt_number", ms.random_pure(ms.qubits(4), seed)))
+    for label, api, data in cases:
+        try:
+            result = getattr(ms, api)(data, ms.DEFAULT_BUDGET)
+        except Exception as exc:  # a failed call is an output too
+            result = exc
+        h.update(f"lines|{label}|{api}|".encode())
+        h.update(describe(result))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 def main() -> int:
     total = hashlib.md5()
     for name in workloads.WORKLOADS:
@@ -103,6 +142,7 @@ def main() -> int:
         print(f"{name} {digest}")
         total.update(f"{name} {digest}\n".encode())
     print(f"all {total.hexdigest()}")
+    print(f"lines {line_digest()}")
     return 0
 
 

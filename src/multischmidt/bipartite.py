@@ -154,13 +154,21 @@ def _pt_least_eigenvalue(
     cut: SubsystemSet,
     profile: Optional[DimensionProfile] = None,
 ):
-    """The least eigenvalue of the symmetrized partial transpose over ``cut``.
+    """The least eigenvalue of the partial transpose over ``cut``.
 
+    A DensityMatrix's partial transpose is symmetrized, (pt + pt^dag)/2,
+    before ``eigvalsh``: its matrix is Hermitian only within ``HERM_ATOL``.
     A stack of matrices on ``profile`` (see ``partial_transpose``) gives an
-    array, one value per matrix, from one stacked ``eigvalsh``.
+    array, one value per matrix, from one stacked ``eigvalsh`` of the
+    partial transposes as they are. The stack must be exactly Hermitian, as
+    ``core._cut_matrices`` builds it: a partial transpose only moves
+    entries, so it is then exactly Hermitian too, and symmetrizing would
+    change no bit.
     """
     pt = partial_transpose(rho, cut, profile)
-    return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
+    if profile is None:
+        pt = (pt + pt.conj().T) / 2.0
+    return np.linalg.eigvalsh(pt)[..., 0]
 
 
 def ppt_decisive(rho: DensityMatrix, cut: SubsystemSet) -> bool:

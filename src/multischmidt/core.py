@@ -50,13 +50,20 @@ Kernel rules
 ------------
 Every pure state passes through the same few primitives many times, on
 arrays of 2 to 8 elements, where numpy's Python-level dispatch costs more
-than the arithmetic. The primitives on that path keep every LAPACK call,
-evaluate each expression in the order numpy would, and follow three rules:
+than the arithmetic; so does every rank-2 mixed matrix, whose range line
+(a 3 x 3 pencil, a handful of 9-amplitude rays) is walked once. The
+primitives on both paths keep every LAPACK call, evaluate each expression
+in the order numpy would, and follow three rules:
 
 - no numpy wrapper on a 0-d value or a few-element vector in a hot path:
   ``weight_rank`` counts a single vector in Python after one ``tolist``,
-  and the CKW scalars (``loci._pair_concurrences``) are Python floats and
-  complex numbers;
+  and ``_row_rank`` one row of a stacked spectrum (a range line's margin
+  test, a pencil's generic rank, ``loci._generic_member``'s argmax); the
+  CKW scalars (``loci._pair_concurrences``) are Python floats and complex
+  numbers; a range line's rays are formed, normalized and turned into
+  states as one stack (``_unit_states``), and a mixture's dyads come from
+  one broadcast multiply. A norm is ``_norm``, numpy's own two dots and
+  square root written out, never ``np.linalg.norm``;
 - anything that depends only on a shape is built once per shape and cached:
   ``unfold``'s axis permutation (``_unfold_plan``), the partial transpose's
   (``bipartite._pt_plan``), PPT decisiveness per profile and cut, factor
@@ -204,6 +211,11 @@ def _checked_state(profile: DimensionProfile, amplitudes: np.ndarray) -> PureSta
     """
     amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
     amps.setflags(write=False)
+    return _read_only_state(profile, amps)
+
+
+def _read_only_state(profile: DimensionProfile, amps: np.ndarray) -> PureState:
+    """A PureState holding ``amps``, a read-only finite unit vector, without a copy."""
     state = object.__new__(PureState)
     object.__setattr__(state, "profile", profile)
     object.__setattr__(state, "amplitudes", amps)
@@ -212,7 +224,31 @@ def _checked_state(profile: DimensionProfile, amplitudes: np.ndarray) -> PureSta
 
 def _unit_state(profile: DimensionProfile, vec: np.ndarray) -> PureState:
     """The internal state vec / |vec| of a nonzero combination of unit vectors."""
-    return _checked_state(profile, vec / np.linalg.norm(vec))
+    return _checked_state(profile, vec / _norm(vec))
+
+
+def _unit_states(profile: DimensionProfile, vecs: np.ndarray) -> tuple[np.ndarray, list[PureState]]:
+    """``_unit_state`` of each row of ``vecs``: the stacked amplitudes and their states.
+
+    Each row is divided by its own ``_norm`` in one broadcast division, the
+    same elementwise quotient ``_unit_state`` takes. The states share the
+    returned read-only array instead of copying a row each.
+    """
+    units = vecs / np.array([_norm(x) for x in vecs])[:, None]
+    units.setflags(write=False)
+    return units, [_read_only_state(profile, amps) for amps in units]
+
+
+def _norm(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)`` of a complex array, without its dispatch.
+
+    numpy's norm without ``ord`` or ``axis`` ravels in memory order and
+    takes the square root of two dots, the real parts' and the imaginary
+    parts'; this evaluates the same dots in the same order.
+    """
+    x = a.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def normalized_state(profile: DimensionProfile, amplitudes: np.ndarray) -> PureState:
@@ -500,6 +536,12 @@ def weight_rank(weights: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> Union[int
         return 0
     cut = tol * top
     return len([x for x in vals if x > cut])
+
+
+def _row_rank(row: list[float], tol: float) -> int:
+    """``weight_rank`` of one vector of a stack, given descending as a list: the count above tol * row[0]."""
+    cut = tol * row[0]
+    return len([x for x in row if x > cut])
 
 
 def numerical_rank(mat: MatrixLike, tol: float = DEFAULT_RANK_TOL) -> int:

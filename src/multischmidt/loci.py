@@ -50,13 +50,32 @@ def _pencil_drops(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[int, np.nda
     accuracy; the caller's margin test catches the others.
     """
     u, s, vh = core._svd(_PROBES[:, None, None] * a + b)  # the three members at once
-    g = int(weight_rank(s**2, tol).max())
-    best = int(np.argmax(s[:, g - 1] / s[:, 0]))
+    g, best = _generic_member(s.tolist(), tol)
     left, right = u[best, :, :g].conj().T, vh[best, :g].conj().T
     # beta_h * A x = alpha_h * B x, so alpha*A + beta*B is singular at (beta_h, -alpha_h)
     alpha_h, beta_h = _homogeneous_eigvals(left @ a @ right, left @ b @ right)
-    rays = np.column_stack([beta_h, -alpha_h])
-    return g, rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    rays = np.stack([beta_h, -alpha_h], axis=1)
+    # np.linalg.norm(rays, axis=1, keepdims=True), written out
+    return g, rays / np.sqrt(np.add.reduce((rays.conj() * rays).real, axis=1, keepdims=True))
+
+
+def _generic_member(rows: list[list[float]], tol: float) -> tuple[int, int]:
+    """(g, best) from the members' singular values, descending rows as ``s.tolist()`` gives them.
+
+    g is the largest ``weight_rank`` of the squared rows, and best the first
+    member with the largest s[g - 1] / s[0], the one whose leading g
+    singular vectors compress the pencil best. As numpy's argmax does, the
+    first member whose ratio is NaN (a zero member: 0 / 0) wins outright.
+    """
+    g = max(core._row_rank([x * x for x in row], tol) for row in rows)
+    best, top = 0, -1.0
+    for j, row in enumerate(rows):
+        ratio = row[g - 1] / row[0] if row[0] != 0.0 else np.nan
+        if ratio != ratio:
+            return g, j
+        if ratio > top:
+            best, top = j, ratio
+    return g, best
 
 
 def _homogeneous_eigvals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,8 +86,11 @@ def _homogeneous_eigvals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     are checked to be finite as its check_finite does.
     """
     a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
+    # a NaN or infinite entry leaves a sum of squares NaN or infinite; only
+    # then (or where finite entries overflow one) are the entries tested one by one
+    if not (np.vdot(a, a).real < np.inf and np.vdot(b, b).real < np.inf):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("array must not contain infs or NaNs")
     alpha, beta, _, _, _, info = _GGEV(a, b, 0, 0, _ggev_lwork(a.shape[0]))
     if info != 0:
         raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed (LAPACK info={info})")

@@ -62,7 +62,12 @@ none); it also drops parties of dimension 1 before the ladder. The margin
 test of a range line's rank drops takes one stacked SVD per cut, whose
 spectra also give the drops' product test and two-party values, and the
 ensemble search's objective takes one stacked SVD per party for all of its
-columns.
+columns. A (3,3) rank-2 matrix costs three stacked SVDs (its eigen value,
+its pencil's three probe members, its rays' margin test), one zggev, one
+eigvalsh and one NNLS; the Python around them follows core's kernel rules:
+the rays are formed, normalized and made states as one stack, their ranks
+and the pencil's generic member are read from ``tolist`` rows, and the
+mixture's dyads come from one broadcast multiply.
 
 Validation happens only at the public boundary. States and reductions built
 inside the recursion from validated data (eigen elements, rays, CKW zeros,
@@ -99,7 +104,9 @@ from .core import (
     _checked_tol,
     _cut_matrices,
     _cut_reductions,
+    _row_rank,
     _unit_state,
+    _unit_states,
     local_weights,
     reduce,  # unused here; the benchmark's hook test rebinds it in this module
     spectrum,
@@ -122,6 +129,8 @@ RECONSTRUCTION_ATOL = 1e-7
 EIGEN_WEIGHT_FLOOR = 1e-12
 # a range ray's dropped weights sit below this (relative) or above the rank tol
 ROOT_FLOOR = 1e-20
+# two rays are one when their overlap reaches this
+_DUPLICATE_OVERLAP = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -372,14 +381,15 @@ class _Engine:
         if subs is None:
             subs = self._ppt_reductions(state.profile.dims, records)
             rest = [i for i, sub in enumerate(subs) if sub is None]
-            profiles = _reduction_profiles(state.profile.dims)
-            rhos = _cut_reductions(
-                [profiles[i] for i in rest],
-                [records[i].vectors for i in rest],
-                [records[i].s for i in rest],
-            )
-            for i, rho in zip(rest, rhos):
-                subs[i] = self.mixed_value(rho)
+            if rest:
+                profiles = _reduction_profiles(state.profile.dims)
+                rhos = _cut_reductions(
+                    [profiles[i] for i in rest],
+                    [records[i].vectors for i in rest],
+                    [records[i].s for i in rest],
+                )
+                for i, rho in zip(rest, rhos):
+                    subs[i] = self.mixed_value(rho)
         lo = hi = 0
         per_party = []
         for i, (rec, sub) in enumerate(zip(records, subs), 1):
@@ -531,7 +541,8 @@ class _Engine:
         vecs = v[:, keep].T
         if m == 2:
             first = _party_cuts(2)[0][0]
-            hi = int(np.max(weight_rank(local_weights(vecs, profile.dims, first), self.tol)))
+            spectra = local_weights(vecs, profile.dims, first).tolist()
+            hi = max(_row_rank(p, self.tol) for p in spectra)
         else:
             hi = max(self.pure_value(_unit_state(profile, vec)).value_hi for vec in vecs)
         trace = {"rank": k, "eigen_hi": hi}
@@ -659,19 +670,21 @@ class _Engine:
         for cut in cuts:
             g, found = loci._pencil_drops(unfold(v1, dims, cut), unfold(v2, dims, cut), self.tol)
             generic.append(g)
-            drops.extend(found)
-        roots = [_unit_state(profile, a * v1 + b * v2) for a, b in drops]
-        states = roots + [_unit_state(profile, v1), _unit_state(profile, v2)]
+            drops.append(found)
+        coeffs = np.concatenate(drops)  # a row (a, b) per root
+        n = len(coeffs)
+        # the roots a*v1 + b*v2, then v1 and v2, normalized as one stack
+        combos = np.concatenate([coeffs[:, :1] * v1 + coeffs[:, 1:] * v2, (v1, v2)])
+        stack, states = _unit_states(profile, combos)
+        roots = states[:n]
         # one stacked decomposition per cut serves every state of the line
-        stack = np.stack([st.amplitudes for st in states])
-        spectra = [local_weights(stack, dims, cut) for cut in cuts]
-        ranks = [weight_rank(p, self.tol) for p in spectra]
-        n = len(roots)
-        if any(np.any(weight_rank(p[:n], ROOT_FLOOR) != r[:n]) for p, r in zip(spectra, ranks)):
-            return None  # a root neither clean nor clearly off: no exact claim
+        spectra = [local_weights(stack, dims, cut).tolist() for cut in cuts]
+        ranks = [[_row_rank(p, self.tol) for p in rows] for rows in spectra]
+        for rows, r in zip(spectra, ranks):
+            if any(_row_rank(p, ROOT_FLOOR) != r[j] for j, p in enumerate(rows[:n])):
+                return None  # a root neither clean nor clearly off: no exact claim
         if m == 2:
-            rays = [(states[j], int(ranks[0][j])) for j in _dedupe_index(states)]
-            return rays, generic[0] - 1
+            return [(states[j], ranks[0][j]) for j in _dedupe_index(states)], generic[0] - 1
         if min(generic) == 1:
             # every point factorizes at that cut; a cut of g >= 2 still lists
             # every fully product state
@@ -878,9 +891,15 @@ class _Engine:
 def _dedupe_index(states: list[PureState]) -> list[int]:
     """Indices of the states kept when later near-duplicate rays are dropped."""
     out: list[int] = []
+    kept: list[np.ndarray] = []
     for j, s in enumerate(states):
-        if all(abs(np.vdot(states[i].amplitudes, s.amplitudes)) < 1.0 - 1e-9 for i in out):
+        amps = s.amplitudes
+        for other in kept:
+            if not abs(np.vdot(other, amps)) < _DUPLICATE_OVERLAP:
+                break
+        else:
             out.append(j)
+            kept.append(amps)
     return out
 
 
@@ -892,11 +911,7 @@ def _solve_mixture(rho: DensityMatrix, states: list[PureState]) -> Optional[Ense
     """Nonnegative weights mixing the given pure states into rho, if any."""
     if not states:
         return None
-    cols = []
-    for s in states:
-        dyad = np.outer(s.amplitudes, s.amplitudes.conj()).reshape(-1)
-        cols.append(np.concatenate([dyad.real, dyad.imag]))
-    a_mat = np.column_stack(cols)
+    a_mat = _dyad_columns(states)
     target = rho.matrix.reshape(-1)
     b_vec = np.concatenate([target.real, target.imag])
     w, resid = nnls(a_mat, b_vec)
@@ -909,13 +924,25 @@ def _solve_mixture(rho: DensityMatrix, states: list[PureState]) -> Optional[Ense
     return _build_candidate(rho, [p / total for p, _ in keep], [s for _, s in keep])
 
 
+def _dyad_columns(states: list[PureState]) -> np.ndarray:
+    """The real matrix whose column j is (Re, Im) of the flattened dyad |s_j><s_j|.
+
+    Every dyad comes from one broadcast multiply, the ufunc np.outer applies
+    to each pair of vectors. The result is F-ordered; nnls reads it in C
+    order, the layout np.column_stack gives.
+    """
+    amps = np.array([s.amplitudes for s in states])
+    dyads = (amps[:, :, None] * amps.conj()[:, None, :]).reshape(len(states), -1)
+    return np.concatenate([dyads.real, dyads.imag], axis=1).T
+
+
 def _build_candidate(rho: DensityMatrix, weights, states) -> Optional[EnsembleCandidate]:
     """The ensemble if it is valid and reconstructs rho, else None."""
     try:
         cand = EnsembleCandidate(tuple(float(p) for p in weights), tuple(states))
     except ValueError:
         return None
-    err = float(np.linalg.norm(cand.reconstruct() - rho.matrix))
+    err = core._norm(cand.reconstruct() - rho.matrix)
     return cand if err <= RECONSTRUCTION_ATOL else None
 
 
