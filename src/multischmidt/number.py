@@ -14,21 +14,22 @@ an ``exact`` flag:
   of range rays on rank-2 ranges, exact product mixtures of 2 x N states of
   rank <= N from their kernel pencil, or the seeded search stage
   (_Engine.search_ensemble, rule searched-ensemble where it closes the
-  interval); outside the ladder _Engine.find_ensemble runs the same stages;
+  interval); _Engine.find_ensemble runs the same stages at one target;
 - value_lo combines the partial-transpose test over all bipartitions with
-  one level walk on rank-2 ranges (_Engine._span_certificate): every
-  ensemble of rho spans its range, so level r holds iff the states of value
-  <= r on the range line mix to rho. Wherever those are finitely many and
-  all listed (the loci module: every cut's rank drops, and on three qubits
-  the zeros of the Coffman-Kundu-Wootters gap), nonnegative least squares
-  decides the levels lowest first: the first that mixes is the value, each
-  that does not a lower bound. Product routes are skipped after an NPT cut,
-  as rho then has no product ensemble. On four or more parties range-only
-  bounds compose: where party i's slices span a fixed plane P_i, every other
-  state has value >= g_i + (the least value of a rank-2 state with range
-  P_i), a bound from one exact solve on P_i. The same composition serves
-  three parties that are not all qubits, whose planes P_i are two-party
-  ranges. Above the composed bound the result stays an interval.
+  one level walk on rank-2 ranges (_Engine._span_certificate), which alone
+  decides their levels: every ensemble of rho spans its range, so level r
+  holds iff the states of value <= r on the range line mix to rho. Wherever
+  those are finitely many and all listed (the loci module: every cut's rank
+  drops, and on three qubits the zeros of the Coffman-Kundu-Wootters gap),
+  nonnegative least squares decides the levels lowest first: the first that
+  mixes is the value, each that does not a lower bound. After an NPT cut rho
+  has no product ensemble: no product listing or product search (on three or
+  more parties, the one at target 2) runs. On four or more parties
+  range-only bounds compose: where party i's slices span a fixed plane P_i,
+  every other state has value >= g_i + (the least value of a rank-2 state
+  with range P_i), a bound from one exact solve on P_i. The same composition
+  serves three parties that are not all qubits, whose planes P_i are
+  two-party ranges. Above the composed bound the result stays an interval.
 
 Every pure-state spectrum and rank comes from the core primitive
 (core.local_weights and core.weight_rank, both stack-aware). Spectra are
@@ -606,7 +607,7 @@ class _Engine:
     # ---- exact product routes --------------------------------------------
 
     def _product_route(self, rho: DensityMatrix, w: np.ndarray, v: np.ndarray):
-        """Try to settle whether rho is a mixture of fully product states."""
+        """(route, ensemble or None) from the diagonal basis or, at rank > 2, a qubit pencil."""
         mat = rho.matrix
         diag = np.real(np.diag(mat)).copy()
         off = mat - np.diag(np.diag(mat))
@@ -619,20 +620,10 @@ class _Engine:
             if cand is not None:
                 return "diagonal-basis", cand
         k = weight_rank(w, self.tol)
-        if k > 2:
-            found = loci._qubit_pencil_products(rho.profile.dims, v, k, self.tol)
-            products = [] if found is None else [_unit_state(rho.profile, x) for x in found]
-            cand = _solve_mixture(rho, _dedupe_states(products))
-            return ("qubit-pencil-products", cand) if cand is not None else ("inconclusive", None)
-        if k != 2 or w[1] <= EIGEN_WEIGHT_FLOOR:
-            return "inconclusive", None
-        walk = self._span_certificate(rho, v, 1, 2)
-        if walk["mixture"] is not None:
-            return "rank2-products", walk["mixture"]
-        if not walk["certified"]:
-            return "inconclusive", None
-        products = walk["summary"]["range_rays"]
-        return ("products-cannot-mix" if products else "no-products-in-range"), None
+        found = loci._qubit_pencil_products(rho.profile.dims, v, k, self.tol) if k > 2 else None
+        products = [] if found is None else [_unit_state(rho.profile, x) for x in found]
+        cand = _solve_mixture(rho, _dedupe_states(products))
+        return ("qubit-pencil-products", cand) if cand is not None else ("inconclusive", None)
 
     def _range_rays(self, profile: DimensionProfile, v: np.ndarray) -> Optional[tuple]:
         """(rays, top) for the range line span{v1, v2} (orthonormal columns of v).
@@ -814,10 +805,10 @@ class _Engine:
     def find_ensemble(self, rho: DensityMatrix, r: int) -> Optional[EnsembleCandidate]:
         """An ensemble of rho whose elements all have value <= r, or None.
 
-        The exact stages before a search, in order: the eigen ensemble; at
-        r = 1 an NPT cut (_ppt_stage), which proves None, then the product
-        routes, whose no-products-in-range and products-cannot-mix prove None
-        too. Then the search stage (search_ensemble), whose None proves nothing.
+        The ladder's stages at the fixed target r, each None proved: the eigen
+        ensemble (rho's only one at rank one); the PPT bound lo, None if lo > r;
+        the product listings while lo = 1; on a rank-2 range the walk over
+        levels lo ... r. Then the search stage, whose None proves nothing.
         """
         if r < 1:
             raise ValueError("target rank must be >= 1")
@@ -827,12 +818,17 @@ class _Engine:
             cand = _build_candidate(rho, weights, elements)
             if cand is not None:
                 return cand
-        if r == 1:
-            if self._ppt_stage(rho)[0]:
-                return None
-            route, cand = self._product_route(rho, w, v)
-            if cand is not None or route in ("no-products-in-range", "products-cannot-mix"):
-                return cand
+        k = weight_rank(w, self.tol)
+        if k == 1 and len(elements) == 1:
+            return None
+        lo = 2 if self._ppt_stage(rho)[0] else 1
+        cand = self._product_route(rho, w, v)[1] if lo == 1 else None
+        if lo > r or cand is not None:
+            return cand
+        if k == 2 and w[1] > EIGEN_WEIGHT_FLOOR:
+            walk = self._span_certificate(rho, v, lo, r + 1)
+            if walk["mixture"] is not None or walk["certified"]:
+                return walk["mixture"]
         return self.search_ensemble(rho, r)
 
     def search_ensemble(self, rho: DensityMatrix, target_r: int) -> Optional[EnsembleCandidate]:
@@ -840,14 +836,18 @@ class _Engine:
 
         It optimizes over the isometry parametrization of all decompositions
         of the eigen elements, and every element of a candidate is verified.
-        The ladder and find_ensemble run the exact stages first. Skipped where
-        the surrogate (_element_tail) vanishes on every state: three or more
-        parties with target_r - 1 at least every local rank bound.
+        The ladder and find_ensemble run the exact stages first. Skipped on
+        three or more parties where the surrogate (_element_tail) vanishes on
+        every state, and at target 2 after an NPT cut: each party's weight
+        past its largest is then 1 minus the largest, the target-1 tail, so
+        the search would seek the product ensemble that the cut rules out.
         """
         profile = rho.profile
         dims, total = profile.dims, profile.total_dim
         if len(dims) >= 3 and all(target_r - 1 >= min(d, total // d) for d in dims):
             return None  # _element_tail vanishes identically: nothing to minimize
+        if len(dims) >= 3 and target_r == 2 and self._ppt_stage(rho)[0]:
+            return None  # the target-1 surrogate: no product ensemble after an NPT cut
         weights, elements = self._eigen_elements(rho, *spectrum(rho))
         k = len(elements)
         b_mat = np.column_stack([s.amplitudes for s in elements]) * np.sqrt(weights)
@@ -1048,8 +1048,8 @@ def ensemble_search(
 ) -> Optional[EnsembleCandidate]:
     """An ensemble of rho whose elements all have value <= target_r, or None.
 
-    The exact stages, then the seeded search (_Engine.find_ensemble); at
-    target 1 an NPT cut gives None at once.
+    The ladder's stages at target_r (_Engine.find_ensemble): only a None
+    from the final seeded search proves nothing.
     """
     return _Engine(budget, tol).find_ensemble(rho, target_r)
 

@@ -760,18 +760,66 @@ class TestEnsembleSearch:
         rho = mixture([ms.random_pure(prof, k) for k in range(3)], [0.5, 0.3, 0.2])
         assert ms.ensemble_search(rho, 3, FAST) is None
 
-    @pytest.mark.parametrize("name", ["werner", "haar33", "haar223"])
+    @pytest.mark.parametrize("name", ["werner", "haar33", "haar223", "haar222"])
     def test_an_npt_cut_rules_out_target_one_without_search(self, name, monkeypatch):
+        # on three or more parties target 2 is a product search too (_element_tail)
         def refuse(*args, **kwargs):
-            raise AssertionError("an NPT matrix reached the ensemble optimizer at target 1")
+            raise AssertionError("an NPT matrix reached the ensemble optimizer")
 
         monkeypatch.setattr(number, "minimize", refuse)
         if name == "werner":
             rho = _werner(0.5)
         else:
-            prof = ms.DimensionProfile((3, 3) if name == "haar33" else (2, 2, 3))
+            dims = {"haar33": (3, 3), "haar223": (2, 2, 3), "haar222": (2, 2, 2)}[name]
+            prof = ms.DimensionProfile(dims)
             rho = mixture([ms.random_pure(prof, k) for k in range(3)], [0.5, 0.3, 0.2])
-        assert ms.ensemble_search(rho, 1) is None
+        for target in (1, 2) if rho.party_count >= 3 else (1,):
+            assert ms.ensemble_search(rho, target) is None
+
+    def test_a_rank_one_matrix_is_its_only_ensemble(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rank-one matrix reached the ensemble optimizer")
+
+        monkeypatch.setattr(number, "minimize", refuse)
+        assert ms.ensemble_search(ms.w_state(3).density(), 2) is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_walk_finds_a_schmidt_rank_two_mixture(self, seed, monkeypatch):
+        # a (3,3) rank-2 matrix of eigen value 3: the walk's level 2 mixes
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rank-2 range line reached the ensemble optimizer")
+
+        monkeypatch.setattr(number, "minimize", refuse)
+        prof = ms.DimensionProfile((3, 3))
+        rng = np.random.default_rng([seed, 33])
+        rho = mixture([PureState(prof, planted_ket(rng, (3, 3), 2)) for _ in range(2)], [0.5, 0.5])
+        cand = ms.ensemble_search(rho, 2)
+        assert np.linalg.norm(cand.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
+        assert all(ms.pure_schmidt_number(st).value_hi <= 2 for st in cand.states)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_walk_proves_no_target_two_mixture(self, seed, monkeypatch):
+        # a (3,3) Haar rank-2 mixture has value 3: the walk certifies level 2 fails
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rank-2 range line reached the ensemble optimizer")
+
+        monkeypatch.setattr(number, "minimize", refuse)
+        prof = ms.DimensionProfile((3, 3))
+        rho = mixture([ms.random_pure(prof, 2 * seed + k) for k in range(2)], [0.5, 0.5])
+        assert ms.ensemble_search(rho, 2) is None
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 2, 3), (3, 3, 3), (3, 3)])
+    def test_target_two_surrogate_is_the_product_one_on_three_parties(self, dims):
+        # each party's weight past its first is 1 minus its first: the target-1 tail
+        prof = ms.DimensionProfile(dims)
+        rng = np.random.default_rng([len(dims), *dims])
+        stack = rng.normal(size=(6, prof.total_dim)) + 1j * rng.normal(size=(6, prof.total_dim))
+        two = np.array(number._element_tail(stack, prof, 2))
+        one = np.array(number._element_tail(stack, prof, 1))
+        if len(dims) >= 3:
+            assert np.max(np.abs(two - one)) <= 1e-14
+        else:  # two parties: only the weight past the second counts
+            assert np.all(one - two > 1e-3)
 
     def test_the_ladder_routes_each_reduction_once(self, monkeypatch):
         # the three reductions of a rotated qutrit GHZ_3 are 3x3 rank-3 separable
@@ -1663,7 +1711,8 @@ class TestExactRouteFallbacks:
         rho = _with_zero_party(sigma, first=True)
         res = ms.mixed_schmidt_number(rho, SHORT)
         assert res.exact and res.value == 1
-        assert res.branch_trace["product_route"] == "rank2-products"
+        assert res.branch_trace["rule"] == "range-ray-mixture"
+        assert res.branch_trace["certificate"]["level"] == 1
         _assert_sound(res, rho, 1)
 
     @pytest.mark.parametrize("first", [True, False])
