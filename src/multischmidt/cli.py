@@ -333,9 +333,24 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
         default=DEFAULT_RANK_TOL,
         help="relative rank tolerance, strictly between 0 and 1",
     )
-    p.add_argument("--seed", type=int, default=DEFAULT_BUDGET.seed, help="search seed")
-    p.add_argument("--restarts", type=int, default=DEFAULT_BUDGET.restarts, help="search restarts")
-    p.add_argument("--iters", type=int, default=DEFAULT_BUDGET.iters, help="iterations per restart")
+    flags = {"seed": "search seed", "restarts": "search restarts", "iters": "iterations per restart"}
+    for name, text in flags.items():
+        default = getattr(DEFAULT_BUDGET, name)
+        p.add_argument(f"--{name}", type=_budget_field(name), default=default, help=text)
+
+
+def _budget_field(name: str):
+    """The argparse type of one SearchBudget field: a value SearchBudget rejects is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            SearchBudget(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
 
 
 def _tol(text: str) -> float:

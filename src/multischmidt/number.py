@@ -14,7 +14,11 @@ an ``exact`` flag:
   of range rays on rank-2 ranges, exact product mixtures of 2 x N states of
   rank <= N from their kernel pencil, or the seeded search stage
   (_Engine.search_ensemble, rule searched-ensemble where it closes the
-  interval); _Engine.find_ensemble runs the same stages at one target;
+  interval). The search answers two questions (_search_answers): is there
+  a product ensemble (target 1, any party count), and is there one of
+  Schmidt rank <= r (two parties); a trace's search_attempts lists the
+  searches that ran. _Engine.find_ensemble runs the same stages at one
+  target;
 - value_lo combines the partial-transpose test over all bipartitions with
   one level walk on rank-2 ranges (_Engine._span_certificate), which alone
   decides their levels: every ensemble of rho spans its range, so level r
@@ -23,8 +27,8 @@ an ``exact`` flag:
   drops, and on three qubits the zeros of the Coffman-Kundu-Wootters gap),
   nonnegative least squares decides the levels lowest first: the first that
   mixes is the value, each that does not a lower bound. After an NPT cut rho
-  has no product ensemble: no product listing or product search (on three or
-  more parties, the one at target 2) runs. On four or more parties
+  has no product ensemble: no product listing or product search runs, so on
+  three or more parties no search runs at all. On four or more parties
   range-only bounds compose: where party i's slices span a fixed plane P_i,
   every other state has value >= g_i + (the least value of a rank-2 state
   with range P_i), a bound from one exact solve on P_i. The same composition
@@ -136,11 +140,25 @@ _DUPLICATE_OVERLAP = 1.0 - 1e-9
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Effort knobs for every randomized search in the package."""
+    """Effort knobs for every randomized search in the package.
+
+    restarts and iters are integers >= 1, seed an integer in [0, 2**64);
+    anything else raises ValueError.
+    """
 
     restarts: int = 64
     iters: int = 500
     seed: int = 0
+
+    def __post_init__(self):
+        # seeding.stream keys on the seed's low 64 bits: a seed outside [0, 2**64)
+        # would silently share another seed's stream
+        for name, low, high in (("restarts", 1, None), ("iters", 1, None), ("seed", 0, 1 << 64)):
+            value = getattr(self, name)
+            whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (whole and value >= low and (high is None or value < high)):
+                bound = f">= {low}" if high is None else f"in [{low}, 2**64)"
+                raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
     def scaled(self, factor: float) -> "SearchBudget":
         return SearchBudget(
@@ -525,7 +543,8 @@ class _Engine:
         witness is first read. What these stages leave open goes on to the
         product routes, skipped after an NPT cut (no product ensemble exists
         then), one level walk of a rank-2 range line (_span_certificate) and
-        the ensemble search.
+        the ensemble search at each target it answers (_search_answers), each
+        search listed in search_attempts.
         """
         profile = rho.profile
         m = profile.party_count
@@ -574,9 +593,11 @@ class _Engine:
             if walk["certified"]:
                 return _result(hi, hi, trace | {"rule": "range-span-certified"}, witness)
 
-        # ensemble searches, ascending target
+        # ensemble searches, ascending target, each one the search answers
         attempts = []
         for r in range(lo, hi):
+            if not _search_answers(m, r):
+                break
             cand = self.search_ensemble(rho, r)
             attempts.append({"target": r, "found": cand is not None})
             if cand is not None:
@@ -589,8 +610,9 @@ class _Engine:
     def _ppt_stage(self, rho: DensityMatrix) -> tuple[list[list[int]], bool]:
         """(the cuts of negative partial transpose, whether PPT is decisive at every cut).
 
-        An NPT cut proves rho entangled, so it has no product ensemble; with
-        none, decisive PPT (2x2 and 2x3, Horodecki) proves it separable. One
+        An NPT cut proves rho entangled, so it has no product ensemble and no
+        product listing or search runs (on three or more parties, no search);
+        with none, decisive PPT (2x2 and 2x3, Horodecki) proves it separable. One
         party has no cut, and PPT decides nothing there. Memoized per matrix,
         keyed by its exact entries, so the ladder, find_ensemble and the
         generalized EoF test each matrix once; callers must not mutate the list.
@@ -808,7 +830,9 @@ class _Engine:
         The ladder's stages at the fixed target r, each None proved: the eigen
         ensemble (rho's only one at rank one); the PPT bound lo, None if lo > r;
         the product listings while lo = 1; on a rank-2 range the walk over
-        levels lo ... r. Then the search stage, whose None proves nothing.
+        levels lo ... r. Then the search stage at target r where it answers
+        that target (_search_answers), else at target 1 while lo = 1: a
+        product ensemble meets every target. Its None proves nothing.
         """
         if r < 1:
             raise ValueError("target rank must be >= 1")
@@ -829,25 +853,21 @@ class _Engine:
             walk = self._span_certificate(rho, v, lo, r + 1)
             if walk["mixture"] is not None or walk["certified"]:
                 return walk["mixture"]
-        return self.search_ensemble(rho, r)
+        # a product ensemble has value <= r: where the search does not answer
+        # target r it asks for one, unless an NPT cut ruled products out
+        target = r if _search_answers(rho.party_count, r) else 1
+        return self.search_ensemble(rho, target) if target >= lo else None
 
     def search_ensemble(self, rho: DensityMatrix, target_r: int) -> Optional[EnsembleCandidate]:
         """The search stage alone: an ensemble of value <= target_r by seeded L-BFGS, or None.
 
         It optimizes over the isometry parametrization of all decompositions
         of the eigen elements, and every element of a candidate is verified.
-        The ladder and find_ensemble run the exact stages first. Skipped on
-        three or more parties where the surrogate (_element_tail) vanishes on
-        every state, and at target 2 after an NPT cut: each party's weight
-        past its largest is then 1 minus the largest, the target-1 tail, so
-        the search would seek the product ensemble that the cut rules out.
+        The ladder and find_ensemble run the exact stages first, and call it
+        only at the targets it answers (_search_answers): target 1 on any
+        party count, any target on two parties.
         """
         profile = rho.profile
-        dims, total = profile.dims, profile.total_dim
-        if len(dims) >= 3 and all(target_r - 1 >= min(d, total // d) for d in dims):
-            return None  # _element_tail vanishes identically: nothing to minimize
-        if len(dims) >= 3 and target_r == 2 and self._ppt_stage(rho)[0]:
-            return None  # the target-1 surrogate: no product ensemble after an NPT cut
         weights, elements = self._eigen_elements(rho, *spectrum(rho))
         k = len(elements)
         b_mat = np.column_stack([s.amplitudes for s in elements]) * np.sqrt(weights)
@@ -951,6 +971,19 @@ def _eigen_witness(rho: DensityMatrix, w, v) -> Optional[EnsembleCandidate]:
     return _build_candidate(rho, *_Engine._eigen_elements(rho, w, v))
 
 
+def _search_answers(party_count: int, target_r: int) -> bool:
+    """Whether the ensemble search runs at target_r on party_count parties: its one scope rule.
+
+    It answers whether rho has a product ensemble (target 1, any party
+    count) and whether it has one of Schmidt rank <= r (two parties). On
+    three or more parties no smooth surrogate of 'value <= r' is known for
+    r >= 2: local ranks below r are necessary only, at r = 2 they ask for a
+    product again, and the weight past them vanishes on every state once
+    r - 1 reaches each party's largest local rank. So no search runs there.
+    """
+    return target_r == 1 or party_count == 2
+
+
 def _ensemble_columns(b_mat: np.ndarray, theta: np.ndarray, n: int) -> np.ndarray:
     """The n unnormalized ensemble columns b_mat U[:k] of the unitary U = exp(i H(theta))."""
     u = expm(1j * _hermitian_from(theta, n))
@@ -978,6 +1011,9 @@ def _ensemble_objective(cols: np.ndarray, profile: DimensionProfile, target_r: i
 def _element_tail(vec: np.ndarray, profile: DimensionProfile, target_r: int):
     """Smooth surrogate for 'value <= target_r' of one ensemble element.
 
+    At target 1 every party's weight past its largest (zero iff the element
+    is a product), above it on two parties the weight past the target_r-th
+    Schmidt coefficient (zero iff the Schmidt rank is <= target_r).
     Leading axes of ``vec`` before the last stack several elements, giving
     the list of their surrogates from one SVD per party; each equals the
     element's own.
@@ -987,11 +1023,8 @@ def _element_tail(vec: np.ndarray, profile: DimensionProfile, target_r: int):
     spectra = [local_weights(units, profile.dims, s) for s in _party_cuts(profile.party_count)[0]]
     if target_r == 1:
         tails = sum(1.0 - p[:, 0] for p in spectra)
-    elif profile.party_count == 2:
+    else:  # two parties (_search_answers)
         tails = np.sum(spectra[0][:, target_r:], axis=-1)
-    else:
-        # necessary condition mass: every local rank must stay below target_r
-        tails = sum(np.sum(p[:, target_r - 1 :], axis=-1) for p in spectra)
     return tails.tolist() if vec.ndim > 1 else float(tails[0])
 
 

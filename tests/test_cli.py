@@ -192,6 +192,25 @@ class TestAnalyze:
         assert exc.value.code == 2
         assert "strictly between 0 and 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--restarts", "0", "restarts must be an integer >= 1"),
+            ("--iters", "0", "iters must be an integer >= 1"),
+            ("--iters", "-5", "iters must be an integer >= 1"),
+            ("--seed", "-1", "seed must be an integer in [0, 2**64)"),
+            ("--seed", str(2**64), "seed must be an integer in [0, 2**64)"),
+            ("--seed", "1.5", "invalid literal for int()"),
+        ],
+    )
+    def test_a_budget_flag_searchbudget_rejects_is_a_usage_error(self, tmp_path, capsys, flag, value, message):
+        path = tmp_path / "ghz.json"
+        save_state_file(str(path), ms.ghz_state(3))
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(path), f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_slocc_check_is_reported(self, tmp_path, capsys):
         path = tmp_path / "w3.json"
         save_state_file(str(path), ms.w_state(3))

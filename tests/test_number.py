@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -749,14 +750,12 @@ class TestEnsembleSearch:
             ms.ensemble_search(red, 0)
 
     def test_no_optimizer_where_the_surrogate_vanishes(self, monkeypatch):
-        # three qubits at target 3: each single-party spectrum has two entries,
-        # so _element_tail is 0 everywhere and L-BFGS would stop at its start
+        # three qubits at target 3: no search runs on three parties above target 1
         def refuse(*args, **kwargs):
             raise AssertionError("the ensemble optimizer ran on a vanishing surrogate")
 
         monkeypatch.setattr(number, "minimize", refuse)
         prof = ms.qubits(3)
-        assert number._element_tail(ms.random_pure(prof, 9).amplitudes, prof, 3) == 0.0
         rho = mixture([ms.random_pure(prof, k) for k in range(3)], [0.5, 0.3, 0.2])
         assert ms.ensemble_search(rho, 3, FAST) is None
 
@@ -808,18 +807,16 @@ class TestEnsembleSearch:
         rho = mixture([ms.random_pure(prof, 2 * seed + k) for k in range(2)], [0.5, 0.5])
         assert ms.ensemble_search(rho, 2) is None
 
-    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 2, 3), (3, 3, 3), (3, 3)])
-    def test_target_two_surrogate_is_the_product_one_on_three_parties(self, dims):
-        # each party's weight past its first is 1 minus its first: the target-1 tail
+    def test_target_two_surrogate_is_not_the_product_one_on_two_parties(self):
+        # two parties, the only ones searched above target 1: only the weight
+        # past the second Schmidt coefficient counts, not the target-1 tail
+        dims = (3, 3)
         prof = ms.DimensionProfile(dims)
         rng = np.random.default_rng([len(dims), *dims])
         stack = rng.normal(size=(6, prof.total_dim)) + 1j * rng.normal(size=(6, prof.total_dim))
         two = np.array(number._element_tail(stack, prof, 2))
         one = np.array(number._element_tail(stack, prof, 1))
-        if len(dims) >= 3:
-            assert np.max(np.abs(two - one)) <= 1e-14
-        else:  # two parties: only the weight past the second counts
-            assert np.all(one - two > 1e-3)
+        assert np.all(one - two > 1e-3)
 
     def test_the_ladder_routes_each_reduction_once(self, monkeypatch):
         # the three reductions of a rotated qutrit GHZ_3 are 3x3 rank-3 separable
@@ -853,6 +850,127 @@ class TestEnsembleSearch:
         cand = ms.ensemble_search(rho, 2, FAST)
         assert cand is not None  # every 2x2 pure state has rank <= 2
         assert np.linalg.norm(cand.reconstruct() - rho.matrix) <= 1e-7
+
+
+def _rank_three_mixture(dims, s):
+    """The 0.5 / 0.3 / 0.2 mixture of random_pure seeds 3s, 3s + 1 and 3s + 2 on ``dims``."""
+    prof = ms.DimensionProfile(dims)
+    return mixture([ms.random_pure(prof, 3 * s + j) for j in range(3)], [0.5, 0.3, 0.2])
+
+
+def _planted_ghz_223(s):
+    """The same mixture of three locally rotated GHZ_3 states on the qubit levels of (2,2,3).
+
+    Each state has value 3, so the mixture has value <= 3.
+    """
+    prof = ms.DimensionProfile((2, 2, 3))
+    ghz = PureState(prof, (np.eye(12)[0] + np.eye(12)[10]) / np.sqrt(2))  # |000> + |111>
+    states = [_locally_rotated(ghz, 3 * s + j) for j in range(3)]
+    return mixture(states, [0.5, 0.3, 0.2])
+
+
+def _digest_rank_two_mixture(profile, seed):
+    """scripts/digest_outputs.rank_two_mixture: Haar seeds 2S and 2S + 1, seeded weights."""
+    weights = np.random.default_rng(seed).uniform(0.2, 1.0, size=2)
+    weights /= weights.sum()
+    kets = [ms.random_pure(profile, 2 * seed + j).amplitudes for j in range(2)]
+    rho = sum(w * np.outer(k, k.conj()) for w, k in zip(weights, kets))
+    return DensityMatrix(profile, (rho + rho.conj().T) / 2.0)
+
+
+class TestSearchScope:
+    """The search asks for products on any party count and for Schmidt rank <= r on two parties."""
+
+    @pytest.mark.parametrize("name", ["haar223", "haar233", "ghz223"])
+    @pytest.mark.parametrize("s", range(3))
+    def test_no_search_above_target_one_on_three_parties(self, name, s, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a three-party matrix reached the optimizer above target 1")
+
+        monkeypatch.setattr(number, "minimize", refuse)
+        if name == "ghz223":
+            rho = _planted_ghz_223(s)
+        else:
+            rho = _rank_three_mixture({"haar223": (2, 2, 3), "haar233": (2, 3, 3)}[name], s)
+        res = ms.mixed_schmidt_number(rho)
+        assert (res.value_lo, res.value_hi) == (2, 5)
+        assert res.branch_trace["search_attempts"] == []
+        assert ms.ensemble_search(rho, 3) is None
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3)])
+    def test_a_product_ensemble_meets_every_target_on_three_parties(self, dims):
+        # above target 1 ensemble_search asks the product question there
+        rho = product_mixture(dims, 0)
+        for r in (1, 2, 3):
+            cand = ms.ensemble_search(rho, r)
+            assert np.linalg.norm(cand.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
+            assert all(ms.pure_schmidt_number(st).value == 1 for st in cand.states)
+
+    @pytest.mark.parametrize(
+        "name, seed",
+        [("mix223", s) for s in range(8)]
+        + [("mix2222", s) for s in range(4)]
+        + [("products223", 0), ("haar33", 0)],
+    )
+    def test_search_attempts_list_the_searches_that_ran(self, name, seed, monkeypatch):
+        # a search ran iff it reached L-BFGS: every budget has a restart
+        real_search, real_minimize = number._Engine.search_ensemble, number.minimize
+        open_calls, ran = [], []
+
+        def search(engine, rho, target_r):
+            open_calls.append(False)
+            cand = real_search(engine, rho, target_r)
+            if open_calls.pop():
+                ran.append((rho.matrix.tobytes(), {"target": target_r, "found": cand is not None}))
+            return cand
+
+        def optimizer(*args, **kwargs):
+            open_calls[-1] = True
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(number._Engine, "search_ensemble", search)
+        monkeypatch.setattr(number, "minimize", optimizer)
+        if name == "products223":
+            rho = product_mixture((2, 2, 3), seed)
+        elif name == "haar33":
+            rho = _rank_three_mixture((3, 3), seed)
+        else:
+            dims = {"mix223": (2, 2, 3), "mix2222": (2, 2, 2, 2)}[name]
+            rho = _digest_rank_two_mixture(ms.DimensionProfile(dims), seed)
+        res = ms.mixed_schmidt_number(rho)
+        key = rho.matrix.tobytes()
+        assert "search_attempts" in res.branch_trace
+        assert res.branch_trace["search_attempts"] == [a for k, a in ran if k == key]
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("restarts", 0),
+            ("restarts", -1),
+            ("iters", 0),
+            ("iters", -5),
+            ("restarts", 2.0),
+            ("iters", True),
+            ("seed", -3),
+            ("seed", 2**64),
+            ("seed", 1.5),
+            ("seed", "1"),
+            ("seed", None),
+        ],
+    )
+    def test_rejects_what_is_not_a_count_or_a_64_bit_seed(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ms.SearchBudget(**{field: value})
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)])
+    def test_accepts_every_64_bit_seed(self, seed):
+        assert ms.SearchBudget(restarts=1, iters=1, seed=seed).seed == seed
+
+    def test_a_replaced_field_is_checked_too(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            dataclasses.replace(ms.DEFAULT_BUDGET, seed=-1)
 
 
 class TestSloccRankCheck:
@@ -1594,9 +1712,7 @@ def _column_tail(vec, dims, target_r):
 
     if target_r == 1:
         return float(sum(1.0 - p[0] for p in spectra))
-    if len(dims) == 2:
-        return tail(spectra[0], target_r)
-    return float(sum(tail(p, target_r - 1) for p in spectra))
+    return tail(spectra[0], target_r)  # two parties: the only ones searched above target 1
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 3), (3, 3)])
@@ -1611,7 +1727,7 @@ def test_ensemble_objective_is_bitwise_the_column_by_column_sum(dims, seed):
     k = len(elements)
     rng = np.random.default_rng(seed)
     for n in (k, k + 1, 2 * k):
-        for target_r in (1, 2, 3):
+        for target_r in (1, 2, 3) if len(dims) == 2 else (1,):
             cols = number._ensemble_columns(b_mat, rng.normal(scale=0.7, size=n * n), n)
             own = reference = 0.0
             for j in range(n):
