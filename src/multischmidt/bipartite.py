@@ -4,9 +4,11 @@ The PPT (partial transpose) test decides separability exactly on 2x2 and 2x3
 shapes; on larger shapes a violation still certifies entanglement but a pass
 is inconclusive, and callers receive that caveat through ``ppt_decisive``.
 ``ppt_entangled`` (one matrix) and the max-party rule's direct test of
-three-party reductions (a stack of matrices, one ``eigvalsh``) both read the
-least partial-transpose eigenvalue from ``_pt_least_eigenvalue``. The module
-builds on ``core`` alone.
+three-party reductions (a stack of matrices, one eigensolve) both read the
+least partial-transpose eigenvalue from ``_pt_least_eigenvalue``. Its
+eigenvalues, and ``ppt_negativity``'s, come from ``core._eigh``: LAPACK
+zheevd directly for one matrix (or a stack of one), numpy's gufunc for a
+larger stack, numpy's bits either way. The module builds on ``core`` alone.
 """
 from __future__ import annotations
 
@@ -157,18 +159,18 @@ def _pt_least_eigenvalue(
     """The least eigenvalue of the partial transpose over ``cut``.
 
     A DensityMatrix's partial transpose is symmetrized, (pt + pt^dag)/2,
-    before ``eigvalsh``: its matrix is Hermitian only within ``HERM_ATOL``.
-    A stack of matrices on ``profile`` (see ``partial_transpose``) gives an
-    array, one value per matrix, from one stacked ``eigvalsh`` of the
-    partial transposes as they are. The stack must be exactly Hermitian, as
-    ``core._cut_matrices`` builds it: a partial transpose only moves
-    entries, so it is then exactly Hermitian too, and symmetrizing would
-    change no bit.
+    before its eigenvalues (``core._eigh``): its matrix is Hermitian only
+    within ``HERM_ATOL``. A stack of matrices on ``profile`` (see
+    ``partial_transpose``) gives an array, one value per matrix, from one
+    ``core._eigh`` of the partial transposes as they are. The stack must
+    be exactly Hermitian, as ``core._cut_matrices`` builds it: a partial
+    transpose only moves entries, so it is then exactly Hermitian too, and
+    symmetrizing would change no bit.
     """
     pt = partial_transpose(rho, cut, profile)
     if profile is None:
         pt = (pt + pt.conj().T) / 2.0
-    return np.linalg.eigvalsh(pt)[..., 0]
+    return core._eigh(pt, compute_v=False)[..., 0]
 
 
 def ppt_decisive(rho: DensityMatrix, cut: SubsystemSet) -> bool:
@@ -186,5 +188,5 @@ def _ppt_decides(profile: DimensionProfile, cut: SubsystemSet) -> bool:
 def ppt_negativity(rho: DensityMatrix, cut: SubsystemSet) -> float:
     """Total magnitude of negative partial-transpose eigenvalues."""
     pt = partial_transpose(rho, cut)
-    w = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
+    w = core._eigh((pt + pt.conj().T) / 2.0, compute_v=False)
     return float(-np.sum(w[w < 0.0]))

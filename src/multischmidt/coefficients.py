@@ -119,7 +119,7 @@ def pure_schmidt_coefficients(
     tol: float = DEFAULT_RANK_TOL,
 ) -> CoefficientSet:
     """Schmidt coefficient multiset of a multipartite pure state."""
-    engine = _Engine(budget, tol)
+    engine = _Engine(budget, tol, root=state)
     return _coefficients(state, engine, budget)
 
 
@@ -251,7 +251,7 @@ def max_entropy_ensemble_element(
     """
     if rank_target < 1:
         raise ValueError("target rank must be >= 1")
-    engine = _Engine(budget, tol)
+    engine = _Engine(budget, tol, root=rho)
     return _max_entropy_element([(rho, rank_target)], engine, budget)[0]
 
 
@@ -494,7 +494,7 @@ def mixed_generalized_eof(
     the upper bound is the eigen-ensemble average, inexact. An eigen element
     genuinely entangled on 5+ parties (W_5's) raises UnsupportedStructureError.
     """
-    engine = _Engine(budget, tol)
+    engine = _Engine(budget, tol, root=rho)
     weights, states = engine._eigen_elements(rho, *spectrum(rho))
 
     if len(states) == 1:

@@ -22,10 +22,16 @@ Conventions
   straight to LAPACK zgesdd through scipy's handle, bound at import:
   numpy's per-call dispatch costs more than zgesdd itself on a 2 x 4
   unfolding. A stack keeps numpy's gufunc, which pays that dispatch once.
-  ``eigh`` and ``eigvalsh`` stay on numpy: numpy and scipy ship different
-  OpenBLAS builds (0.3.31 and 0.3.30 when measured), and scipy's zheevd
-  differed from numpy's in the last bits on most seeded matrices, while
-  zgesdd agreed bit for bit on every one tried, so results are unchanged.
+  Every Hermitian eigensolve goes through the kernel beside it, ``_eigh``,
+  which keeps ``np.linalg.eigh``'s and ``eigvalsh``'s contract: a single
+  complex matrix (or a stack of one) goes straight to LAPACK zheevd, other
+  stacks keep the gufunc. zheevd must read the lower triangle, as numpy's
+  default UPLO='L' does: from the upper one, scipy's default, it differed
+  from numpy in the last bits on all 3000 seeded Hermitian matrices of
+  order 2 to 16 tried, and from the lower one it agreed bit for bit on all
+  3200 of order 1 to 16 (eigenvalues and eigenvectors). zgesdd agrees bit
+  for bit too, so results are unchanged, although numpy and scipy ship
+  different OpenBLAS builds.
 - Validation happens only at the public boundary: ``PureState``,
   ``DensityMatrix`` and ``reduce`` check their input in full. Internal
   objects derived from validated ones skip those checks. ``_checked_state``
@@ -37,7 +43,7 @@ Conventions
   matrix code, ``_cut_matrices``, also serves callers that need only the
   matrices, not a ``DensityMatrix``.
   ``_pure_reductions`` builds ``reduce``'s reductions of a pure state
-  bitwise, without re-validation, with one stacked ``eigh`` per shape; the
+  bitwise, without re-validation, with one ``_eigh`` per shape; the
   coefficient construction builds with it only the reductions whose
   max-entropy element it needs, because its element searches start from the
   ``eigh`` eigenbasis. ``reduce`` forms reduced density matrices from a
@@ -67,12 +73,13 @@ in the order numpy would, and follow three rules:
 - anything that depends only on a shape is built once per shape and cached:
   ``unfold``'s axis permutation (``_unfold_plan``), the partial transpose's
   (``bipartite._pt_plan``), PPT decisiveness per profile and cut, factor
-  sets, cut tuples, reduction profiles, and the LAPACK workspaces of zgesdd
-  and zggev. A plan that raises is not cached, so a bad cut fails on every
-  call;
-- ``eigh`` and ``eigvalsh`` stay on ``numpy.linalg`` (see ``_svd`` above),
-  and eigen elements keep their per-column normalization, because the seeded
-  searches start from those exact bits.
+  sets, cut tuples, reduction profiles, and the LAPACK workspaces of
+  zgesdd, zheevd and zggev. A plan that raises is not cached, so a bad cut
+  fails on every call;
+- a single-matrix SVD or Hermitian eigensolve calls LAPACK directly
+  (``_svd``, ``_eigh``) and returns numpy's bits, and eigen elements keep
+  their per-column normalization, because the seeded searches start from
+  those exact bits.
 """
 from __future__ import annotations
 
@@ -435,9 +442,9 @@ def _pure_reductions(state: PureState, keeps, profiles) -> list[DensityMatrix]:
     are the restricted profiles). The matrices are ``reduce``'s, and their
     trace is checked as ``DensityMatrix`` checks it; Hermiticity and
     positivity hold by construction. Matrices of one shape share one
-    stacked ``eigh``, which LAPACK runs matrix by matrix; validation
-    decomposes (A + A^dag)/2, which for the symmetrized A is A bit for bit,
-    so each eigensystem is the one validation computes.
+    ``_eigh``, which LAPACK runs matrix by matrix; validation decomposes
+    (A + A^dag)/2, which for the symmetrized A is A bit for bit, so each
+    eigensystem is the one validation computes.
     """
     mats = [_reduced_matrix(state, keep) for keep in keeps]
     out: list = [None] * len(mats)
@@ -449,7 +456,7 @@ def _pure_reductions(state: PureState, keeps, profiles) -> list[DensityMatrix]:
         for tr in np.trace(stack, axis1=-2, axis2=-1).tolist():
             if abs(tr - 1.0) > TRACE_ATOL:
                 raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-        w, v = np.linalg.eigh(stack)
+        w, v = _eigh(stack)
         values = np.ascontiguousarray(w[:, ::-1])
         vectors = np.ascontiguousarray(v[:, :, ::-1])
         for arr in (stack, values, vectors):
@@ -513,6 +520,45 @@ def _require_finite(a: np.ndarray) -> None:
         raise np.linalg.LinAlgError("SVD of a matrix with infs or NaNs")
 
 
+_HEEVD, _HEEVD_LWORK = get_lapack_funcs(("heevd", "heevd_lwork"), dtype=np.complex128)
+
+
+@lru_cache(maxsize=None)
+def _heevd_lwork(n: int, compute_v: bool) -> tuple[int, int, int]:
+    """zheevd's optimal (work, iwork, rwork) sizes for one order and job, queried once.
+
+    numpy queries them on every call.
+    """
+    work, iwork, rwork, _ = _HEEVD_LWORK(n, compute_v, 1)
+    return int(work.real), int(iwork), int(rwork)
+
+
+def _eigh(a, compute_v: bool = True):
+    """``np.linalg.eigh`` of a complex Hermitian operand: (w, v), or w alone without ``compute_v``.
+
+    Eigenvalues ascend, as numpy returns them. A nonempty single complex
+    matrix goes straight to LAPACK zheevd, the routine numpy wraps, without
+    numpy's per-call dispatch; v comes back C-ordered as numpy returns it.
+    zheevd reads the lower triangle, as numpy's default UPLO='L' does: only
+    then are its bits numpy's (see the module docstring). A stack of one
+    matrix takes the same path, which measures faster than numpy's gufunc
+    there; other stacks and real operands keep the gufunc, which for two
+    or more matrices is as fast as a loop. As in numpy, a NaN entry gives
+    NaN eigenvalues, and a failed decomposition (zheevd info > 0, as an
+    infinite entry gives) raises ``np.linalg.LinAlgError``.
+    """
+    a = np.asarray(a)
+    mat = a[0] if a.ndim == 3 and a.shape[0] == 1 else a
+    if mat.ndim != 2 or mat.dtype != np.complex128 or not mat.size or mat.shape[0] != mat.shape[1]:
+        return np.linalg.eigh(a) if compute_v else np.linalg.eigvalsh(a)
+    w, v, info = _HEEVD(mat, compute_v, 1, *_heevd_lwork(mat.shape[0], compute_v))  # lower=1
+    if info:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (LAPACK heevd info={info})")
+    if mat is not a:  # a stack of one
+        w, v = w[None], v[None]
+    return (w, np.ascontiguousarray(v)) if compute_v else w
+
+
 def _checked_tol(tol: float) -> float:
     """``tol`` if it is a relative tolerance strictly between 0 and 1 (not NaN), else ValueError."""
     if not 0.0 < tol < 1.0:
@@ -549,11 +595,11 @@ def numerical_rank(mat: MatrixLike, tol: float = DEFAULT_RANK_TOL) -> int:
     _checked_tol(tol)
     if isinstance(mat, DensityMatrix):
         return weight_rank(mat.eigensystem.values, tol)
-    return weight_rank(np.linalg.eigvalsh(_require_hermitian(mat)), tol)
+    return weight_rank(_eigh(_require_hermitian(mat), compute_v=False), tol)
 
 
 def _descending_eigh(arr: np.ndarray) -> Eigensystem:
-    w, v = np.linalg.eigh(arr)
+    w, v = _eigh(arr)
     return Eigensystem(np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1]))
 
 

@@ -326,5 +326,5 @@ def _max_concurrence_directions(basis: np.ndarray) -> np.ndarray:
         ],
         axis=-2,
     )
-    top = np.linalg.eigh(block)[1][..., -1]
+    top = core._eigh(block)[1][..., -1]
     return top[..., :k] + 1j * top[..., k:]

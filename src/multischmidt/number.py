@@ -48,16 +48,17 @@ clears the margin max(loci.CKW_MARGIN, 4 tol) every reduction is an exact
 (_Engine._ckw_reductions). Otherwise a three-party state's 2 x 2 and 2 x 3
 reductions, where PPT is decisive, are decided by the least eigenvalue of
 their partial transpose wherever it is clear of a margin, from matrices
-built off the cut record with one stacked eigvalsh per reduction profile and
-no DensityMatrix (_Engine._ppt_reductions); the mixed ladder would return
-the same exact values there. Every reduction rho_(not i) left is built from
-the same cuts' factors (core._cut_reductions: no partial trace, no second
-eigh) and goes through the mixed ladder one matrix at a time
-(_Engine.mixed_value, memoized per matrix), whose cheap stages come first:
-one Schmidt-rank SVD over the kept eigenvectors of a two-party reduction and
-one eigvalsh per cut for the PPT test. A Haar (2,2,2) state costs three SVDs
-(its cuts) and no eigvalsh; a Haar (2,2,3) state three SVDs and two
-eigvalsh, and builds no reduction. The rule reads only the reductions'
+built off the cut record with one eigvalsh per reduction profile and no
+DensityMatrix (_Engine._ppt_reductions); the mixed ladder would return the
+same exact values there, and the decided reductions share two
+module-level results instead of building one each. Every reduction
+rho_(not i) left is built from the same cuts' factors (core._cut_reductions:
+no partial trace, no second eigh) and goes through the mixed ladder one
+matrix at a time (_Engine.mixed_value, memoized per matrix), whose cheap
+stages come first: one Schmidt-rank SVD over the kept eigenvectors of a
+two-party reduction and one eigvalsh per cut for the PPT test. A Haar
+(2,2,2) state costs three SVDs (its cuts) and no eigvalsh; a Haar (2,2,3)
+state three SVDs and two eigvalsh, and builds no reduction. The rule reads only the reductions'
 intervals, so their witnesses are built on demand: a result holds a builder
 of its eigen witness, which forms the eigen elements and runs the
 reconstruction check on the first read of witness_ensemble.
@@ -74,9 +75,20 @@ the rays are formed, normalized and made states as one stack, their ranks
 and the pencil's generic member are read from ``tolist`` rows, and the
 mixture's dyads come from one broadcast multiply.
 
+Every eigvalsh and eigh goes through core._eigh, which sends a single
+matrix straight to LAPACK zheevd with numpy's bits.
+
 Validation happens only at the public boundary. States and reductions built
 inside the recursion from validated data (eigen elements, rays, CKW zeros,
 factor states and cut reductions) skip the public validators.
+
+Each public call runs one engine, which memoizes the pure and mixed values
+and the range lines its recursion meets again (_Engine). The call's own
+input is its root and is never keyed: the recursion meets only objects on
+fewer parties or of another kind, so its value, and a root matrix's range
+line, are computed without a memo key and never stored. An engine that asks
+for one input twice (cli.analyze_state: the number, then the coefficients)
+has no root and memoizes it.
 
 Every worked example in the test suite resolves to a matching lo/hi pair.
 Anything the machinery cannot prove is reported inexact, never guessed.
@@ -278,6 +290,13 @@ def _hermitian_from(theta: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
+# a reduction's result decided without the ladder by the max-party rule, which
+# reads only its interval: shared by every state, never stored or returned
+_CKW_ENTANGLED = _result(2, 2, {"rule": "ckw-concurrence"})
+_PPT_ENTANGLED = _result(2, 2, {"rule": "ppt-decisive-entangled"})
+_PPT_SEPARABLE = _result(1, 1, {"rule": "ppt-decisive-separable"})
+
+
 @lru_cache(maxsize=None)
 def _ppt_groups(dims: tuple[int, ...]) -> tuple[tuple[DimensionProfile, tuple[int, ...]], ...]:
     """(profile, parties) per reduction profile where PPT decides a state's rho_(not i).
@@ -299,9 +318,11 @@ class _Engine:
     Caches pure/mixed results by rounded amplitudes/matrices and range rays
     by rounded range projectors, so the nested recursion of the genuinely
     entangled rule (pure -> mixed reductions -> range rays -> pure rays)
-    stays affordable. Factorizations are cached by exact amplitudes
-    (``structure``), so the number and the coefficients of one state share
-    one cut record.
+    stays affordable. ``root``, the input of the one public call the engine
+    serves, is never keyed (its value and its range line are never met
+    again); an engine without one keys everything. Factorizations are
+    cached by exact amplitudes (``structure``), so the number and the
+    coefficients of one state share one cut record.
 
     Mixed states go through one ladder of stages, one matrix at a time:
     ``mixed_value`` is its only entry and memo lookup, and its misses run
@@ -310,9 +331,10 @@ class _Engine:
     range line's level walk and search.
     """
 
-    def __init__(self, budget: SearchBudget, tol: float):
+    def __init__(self, budget: SearchBudget, tol: float, root=None):
         self.budget = budget
         self.tol = _checked_tol(tol)
+        self._root = root
         self._structure_cache: dict = {}
         self._pure_cache: dict = {}
         self._mixed_cache: dict = {}
@@ -331,7 +353,9 @@ class _Engine:
         return hit
 
     def pure_value(self, state: PureState) -> SchmidtNumberResult:
-        """The memoized value of a pure state."""
+        """The memoized value of a pure state (the engine's root unkeyed)."""
+        if state is self._root:
+            return self._pure_value(state)
         key = _state_key(state)
         hit = self._pure_cache.get(key)
         if hit is None:
@@ -461,7 +485,7 @@ class _Engine:
         weights = [rec.weights for rec in records]
         if min(loci._pair_concurrences(state.amplitudes, weights)) <= margin:
             return None
-        return [_result(2, 2, {"rule": "ckw-concurrence"})] * len(records)  # read, never stored
+        return [_CKW_ENTANGLED] * len(records)
 
     def _ppt_reductions(
         self, dims: tuple[int, ...], records: list[_PartyCut]
@@ -492,7 +516,8 @@ class _Engine:
 
         None for the other shapes, for states of other party counts, and in
         the gray zone between: the ladder decides those (mixed_value).
-        Decided reductions take no DensityMatrix, memo key or memo entry.
+        Decided reductions take no DensityMatrix, memo key or memo entry, and
+        share the module's two results.
         """
         out: list = [None] * len(records)
         if len(dims) != 3:
@@ -508,15 +533,17 @@ class _Engine:
             margin = max(PPT_NEG_TOL, slack)
             for i, lam in zip(group, lams):
                 if lam < -margin:
-                    out[i] = _result(2, 2, {"rule": "ppt-decisive-entangled"})
+                    out[i] = _PPT_ENTANGLED
                 elif lam >= -PPT_NEG_TOL:
-                    out[i] = _result(1, 1, {"rule": "ppt-decisive-separable"})
+                    out[i] = _PPT_SEPARABLE
         return out
 
     # ---- mixed states ----------------------------------------------------
 
     def mixed_value(self, rho: DensityMatrix) -> SchmidtNumberResult:
-        """The memoized value of a mixed state: the only entry into the ladder."""
+        """The memoized value of a mixed state (the engine's root unkeyed): the only entry into the ladder."""
+        if rho is self._root:
+            return self._mixed_value(rho)
         key = _matrix_key(rho)
         hit = self._mixed_cache.get(key)
         if hit is None:
@@ -797,7 +824,10 @@ class _Engine:
         summary naming the level the walk ended on and its ray count, or why
         it stopped: "inconclusive" above the top, "ambiguous" without rays.
         """
-        found = self._range_rays(rho.profile, v)
+        if rho is self._root:  # its range line is never met again: not keyed
+            found = self._line_rays(rho.profile, v[:, 0], v[:, 1])
+        else:
+            found = self._range_rays(rho.profile, v)
         if found is None:
             summary = {"certified": False, "reason": "ambiguous"}
             return {"certified": False, "lo": lo, "mixture": None, "summary": summary}
@@ -1035,7 +1065,7 @@ def pure_schmidt_number(
     state: PureState, budget: SearchBudget = DEFAULT_BUDGET, tol: float = DEFAULT_RANK_TOL
 ) -> SchmidtNumberResult:
     """Schmidt number of a multipartite pure state (interval, usually exact)."""
-    return _Engine(budget, tol).pure_value(state)
+    return _Engine(budget, tol, root=state).pure_value(state)
 
 
 def mixed_schmidt_number(
@@ -1048,14 +1078,14 @@ def mixed_schmidt_number(
     parties (one is kept if every party has dimension 1), and the witness
     states are relabelled on rho's profile.
     """
-    engine = _Engine(budget, tol)
     dims = rho.profile.dims
     kept = [i for i, d in enumerate(dims, 1) if d > 1] or [1]
     if len(kept) == len(dims):
-        result = engine.mixed_value(rho)
+        result = _Engine(budget, tol, root=rho).mixed_value(rho)
     else:
         profile = DimensionProfile(tuple(dims[i - 1] for i in kept))
-        sub = engine.mixed_value(_built_density(profile, rho.matrix, *rho.eigensystem))
+        root = _built_density(profile, rho.matrix, *rho.eigensystem)
+        sub = _Engine(budget, tol, root=root).mixed_value(root)
         trace = {"rule": "unit-parties-dropped", "kept": kept, "kept_trace": sub.branch_trace}
         witness = sub.witness_ensemble
         if witness is not None:
@@ -1084,7 +1114,7 @@ def ensemble_search(
     The ladder's stages at target_r (_Engine.find_ensemble): only a None
     from the final seeded search proves nothing.
     """
-    return _Engine(budget, tol).find_ensemble(rho, target_r)
+    return _Engine(budget, tol, root=rho).find_ensemble(rho, target_r)
 
 
 def slocc_rank_check(

@@ -572,3 +572,172 @@ def test_stacked_partial_transposes_need_no_symmetrizing(dims):
             want = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
             got = bipartite._pt_least_eigenvalue(mats, first, profile)
             assert _same_bytes(got, want)
+
+
+# ---- the Hermitian eigen kernel ---------------------------------------------------
+#
+# core._eigh must return numpy's eigh/eigvalsh bit for bit. Both run LAPACK
+# zheevd with the same workspace; the triangle is what can differ. numpy reads
+# the lower one (UPLO='L'), and scipy's wrapper defaults to the upper one
+# (lower=0), from which zheevd's Householder reduction takes other roundings:
+# on every seeded Hermitian matrix of order 2 to 16 tried, exactly Hermitian
+# ones included, its results differed from numpy's in the last bits. So the
+# kernel passes lower=1.
+
+
+def _hermitian(rng, n, lead=()):
+    a = rng.normal(size=lead + (n, n)) + 1j * rng.normal(size=lead + (n, n))
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _assert_numpys_eigh(a):
+    """The kernel's eigvalsh and eigh of ``a`` equal numpy's: bytes, dtype, shape and layout."""
+    assert _same_bytes(core._eigh(a, compute_v=False), np.linalg.eigvalsh(a))
+    (w, v), (want_w, want_v) = core._eigh(a), np.linalg.eigh(a)
+    assert _same_bytes(w, want_w) and _same_bytes(v, want_v)
+    assert v.flags.c_contiguous == want_v.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_eigh_kernel_is_numpys_on_seeded_hermitian_matrices(n):
+    rng = np.random.default_rng([7, n])
+    for _ in range(25):
+        _assert_numpys_eigh(_hermitian(rng, n))
+
+
+def _rotated(diag, seed):
+    """U diag(diag) U^dag for a seeded Haar unitary U, exactly Hermitian."""
+    q, _ = np.linalg.qr(_hermitian(np.random.default_rng(seed), len(diag)))
+    a = (q * np.asarray(diag, dtype=float)) @ q.conj().T
+    return (a + a.conj().T) / 2.0
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.eye(1, dtype=complex),
+        np.eye(4, dtype=complex),
+        np.eye(9, dtype=complex) / 9.0,
+        np.kron(np.eye(2), _rotated([0.7, 0.3], 0)),
+        np.kron(_rotated([0.5, 0.5, 0.0], 1), np.eye(3) / 3.0),
+        _rotated([0.25] * 4 + [0.0] * 4, 2),
+        _rotated([0.4, 0.4, 0.1, 0.1], 3),
+    ],
+    ids=["I1", "I4", "I9/9", "I2xA", "BxI3", "four-fold", "two-pairs"],
+)
+def test_eigh_kernel_is_numpys_on_degenerate_spectra(a):
+    _assert_numpys_eigh(a)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_eigh_kernel_is_numpys_on_ghz_reductions(m):
+    ghz = ms.ghz_state(m)
+    for keep in (SubsystemSet((1,)), SubsystemSet((1, 2)), SubsystemSet(tuple(range(2, m + 1)))):
+        mat = np.array(ms.reduce(ghz, keep).matrix)
+        _assert_numpys_eigh(mat)
+        if len(keep) > 1:
+            profile = ghz.profile.restrict(keep)
+            _assert_numpys_eigh(bipartite.partial_transpose(mat, SubsystemSet((1,)), profile))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_eigh_kernel_is_numpys_on_partial_transposes_of_cut_matrices(dims):
+    """The stacked partial transposes the max-party rule decides, whose diagonals are exactly real."""
+    first = SubsystemSet((1,))
+    for seed in range(40):
+        records = ms.factorize(ms.random_pure(ms.DimensionProfile(dims), seed))._party_records()
+        for profile, group in number._ppt_groups(dims):
+            mats = core._cut_matrices(
+                np.array([records[i].vectors for i in group], dtype=np.complex128),
+                np.array([records[i].weights for i in group]),
+            )
+            pt = bipartite.partial_transpose(mats, first, profile)
+            assert (np.diagonal(pt, axis1=-2, axis2=-1).imag == 0).all()
+            _assert_numpys_eigh(pt)
+            for mat in pt:
+                _assert_numpys_eigh(mat)
+
+
+@pytest.mark.parametrize("lead", [(1,), (2,), (3,), (2, 2), (1, 1)])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_eigh_kernel_is_numpys_on_stacks(lead, n):
+    _assert_numpys_eigh(_hermitian(np.random.default_rng([11, n, *lead]), n, lead))
+
+
+@pytest.mark.parametrize("a", [np.zeros((0, 0), complex), np.zeros((2, 0, 0), complex), np.eye(3)])
+def test_eigh_kernel_keeps_numpy_on_empty_and_real_operands(a):
+    _assert_numpys_eigh(a)
+
+
+def test_eigh_kernel_reads_the_lower_triangle_as_numpy_does():
+    a = np.tril(_hermitian(np.random.default_rng(5), 6))  # the strict upper triangle zeroed
+    _assert_numpys_eigh(a)
+    assert not np.array_equal(core._eigh(a, compute_v=False), core._eigh(a.conj().T, compute_v=False))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 4, 4)], ids=["matrix", "stack-of-one"])
+@pytest.mark.parametrize("compute_v", [True, False])
+def test_eigh_kernel_gives_nan_for_a_nan_entry_as_numpy_does(shape, compute_v):
+    a = np.broadcast_to(np.eye(4, dtype=complex), shape).copy()
+    a[..., 2, 1] = a[..., 1, 2] = np.nan
+    got = core._eigh(a, compute_v)
+    want = np.linalg.eigh(a) if compute_v else np.linalg.eigvalsh(a)
+    for g, w in zip(*((got, want) if compute_v else ((got,), (want,)))):
+        assert np.isnan(g).any()
+        np.testing.assert_array_equal(g, w)  # NaNs in the same places
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 4, 4), (2, 4, 4)], ids=["matrix", "stack-of-one", "stack"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("compute_v", [True, False])
+def test_eigh_kernel_raises_on_an_infinite_entry_as_numpy_does(shape, bad, compute_v):
+    a = np.broadcast_to(np.eye(4, dtype=complex), shape).copy()
+    a[..., 3, 0] = a[..., 0, 3] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(a) if compute_v else np.linalg.eigvalsh(a)
+    with pytest.raises(np.linalg.LinAlgError):
+        core._eigh(a, compute_v)
+
+
+def test_eigh_kernel_leaves_its_operand_unchanged():
+    a = _hermitian(np.random.default_rng(3), 5)
+    before = a.copy()
+    core._eigh(a)
+    core._eigh(a, compute_v=False)
+    assert _same_bytes(a, before)
+
+
+def test_heevd_workspace_is_queried_once_per_order_and_job(monkeypatch):
+    queries = []
+    real = core._HEEVD_LWORK
+
+    def spy(n, compute_v, lower):
+        queries.append((n, compute_v, lower))
+        return real(n, compute_v, lower)
+
+    monkeypatch.setattr(core, "_HEEVD_LWORK", spy)
+    core._heevd_lwork.cache_clear()
+    rng = np.random.default_rng(0)
+    try:
+        for n, compute_v in ((3, True), (3, True), (5, False), (3, False), (5, False), (3, True)):
+            core._eigh(_hermitian(rng, n), compute_v)
+    finally:
+        core._heevd_lwork.cache_clear()
+    assert queries == [(3, True, 1), (5, False, 1), (3, False, 1)]
+
+
+def test_every_hermitian_eigensolve_goes_through_the_core_kernel():
+    """Only core._eigh calls numpy's eigh or eigvalsh; every other site reaches them through it."""
+    import ast
+    from pathlib import Path
+
+    src = Path(core.__file__).resolve().parent
+    sites = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+            if name.endswith(("linalg.eigh", "linalg.eigvalsh")):
+                sites.setdefault(path.stem, []).append(name)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                assert not {a.name for a in node.names} & {"eigh", "eigvalsh"}, path.stem
+    assert sites == {"core": ["np.linalg.eigh", "np.linalg.eigvalsh"]}

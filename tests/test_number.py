@@ -1087,13 +1087,14 @@ class TestOneSpectralPass:
     )
     def test_haar_state_tests_ppt_once_per_reduction_profile(self, state, count, monkeypatch):
         calls = []
-        real = np.linalg.eigvalsh
+        real = core._eigh
 
-        def spy(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return real(a, *args, **kwargs)
+        def spy(a, compute_v=True):
+            if not compute_v:  # an eigvalsh
+                calls.append(np.shape(a))
+            return real(a, compute_v)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(core, "_eigh", spy)
         res = ms.pure_schmidt_number(state)
         assert res.exact
         assert len(calls) == count
@@ -1884,3 +1885,104 @@ class TestDimensionOneParties:
         _assert_sound(res, rho, value)
         if value > 1:  # a one-party matrix has no witness
             assert all(st.profile == rho.profile for st in res.witness_ensemble.states)
+
+
+def _haar_33_rank_two(seed):
+    """0.6/0.4 mixture of the Haar (3,3) states of seeds 2 seed and 2 seed + 1."""
+    prof = ms.DimensionProfile((3, 3))
+    return mixture([ms.random_pure(prof, 2 * seed), ms.random_pure(prof, 2 * seed + 1)], [0.6, 0.4])
+
+
+def _count_calls(monkeypatch, owner, names):
+    """Spy on ``owner.name`` for each name: {name: [its last positional argument, per call]}."""
+    seen = {name: [] for name in names}
+    for name in names:
+        real = getattr(owner, name)
+
+        def spy(*args, real=real, name=name):
+            seen[name].append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    return seen
+
+
+_KEYS = ("_state_key", "_matrix_key", "_range_key")
+
+
+class TestRootMemo:
+    """A public call's engine keys no memo entry for its own input; nested memo hits stay."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pure_input_is_not_keyed(self, dims, seed, monkeypatch):
+        state = _haar(dims, seed)
+        want = number._Engine(ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL).pure_value(state)  # keyed
+        keys = _count_calls(monkeypatch, number, _KEYS)
+        got = ms.pure_schmidt_number(state)
+        # the reductions are decided without the ladder, so nothing is keyed at all
+        assert keys == {name: [] for name in _KEYS}
+        assert got.branch_trace == want.branch_trace
+        assert (got.value_lo, got.value_hi) == (want.value_lo, want.value_hi)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_input_and_its_range_line_are_not_keyed(self, seed, monkeypatch):
+        rho = _haar_33_rank_two(seed)
+        want = number._Engine(ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL).mixed_value(rho)  # keyed
+        keys = _count_calls(monkeypatch, number, _KEYS)
+        lines = _count_calls(monkeypatch, number._Engine, ("_line_rays",))
+        got = ms.mixed_schmidt_number(rho)
+        assert keys["_matrix_key"] == [] and keys["_range_key"] == []
+        assert all(st is not rho for st in keys["_state_key"])  # only the line's rays
+        assert len(lines["_line_rays"]) == 1  # the walk still reads the line, once
+        assert got.branch_trace == want.branch_trace
+        assert (got.value_lo, got.value_hi) == (want.value_lo, want.value_hi)
+
+    def test_w5_keeps_its_nested_hits(self, monkeypatch):
+        """W5's five reductions are one matrix (4 hits), and W4's four inside it (3 hits)."""
+        names = ("pure_value", "_pure_value", "mixed_value", "_mixed_value", "_range_rays", "_line_rays")
+        seen = _count_calls(monkeypatch, number._Engine, names)
+        res = ms.pure_schmidt_number(ms.w_state(5))
+        assert res.exact and res.value == 8
+        counts = {name: len(args) for name, args in seen.items()}
+        assert counts == {
+            "pure_value": 9,
+            "_pure_value": 7,
+            "mixed_value": 9,
+            "_mixed_value": 2,
+            "_range_rays": 6,
+            "_line_rays": 2,
+        }
+        assert sorted(rho.party_count for rho in seen["mixed_value"]) == [3] * 4 + [4] * 5
+
+    def test_analyze_state_values_its_input_once(self, monkeypatch):
+        """The report's number and coefficients share one engine: the input's value is a memo hit."""
+        from multischmidt import cli
+
+        state = ms.w_state(4)
+        seen = _count_calls(monkeypatch, number._Engine, ("pure_value", "_pure_value"))
+        report = cli.analyze_state(state, ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL)
+        assert (report.value_lo, report.value_hi, report.coefficients_note) == (6, 6, None)
+        assert sum(st is state for st in seen["pure_value"]) == 2
+        assert sum(st is state for st in seen["_pure_value"]) == 1
+
+    @pytest.mark.parametrize("workload", ["families", "haar-survey", "mixed-planted"])
+    def test_traced_tiny_run_reports_hit_ratios_in_range(self, workload, monkeypatch):
+        """The benchmark's hooks count the unkeyed input once as a call and once as a miss."""
+        from pathlib import Path
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import layers
+        import workloads
+        from spans import Installed, Tracer
+
+        tracer = Tracer()
+        budget = dataclasses.replace(ms.DEFAULT_BUDGET, seed=3)
+        with Installed(tracer, layers.HOOKS, rebind_in=("multischmidt",)) as installed:
+            for case in workloads.WORKLOADS[workload].make(ms, 3, True):
+                getattr(ms, case.api)(case.data, budget)
+        assert installed.absent == []
+        metrics = layers.per_layer_metrics(tracer, 1, 0.0)
+        for cache in ("number.pure", "number.mixed"):
+            assert tracer.calls[cache + ".miss"] <= tracer.calls[cache]
+            assert 0.0 <= metrics[cache + ".hit_ratio"][0] <= 1.0
