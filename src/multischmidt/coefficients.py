@@ -29,8 +29,10 @@ eigenproblem. The element stage solves every such member of a call
 together: one ``eigh`` per range dimension k and one SVD of all the
 elements, which gives their Schmidt ranks and coefficients. Other element
 shapes are found by search, one at a time: Nelder-Mead for two parties, with
-one spectrum per point, and proxy-ranked candidates for three. Spectra and
-ranks come from ``core.local_weights`` and ``core.weight_rank``.
+one spectrum per point, and proxy-ranked candidates for three. Nelder-Mead
+is ``core.minimize``, which imports scipy.optimize at its first call, so
+closed-form coefficients never load it. Spectra and ranks come from
+``core.local_weights`` and ``core.weight_rank``.
 
 Supported genuinely entangled sizes are two, three, and four parties; larger
 genuinely entangled states raise ``UnsupportedStructureError``. Non-genuine
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import core
 from .bipartite import schmidt_decompose
@@ -56,6 +57,7 @@ from .core import (
     _unit_state,
     entropy_bits,
     local_weights,
+    minimize,
     spectrum,
     weight_rank,
 )

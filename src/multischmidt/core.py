@@ -32,6 +32,15 @@ Conventions
   3200 of order 1 to 16 (eigenvalues and eigenvectors). zgesdd agrees bit
   for bit too, so results are unchanged, although numpy and scipy ship
   different OpenBLAS builds.
+- The optimizer entry points, ``minimize`` and ``nnls``, sit beside those
+  kernels. They pass arguments and results through to scipy.optimize's
+  functions unchanged and import scipy.optimize inside their bodies: only
+  an NNLS (the range-line walk, product listings) or a search needs it, and
+  its import costs about a fifth of a second and 20 MB. A process that asks
+  only for pure numbers, closed-form coefficients or the CLI's ``gen`` and
+  ``reproduce`` never loads it; one that needs it pays the import once, at
+  the first call. ``number`` and ``coefficients`` take both from here, so
+  each name is one object across the package.
 - Validation happens only at the public boundary: ``PureState``,
   ``DensityMatrix`` and ``reduce`` check their input in full. Internal
   objects derived from validated ones skip those checks. ``_checked_state``
@@ -557,6 +566,20 @@ def _eigh(a, compute_v: bool = True):
     if mat is not a:  # a stack of one
         w, v = w[None], v[None]
     return (w, np.ascontiguousarray(v)) if compute_v else w
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, with scipy.optimize imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+def nnls(*args, **kwargs):
+    """``scipy.optimize.nnls``, with scipy.optimize imported on the first call."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    return scipy_nnls(*args, **kwargs)
 
 
 def _checked_tol(tol: float) -> float:

@@ -76,7 +76,12 @@ and the pencil's generic member are read from ``tolist`` rows, and the
 mixture's dyads come from one broadcast multiply.
 
 Every eigvalsh and eigh goes through core._eigh, which sends a single
-matrix straight to LAPACK zheevd with numpy's bits.
+matrix straight to LAPACK zheevd with numpy's bits. The range-line walk's
+and the product listings' NNLS and the searches' minimize are core's
+optimizer entry points (core.nnls, core.minimize), which import
+scipy.optimize at their first call: a process that settles only pure
+states never loads it. Both are looked up here at call time, as
+number.nnls and number.minimize.
 
 Validation happens only at the public boundary. States and reductions built
 inside the recursion from validated data (eigen elements, rays, CKW zeros,
@@ -102,7 +107,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize, nnls
 
 from . import core, loci
 from .bipartite import (
@@ -125,6 +129,8 @@ from .core import (
     _unit_state,
     _unit_states,
     local_weights,
+    minimize,
+    nnls,
     reduce,  # unused here; the benchmark's hook test rebinds it in this module
     spectrum,
     unfold,

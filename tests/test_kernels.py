@@ -14,10 +14,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.linalg import eigvals
 
 import multischmidt as ms
-from multischmidt import bipartite, core, loci, number
+from multischmidt import bipartite, coefficients, core, loci, number
 from multischmidt.core import SubsystemSet, unfold, weight_rank
 
 
@@ -506,6 +507,38 @@ def test_dyad_columns_are_the_column_stack(dims, count):
     x, res = number.nnls(got, b_vec)
     x_old, res_old = number.nnls(want, b_vec)
     assert _same_bytes(x, x_old) and res == res_old
+
+
+def test_optimizer_entry_points_are_cores():
+    """One object per name, so a hook that rebinds number.minimize rebinds coefficients' too."""
+    assert number.minimize is core.minimize and coefficients.minimize is core.minimize
+    assert number.nnls is core.nnls
+
+
+@pytest.mark.parametrize("dims", LINE_DIMS)
+def test_nnls_entry_point_is_scipys(dims):
+    _, v1, v2 = _line(dims, 1)
+    profile = ms.DimensionProfile(dims)
+    coeffs = _gaussian(np.random.default_rng(3), 3, 2)
+    states = [old_unit_state(profile, a * v1 + b * v2) for a, b in coeffs]
+    a_mat = number._dyad_columns(states)
+    target = _density(profile, rank=2, seed=3).matrix.reshape(-1)
+    b_vec = np.concatenate([target.real, target.imag])
+    x, res = core.nnls(a_mat, b_vec)
+    x_scipy, res_scipy = scipy.optimize.nnls(a_mat, b_vec)
+    assert _same_bytes(x, x_scipy) and res == res_scipy
+
+
+@pytest.mark.parametrize(
+    "method, options",
+    [("L-BFGS-B", {"maxiter": 30}), ("Nelder-Mead", {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 200})],
+)
+def test_minimize_entry_point_is_scipys(method, options):
+    x0 = np.random.default_rng(5).normal(scale=0.7, size=4)
+    got = core.minimize(scipy.optimize.rosen, x0, method=method, options=options)
+    want = scipy.optimize.minimize(scipy.optimize.rosen, x0, method=method, options=options)
+    assert _same_bytes(got.x, want.x) and got.fun == want.fun
+    assert (got.nfev, got.nit) == (want.nfev, want.nit)
 
 
 @pytest.mark.parametrize(

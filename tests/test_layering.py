@@ -120,6 +120,39 @@ def test_each_helper_is_defined_in_its_home_alone(home, name):
     assert owners == [home]
 
 
+def _optimizer_imports(module: str) -> list[tuple[int, bool]]:
+    """(line, inside a function body) of each import of scipy.optimize in ``module``."""
+    tree = _tree(module)
+    in_functions = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+    }
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("scipy.optimize") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            hit = source.startswith("scipy.optimize") or (
+                source == "scipy" and any(alias.name == "optimize" for alias in node.names)
+            )
+        else:
+            continue
+        if hit:
+            out.append((node.lineno, id(node) in in_functions))
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_only_core_imports_the_optimizer_and_only_on_use(module):
+    """scipy.optimize loads at the first NNLS or search, through core's entry points."""
+    found = _optimizer_imports(module)
+    assert all(inside for _, inside in found)
+    assert bool(found) == (module == "core")
+
+
 def _svd_calls(module: str) -> list[int]:
     """Lines of ``module`` that call ``linalg.svd`` (numpy's or scipy's) or import it by name."""
     lines = []
