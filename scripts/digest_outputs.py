@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One md5 over every result of the benchmark workloads at seeds 1-4, one over range lines, one over spectra.
+"""One md5 over every result of the benchmark workloads at seeds 1-4, and one each over range lines, spectra and coefficients.
 
 The workload inputs are the benchmark's own: this script imports
 ``perfbench/workloads.py`` and calls each case's public function with the
@@ -16,12 +16,19 @@ reductions, and, for seeded (2,2) and (2,3) mixtures of rank 2, 3 and
 full rank (Haar and product ones), ``mixed_generalized_eof``,
 ``numerical_rank`` of the DensityMatrix and of its bare matrix,
 ``ppt_negativity`` and the raw bytes of ``spectrum`` of the bare matrix.
+The ``coefficients`` line covers the element searches:
+``pure_schmidt_coefficients`` of W_4 and of seeded Haar (2,2,2,3) and
+(2,2,3,3) states, which take the three-party element scan, and
+``max_entropy_ensemble_element`` at target 2 of seeded (2,3), (2,4) and
+(3,3) mixtures of Haar states of rank 2 and 3, which take the Nelder-Mead
+search and, where no polished start qualifies, its ``SearchError``.
 Each result is written out canonically and hashed:
 
 - a Schmidt number: its interval, ``exact`` flag and ``branch_trace``, and
   its witness ensemble as weights under ``float.hex`` with the raw bytes of
   every state's amplitudes;
 - a coefficient set: its values under ``float.hex`` and its provenance;
+- an ensemble element: the raw bytes of its amplitudes and its coefficient set;
 - EoF bounds: their fields, floats under ``float.hex``;
 - a number or an eigensystem: the number under ``float.hex``, the
   eigensystem's raw bytes;
@@ -85,6 +92,9 @@ def describe(result) -> bytes:
         return canonical(dataclasses.asdict(result)).encode()
     if isinstance(result, ms.Eigensystem):
         return result.values.tobytes() + result.vectors.tobytes()
+    if isinstance(result, tuple):  # an ensemble element and its coefficient set
+        state, coeffs = result
+        return state.amplitudes.tobytes() + b"|" + describe(coeffs)
     if isinstance(result, (int, float)):
         return canonical(result).encode()
     head = canonical(
@@ -202,6 +212,39 @@ def spectra_digest() -> str:
     return cases_digest("spectra", cases)
 
 
+# (dims, number of seeded Haar states) whose coefficients take the three-party element scan
+COEFFICIENT_STATES = (((2, 2, 2, 3), 6), ((2, 2, 3, 3), 4))
+ELEMENT_MIXTURE_DIMS = ((2, 3), (2, 4), (3, 3))
+ELEMENT_SEEDS = 2
+
+
+def element_mixture(profile, rank: int, seed: int):
+    """A seeded mixture of ``rank`` Haar states."""
+    rng = np.random.default_rng([seed, rank, profile.total_dim])
+    kets = [ms.random_pure(profile, 100 * seed + 10 * rank + j).amplitudes for j in range(rank)]
+    weights = rng.uniform(0.2, 1.0, size=rank)
+    weights /= weights.sum()
+    rho = sum(w * np.outer(k, k.conj()) for w, k in zip(weights, kets))
+    return ms.DensityMatrix(profile, (rho + rho.conj().T) / 2.0)
+
+
+def coefficients_digest() -> str:
+    cases = [("w4", "pure_schmidt_coefficients", partial(ms.pure_schmidt_coefficients, ms.w_state(4)))]
+    for dims, count in COEFFICIENT_STATES:
+        profile = ms.DimensionProfile(dims)
+        for seed in range(count):
+            call = partial(ms.pure_schmidt_coefficients, ms.random_pure(profile, seed))
+            cases.append((f"haar{dims}#{seed}", "pure_schmidt_coefficients", call))
+    for dims in ELEMENT_MIXTURE_DIMS:
+        profile = ms.DimensionProfile(dims)
+        for rank in (2, 3):
+            for seed in range(ELEMENT_SEEDS):
+                rho = element_mixture(profile, rank, seed)
+                call = partial(ms.max_entropy_ensemble_element, rho, 2)
+                cases.append((f"r{rank}{dims}#{seed}", "max_entropy_ensemble_element", call))
+    return cases_digest("coefficients", cases)
+
+
 def main() -> int:
     total = hashlib.md5()
     for name in workloads.WORKLOADS:
@@ -211,6 +254,7 @@ def main() -> int:
     print(f"all {total.hexdigest()}")
     print(f"lines {line_digest()}")
     print(f"spectra {spectra_digest()}")
+    print(f"coefficients {coefficients_digest()}")
     return 0
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import _coefficients, generalized_eof, pure_schmidt_coefficients
-from .core import DEFAULT_RANK_TOL, DimensionProfile, PureState, _checked_tol
+from .core import DEFAULT_RANK_TOL, RENORM_ATOL, DimensionProfile, PureState, _checked_tol
 from .errors import SearchError, UnsupportedStructureError
 from .number import DEFAULT_BUDGET, SearchBudget, _Engine, pure_schmidt_number
 from .partitions import local_rank_vector
@@ -99,7 +99,7 @@ def load_state_file(path: str) -> PureState:
         raise ValueError(f"state norm {norm} is too far from 1")
     if abs(norm - 1.0) > NORM_WARN:
         print(f"warning: renormalizing state with norm {norm!r}", file=sys.stderr)
-    if abs(norm - 1.0) > 1e-12:  # leave machine-precision inputs byte-stable
+    if abs(norm - 1.0) > RENORM_ATOL:  # leave machine-precision inputs byte-stable
         amps = amps / norm
     return PureState(profile, amps)
 
@@ -163,7 +163,7 @@ def analyze_state(state: PureState, budget: SearchBudget, tol: float) -> Analysi
     note = None
     eof = None
     try:
-        cs = _coefficients(state, engine, budget)
+        cs = _coefficients(state, engine)
         coeffs = cs.values
         eof = generalized_eof(cs)
         if not cs.exact:

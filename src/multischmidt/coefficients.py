@@ -17,9 +17,8 @@ total value come from the branch trace of ``_Engine.pure_value``. The local
 ranks and sigma (the square roots of rho_i's spectrum over 2) are read off
 the cut record of the engine's factorization (``_Engine.structure``), the
 one the number used. Only the maximizer reductions rho_(not i) of value
-above 1 need an element; they alone are built, without re-validation
-(``core._pure_reductions``, bitwise equal to ``reduce``, one stacked
-``eigh`` per shape), and their elements come from one element stage
+above 1 need an element; they alone are built, by ``reduce`` (one ``eigh``
+each), and their elements come from one element stage
 (``_max_entropy_element``).
 
 The maximal-entropy element of a two-qubit reduction with target Schmidt
@@ -29,7 +28,9 @@ eigenproblem. The element stage solves every such member of a call
 together: one ``eigh`` per range dimension k and one SVD of all the
 elements, which gives their Schmidt ranks and coefficients. Other element
 shapes are found by search, one at a time: Nelder-Mead for two parties, with
-one spectrum per point, and proxy-ranked candidates for three. Nelder-Mead
+one spectrum per point, and proxy-ranked candidates for three, whose winner
+keeps the coefficient set it was scored by. Every search reads the budget
+of the call's one engine (``engine.budget``). Nelder-Mead
 is ``core.minimize``, which imports scipy.optimize at its first call, so
 closed-form coefficients never load it. Spectra and ranks come from
 ``core.local_weights`` and ``core.weight_rank``.
@@ -53,18 +54,18 @@ from .core import (
     PureState,
     SubsystemSet,
     _checked_state,
-    _pure_reductions,
     _unit_state,
     entropy_bits,
     local_weights,
     minimize,
+    reduce,
     spectrum,
     weight_rank,
 )
 from .errors import SearchError, UnsupportedStructureError
 from .loci import _max_concurrence_directions
 from .number import DEFAULT_BUDGET, EIGEN_WEIGHT_FLOOR, SearchBudget, _Engine
-from .partitions import PartitionStructure, _party_cuts, _reduction_profiles
+from .partitions import PartitionStructure, _party_cuts
 from .seeding import stream
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -122,10 +123,10 @@ def pure_schmidt_coefficients(
 ) -> CoefficientSet:
     """Schmidt coefficient multiset of a multipartite pure state."""
     engine = _Engine(budget, tol, root=state)
-    return _coefficients(state, engine, budget)
+    return _coefficients(state, engine)
 
 
-def _coefficients(state: PureState, engine: _Engine, budget) -> CoefficientSet:
+def _coefficients(state: PureState, engine: _Engine) -> CoefficientSet:
     """The coefficient set of ``state``, from the engine's factorization of it."""
     m = state.party_count
     if m == 1:
@@ -139,8 +140,8 @@ def _coefficients(state: PureState, engine: _Engine, budget) -> CoefficientSet:
     if len(entangled) == 1:
         factor, factor_state = entangled[0]
         if len(factor) == m:
-            return _genuine_coefficients(state, structure, engine, budget)
-        sub = _coefficients(factor_state, engine, budget)
+            return _genuine_coefficients(state, structure, engine)
+        sub = _coefficients(factor_state, engine)
         prov = {
             "rule": "single-entangled-factor",
             "partition": structure.label,
@@ -157,7 +158,7 @@ def _coefficients(state: PureState, engine: _Engine, budget) -> CoefficientSet:
     exact = True
     parts = []
     for factor, factor_state in entangled:
-        sub = _coefficients(factor_state, engine, budget)
+        sub = _coefficients(factor_state, engine)
         exact = exact and sub.exact
         values.extend(scale * v for v in sub.values)
         parts.append({"factor": list(factor.indices), "size": len(sub.values)})
@@ -173,7 +174,7 @@ def _coefficients(state: PureState, engine: _Engine, budget) -> CoefficientSet:
 
 
 def _genuine_coefficients(
-    state: PureState, structure: PartitionStructure, engine: _Engine, budget
+    state: PureState, structure: PartitionStructure, engine: _Engine
 ) -> CoefficientSet:
     """The genuinely entangled construction, on the number's max-party rule.
 
@@ -181,9 +182,8 @@ def _genuine_coefficients(
     come from the branch trace of the number (engine.pure_value); each
     party's local rank and the spectrum behind sigma from its cut record
     (structure._party_records()). Only the reductions rho_(not i) that need
-    an element (value > 1) are built, without re-validation
-    (core._pure_reductions), and their elements come from one element stage
-    (_max_entropy_element).
+    an element (value > 1) are built (reduce), and their elements come from
+    one element stage (_max_entropy_element).
     """
     m = state.party_count
     if m not in (3, 4):
@@ -195,10 +195,9 @@ def _genuine_coefficients(
     parties = number.branch_trace["maximizers"]
     # a value-1 reduction has a product witness ensemble; the others need an element
     needy = [i for i in parties if per_party[i - 1]["reduction"][1] > 1]
-    keeps, profiles = _party_cuts(m)[1], _reduction_profiles(state.profile.dims)
-    rests = _pure_reductions(state, [keeps[i - 1] for i in needy], [profiles[i - 1] for i in needy])
-    wanted = [(rest, per_party[i - 1]["reduction"][1]) for i, rest in zip(needy, rests)]
-    elements = dict(zip(needy, _max_entropy_element(wanted, engine, budget)))
+    rests = _party_cuts(m)[1]
+    wanted = [(reduce(state, rests[i - 1]), per_party[i - 1]["reduction"][1]) for i in needy]
+    elements = dict(zip(needy, _max_entropy_element(wanted, engine)))
     records = structure._party_records()
     branches = []
     exact = True
@@ -254,10 +253,10 @@ def max_entropy_ensemble_element(
     if rank_target < 1:
         raise ValueError("target rank must be >= 1")
     engine = _Engine(budget, tol, root=rho)
-    return _max_entropy_element([(rho, rank_target)], engine, budget)[0]
+    return _max_entropy_element([(rho, rank_target)], engine)[0]
 
 
-def _max_entropy_element(members, engine, budget) -> list:
+def _max_entropy_element(members, engine) -> list:
     """The element stage of one coefficient call: an element for each (rho, target) member.
 
     Returns (element, its CoefficientSet with the achieved entropy) per
@@ -286,7 +285,7 @@ def _max_entropy_element(members, engine, budget) -> list:
         if j not in found:
             key = (rho.profile.dims, rho.matrix.tobytes(), target)
             if key not in searched:
-                searched[key] = _searched_element(rho, target, spectra[j], engine, budget)
+                searched[key] = _searched_element(rho, target, spectra[j], engine)
             out.append(searched[key])
         elif found[j] is None:
             raise SearchError("every state in the range is a product: no rank-2 element")
@@ -344,8 +343,9 @@ def _pair_score(amplitudes: np.ndarray, dims: tuple[int, ...], rank_target: int)
     return entropy_bits(weights) - 50.0 * penalty
 
 
-def _searched_element(rho, rank_target, eigensystem, engine, budget):
+def _searched_element(rho, rank_target, eigensystem, engine):
     """A max-entropy element of rho with the target Schmidt number, by exact routes or search."""
+    budget = engine.budget
     _, elements = engine._eigen_elements(rho, *eigensystem)
     basis = np.column_stack([s.amplitudes for s in elements])
     kr = basis.shape[1]
@@ -359,7 +359,7 @@ def _searched_element(rho, rank_target, eigensystem, engine, budget):
         return res.exact and res.value_hi == rank_target
 
     def finish(st: PureState):
-        cs = _coefficients(st, engine, budget)
+        cs = _coefficients(st, engine)
         return st, _with_entropy(cs, generalized_eof(cs))
 
     if kr == 1 or profile.party_count == 1:
@@ -397,7 +397,7 @@ def _searched_element(rho, rank_target, eigensystem, engine, budget):
     if heavy:
         # evaluating the true entropy means a full nested coefficient
         # construction per point; rank by a cheap proxy instead and spend
-        # the real objective on the best qualifying few
+        # the real objective on the best qualifying few; the winner keeps its set
         singles = _party_cuts(profile.party_count)[0]
 
         def proxy(st: PureState) -> float:
@@ -416,12 +416,9 @@ def _searched_element(rho, rank_target, eigensystem, engine, budget):
             raise SearchError(
                 f"no ensemble element of Schmidt number {rank_target} found within budget"
             )
-        scan_budget = budget.scaled(0.15)
-        best = max(
-            qualifying,
-            key=lambda st: generalized_eof(_coefficients(st, engine, scan_budget)),
-        )
-        return finish(best)
+        sets = [(st, _coefficients(st, engine)) for st in qualifying]
+        best, cs = max(sets, key=lambda pair: generalized_eof(pair[1]))
+        return best, _with_entropy(cs, generalized_eof(cs))
 
     # two-party elements: the entropy objective is cheap, so polish properly
     def score(u: np.ndarray) -> float:
@@ -451,11 +448,6 @@ def _searched_element(rho, rank_target, eigensystem, engine, budget):
         candidates.append((-res.fun, make_state(u / np.linalg.norm(u))))
     candidates.sort(key=lambda t: -t[0])
     for _, st in candidates:
-        if qualifies(st):
-            return finish(st)
-    # fall back to the best raw start that qualifies
-    for _, idx in scored:
-        st = make_state(starts[idx])
         if qualifies(st):
             return finish(st)
     raise SearchError(
@@ -500,7 +492,7 @@ def mixed_generalized_eof(
     weights, states = engine._eigen_elements(rho, *spectrum(rho))
 
     if len(states) == 1:
-        val = generalized_eof(_coefficients(states[0], engine, budget))
+        val = generalized_eof(_coefficients(states[0], engine))
         return EofBounds(val, val, True, {"route": "pure-state"})
 
     npt_cuts, decisive = engine._ppt_stage(rho)
@@ -511,7 +503,7 @@ def mixed_generalized_eof(
 
     upper = float(
         sum(
-            p * generalized_eof(_coefficients(s, engine, budget))
+            p * generalized_eof(_coefficients(s, engine))
             for p, s in zip(weights, states)
         )
     )

@@ -42,7 +42,10 @@ Conventions
   the first call. ``number`` and ``coefficients`` take both from here, so
   each name is one object across the package.
 - Validation happens only at the public boundary: ``PureState``,
-  ``DensityMatrix`` and ``reduce`` check their input in full. Internal
+  ``DensityMatrix`` and ``reduce`` check their input in full. A
+  ``PureState`` whose norm is off by more than ``RENORM_ATOL`` (but within
+  ``NORM_ATOL``) is divided by it, so every reduction built from it passes
+  the ``TRACE_ATOL`` check; one closer to 1 keeps its bytes. Internal
   objects derived from validated ones skip those checks. ``_checked_state``
   wraps amplitudes known to be a unit vector (singular vectors, normalized
   eigenvectors and rays), and ``_cut_reductions`` builds the reductions of a
@@ -51,12 +54,12 @@ Conventions
   eigendecomposition, and cuts of one shape are built as one stack. Its
   matrix code, ``_cut_matrices``, also serves callers that need only the
   matrices, not a ``DensityMatrix``.
-  ``_pure_reductions`` builds ``reduce``'s reductions of a pure state
-  bitwise, without re-validation, with one ``_eigh`` per shape; the
-  coefficient construction builds with it only the reductions whose
-  max-entropy element it needs, because its element searches start from the
-  ``eigh`` eigenbasis. ``reduce`` forms reduced density matrices from a
-  partial trace and serves mixed states and the public API.
+  ``reduce`` forms reduced density matrices from a partial trace. For a
+  mixed state it validates the result in full; a pure state's reduction
+  only has its trace checked and takes the eigensystem that validation
+  would compute, bit for bit. The coefficient construction builds with it
+  only the reductions whose max-entropy element it needs, because its
+  element searches start from the ``eigh`` eigenbasis.
 - A ``DensityMatrix`` carries its eigensystem, computed by validation or
   taken from the SVD; ``spectrum`` and ``numerical_rank`` reuse it instead
   of decomposing again.
@@ -101,6 +104,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 NORM_ATOL = 1e-10
+# a norm this close to 1 keeps its amplitude bytes; a state further off is divided by its norm
+RENORM_ATOL = 1e-12
 HERM_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
@@ -203,6 +208,8 @@ class PureState:
             raise ValueError("amplitudes must be finite")
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
+        if abs(norm - 1.0) > RENORM_ATOL:  # so every reduction's trace |psi|^2 passes TRACE_ATOL
+            amps = amps / norm
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -415,11 +422,25 @@ def reduce(state: Union[PureState, DensityMatrix], keep: SubsystemSet) -> Densit
     """Partial trace over the complement of ``keep``.
 
     The result profile is the input profile restricted to ``keep`` (ascending
-    party order). Works for pure states and density matrices.
+    party order). Works for pure states and density matrices. A pure
+    state's reduction is Hermitian and positive by construction, so only
+    its trace is checked, as ``DensityMatrix`` checks it; its eigensystem is
+    one ``_descending_eigh`` of the symmetrized matrix A, which is the one
+    validation computes, because validation decomposes (A + A^dag)/2 and
+    that is A bit for bit.
     """
     profile = state.profile
     keep.validate_for(profile)
-    return DensityMatrix(profile.restrict(keep), _reduced_matrix(state, keep))
+    mat = _reduced_matrix(state, keep)
+    if not isinstance(state, PureState):
+        return DensityMatrix(profile.restrict(keep), mat)
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
+    eig = _descending_eigh(mat)
+    for arr in (mat, *eig):
+        arr.setflags(write=False)
+    return _built_density(profile.restrict(keep), mat, *eig)
 
 
 def _reduced_matrix(state: Union[PureState, DensityMatrix], keep: SubsystemSet) -> np.ndarray:
@@ -442,37 +463,6 @@ def _reduced_matrix(state: Union[PureState, DensityMatrix], keep: SubsystemSet) 
         blocks = t.transpose(perm).reshape(dk, dt, dk, dt)
         mat = np.einsum("ijkj->ik", blocks)
     return (mat + mat.conj().T) / 2.0
-
-
-def _pure_reductions(state: PureState, keeps, profiles) -> list[DensityMatrix]:
-    """``reduce(state, keep)`` for each of ``keeps``, bitwise, without re-validation.
-
-    For a validated pure state and keeps valid for its profile (``profiles``
-    are the restricted profiles). The matrices are ``reduce``'s, and their
-    trace is checked as ``DensityMatrix`` checks it; Hermiticity and
-    positivity hold by construction. Matrices of one shape share one
-    ``_eigh``, which LAPACK runs matrix by matrix; validation decomposes
-    (A + A^dag)/2, which for the symmetrized A is A bit for bit, so each
-    eigensystem is the one validation computes.
-    """
-    mats = [_reduced_matrix(state, keep) for keep in keeps]
-    out: list = [None] * len(mats)
-    shapes: dict = {}
-    for j, mat in enumerate(mats):
-        shapes.setdefault(mat.shape, []).append(j)
-    for group in shapes.values():
-        stack = np.array([mats[j] for j in group])
-        for tr in np.trace(stack, axis1=-2, axis2=-1).tolist():
-            if abs(tr - 1.0) > TRACE_ATOL:
-                raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-        w, v = _eigh(stack)
-        values = np.ascontiguousarray(w[:, ::-1])
-        vectors = np.ascontiguousarray(v[:, :, ::-1])
-        for arr in (stack, values, vectors):
-            arr.setflags(write=False)
-        for b, j in enumerate(group):
-            out[j] = _built_density(profiles[j], stack[b], values[b], vectors[b])
-    return out
 
 
 def local_weights(amplitudes: np.ndarray, dims: tuple[int, ...], side: SubsystemSet) -> np.ndarray:

@@ -178,13 +178,6 @@ class SearchBudget:
                 bound = f">= {low}" if high is None else f"in [{low}, 2**64)"
                 raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
-    def scaled(self, factor: float) -> "SearchBudget":
-        return SearchBudget(
-            restarts=max(1, int(self.restarts * factor)),
-            iters=max(20, int(self.iters * factor)),
-            seed=self.seed,
-        )
-
 
 DEFAULT_BUDGET = SearchBudget()
 

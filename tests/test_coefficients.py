@@ -398,7 +398,7 @@ def test_equal_members_are_searched_once(monkeypatch):
 
 
 class TestOneStackedCoefficientPass:
-    """sigma from the cut record, reductions without re-validation, one element stage."""
+    """sigma from the cut record, reductions by reduce without validation, one element stage."""
 
     @pytest.mark.parametrize(
         "state",
@@ -411,11 +411,10 @@ class TestOneStackedCoefficientPass:
         calls = dict.fromkeys(
             ("reduce", "density", "local_weights", "schmidt_decompose", "element", "svd", "eigh"), 0
         )
-        for module in (core, coefficients):
-            for name in ("reduce", "local_weights"):
-                monkeypatch.setattr(
-                    module, name, _counting(calls, name, getattr(core, name)), raising=False
-                )
+        for name in ("reduce", "local_weights"):
+            spy = _counting(calls, name, getattr(core, name))
+            for module in (core, coefficients):
+                monkeypatch.setattr(module, name, spy)
         for module in (bipartite, coefficients):
             spy = _counting(calls, "schmidt_decompose", bipartite.schmidt_decompose)
             monkeypatch.setattr(module, "schmidt_decompose", spy)
@@ -430,14 +429,16 @@ class TestOneStackedCoefficientPass:
         monkeypatch.setattr(core, "_svd", _counting(calls, "svd", core._svd))
         monkeypatch.setattr(np.linalg, "eigh", _counting(calls, "eigh", np.linalg.eigh))
         ms.pure_schmidt_coefficients(state)
+        # one reduce per maximizer reduction, none validated; the element stage's one
+        # stacked eigh is numpy's, each reduction's single eigh is core's zheevd
         assert calls == {
-            "reduce": 0,
+            "reduce": 3,
             "density": 0,
             "local_weights": 0,
             "schmidt_decompose": 0,
             "element": 1,
             "svd": 4,
-            "eigh": 2,
+            "eigh": 1,
         }
 
 
@@ -470,7 +471,7 @@ class TestStackedTwoQubitElements:
 
         rhos = ELEMENT_STACKS[name]
         engine = _Engine(ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL)
-        stacked = _max_entropy_element([(rho, 2) for rho in rhos], engine, ms.DEFAULT_BUDGET)
+        stacked = _max_entropy_element([(rho, 2) for rho in rhos], engine)
         assert len(stacked) == len(rhos)
         for rho, (elem, cs) in zip(rhos, stacked):
             _, want = ms.max_entropy_ensemble_element(rho, 2)
@@ -489,7 +490,7 @@ class TestStackedTwoQubitElements:
         engine = _Engine(ms.DEFAULT_BUDGET, DEFAULT_RANK_TOL)
         members = [(_random_pair_density(2, 0), 2), (products, 2)]
         with pytest.raises(SearchError, match="every state in the range is a product"):
-            _max_entropy_element(members, engine, ms.DEFAULT_BUDGET)
+            _max_entropy_element(members, engine)
 
 
 def _reference_score(state: PureState, rank_target: int) -> float:
@@ -573,8 +574,9 @@ class TestOneSpectralPrimitive:
         [
             # three qubits: the three cuts, then the pair concurrences in closed form
             (ms.pure_schmidt_number, HAAR222_7, (3, 0, 0)),
-            (ms.pure_schmidt_coefficients, HAAR222_7, (4, 2, 0)),
-            (ms.pure_schmidt_coefficients, ms.w_state(3), (4, 2, 0)),
+            # and one eigh per reduction and one for the element stage
+            (ms.pure_schmidt_coefficients, HAAR222_7, (4, 4, 0)),
+            (ms.pure_schmidt_coefficients, ms.w_state(3), (4, 4, 0)),
             # otherwise the three cuts, then one PPT eigvalsh per 2 x 2 or 2 x 3 reduction profile
             (ms.pure_schmidt_number, HAAR223_0, (3, 0, 2)),
             (ms.pure_schmidt_number, HAAR232_0, (3, 0, 3)),

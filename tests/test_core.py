@@ -95,6 +95,54 @@ class TestDomainTypes:
             ms.DensityMatrix(ms.DimensionProfile((2,)), mat)
 
 
+def _outcome(call, state):
+    """``call(state)``, or the type of the exception it raised."""
+    try:
+        return call(state)
+    except (ms.SearchError, ms.UnsupportedStructureError) as exc:
+        return type(exc)
+
+
+class TestNearUnitNorm:
+    """A state PureState accepts within NORM_ATOL of unit norm works in every public call."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 2, 2), (3, 3)], ids=str)
+    @pytest.mark.parametrize("scale", [1 + 9e-11, 1 - 9e-11])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_public_calls_match_the_unit_state(self, dims, scale, seed):
+        unit = ms.random_pure(ms.DimensionProfile(dims), seed)
+        near = ms.PureState(unit.profile, unit.amplitudes * scale)
+        for call in (ms.pure_schmidt_number, lambda s: ms.mixed_schmidt_number(s.density())):
+            got, want = call(near), call(unit)
+            assert (got.value_lo, got.value_hi, got.exact) == (want.value_lo, want.value_hi, want.exact)
+        for call in (ms.pure_schmidt_coefficients, lambda s: ms.mixed_generalized_eof(s.density())):
+            got, want = _outcome(call, near), _outcome(call, unit)
+            if isinstance(want, type):
+                assert got is want
+            elif isinstance(want, ms.CoefficientSet):
+                assert got.provenance["rule"] == want.provenance["rule"]
+                assert len(got.values) == len(want.values)
+                assert np.allclose(got.values, want.values, rtol=0, atol=1e-12)
+            else:
+                assert (got.exact, got.trace["route"]) == (want.exact, want.trace["route"])
+                assert abs(got.upper - want.upper) <= 1e-12
+        m = len(dims)
+        for keep in [ms.SubsystemSet((i,)) for i in range(1, m + 1)] + [ms.SubsystemSet((1, m))]:
+            assert np.allclose(ms.reduce(near, keep).matrix, ms.reduce(unit, keep).matrix, rtol=0, atol=1e-12)
+        assert ms.local_rank_vector(near) == ms.local_rank_vector(unit)
+
+    @pytest.mark.parametrize("scale", [1.0, 1 + 5e-13, 1 - 5e-13])
+    def test_a_norm_within_renorm_atol_keeps_its_bytes(self, scale):
+        amps = ms.random_pure(ms.DimensionProfile((2, 2, 3)), 0).amplitudes * scale
+        assert ms.PureState(ms.DimensionProfile((2, 2, 3)), amps).amplitudes.tobytes() == amps.tobytes()
+
+    def test_a_norm_beyond_renorm_atol_is_divided_out(self):
+        amps = ms.random_pure(ms.DimensionProfile((2, 2, 3)), 0).amplitudes * (1 + 9e-11)
+        state = ms.PureState(ms.DimensionProfile((2, 2, 3)), amps)
+        assert state.amplitudes.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
+        assert not state.amplitudes.flags.writeable
+
+
 class TestReduce:
     def test_product_state_reduction(self):
         red = ms.reduce(ket("00"), ms.SubsystemSet((1,)))
@@ -297,15 +345,14 @@ BUILDER_STATES = {
 
 @pytest.mark.parametrize("name", list(BUILDER_STATES))
 def test_internal_reductions_equal_reduce_bitwise(name):
-    """The unvalidated builder gives reduce's matrix, eigensystem and profile, read-only."""
-    from multischmidt.core import _pure_reductions
+    """A pure state's reduce, built without validation, is the validated partial trace bit for bit, read-only."""
+    from multischmidt.core import _reduced_matrix
 
     state = BUILDER_STATES[name]
     m = state.party_count
-    keeps = [ms.SubsystemSet((i,)).complement(m) for i in range(1, m + 1)]
-    profiles = [state.profile.restrict(keep) for keep in keeps]
-    for keep, rho in zip(keeps, _pure_reductions(state, keeps, profiles)):
-        want = ms.reduce(state, keep)
+    for keep in [ms.SubsystemSet((i,)).complement(m) for i in range(1, m + 1)]:
+        rho = ms.reduce(state, keep)
+        want = ms.DensityMatrix(state.profile.restrict(keep), _reduced_matrix(state, keep))
         assert rho.profile == want.profile
         for got, ref in zip((rho.matrix, *rho.eigensystem), (want.matrix, *want.eigensystem)):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

@@ -111,7 +111,9 @@ def test_coefficients_ask_the_engine_few_questions():
         for node in ast.walk(_tree("coefficients"))
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "engine"
     }
-    assert used <= {"structure", "pure_value", "_eigen_elements", "_ppt_stage", "find_ensemble", "tol"}
+    assert used <= {
+        "structure", "pure_value", "_eigen_elements", "_ppt_stage", "find_ensemble", "tol", "budget"
+    }
 
 
 @pytest.mark.parametrize("home, name", [(home, n) for home, names in HOMES.items() for n in names])

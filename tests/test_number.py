@@ -339,6 +339,99 @@ class TestThreeQubitCertificateSoundness:
         assert res.value_lo <= 3
 
 
+def plane_mixture(seed):
+    """A rank-2 (2,2,2,2) mixture whose party-1 slices span one plane span{p, q} of three qubits.
+
+    Its value is 6, proved by the walk: the composed bound reads 2 + 4 at
+    party 1, 4 being the least value of a rank-2 state with range span{p, q}.
+    """
+    rng = np.random.default_rng([seed, 2222])
+    rest = ms.qubits(3)
+    p, q = (ms.random_pure(rest, 2 * seed + j).amplitudes for j in range(2))
+    states = []
+    for _ in range(2):
+        c = rng.normal(size=4) + 1j * rng.normal(size=4)
+        ket = np.concatenate([c[0] * p + c[1] * q, c[2] * p + c[3] * q])
+        states.append(PureState(ms.qubits(4), ket / np.linalg.norm(ket)))
+    w = rng.uniform(0.2, 0.8)
+    return mixture(states, [w, 1.0 - w])
+
+
+def two_haar_mixture(dims, seed):
+    """A rank-2 mixture of the Haar states ``random_pure`` seeds 2 S and 2 S + 1."""
+    prof = ms.DimensionProfile(dims)
+    w = np.random.default_rng(seed).uniform(0.2, 1.0, size=2)
+    return mixture([ms.random_pure(prof, 2 * seed + j) for j in range(2)], w / w.sum())
+
+
+class TestRangeLineGuards:
+    """The walk's top drops below what an interval ray or an ambiguous plane leaves open."""
+
+    def _assert_sound(self, res, plain, rho, most):
+        assert res.value_lo <= min(most, plain.value_lo)
+        assert res.value_hi == plain.value_hi
+        witness = res.witness_ensemble
+        assert np.linalg.norm(witness.reconstruct() - rho.matrix) <= number.RECONSTRUCTION_ATOL
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_an_interval_ray_lowers_the_top(self, seed, monkeypatch):
+        # the root line's first ray of value >= 2 reads [1, value]: level 1 is
+        # open, so the walk proves no level and PPT's 2 stands where it proved 4
+        rho = two_haar_mixture((2, 2, 2), seed)
+        plain = ms.mixed_schmidt_number(rho)
+        assert (plain.value_lo, plain.value_hi) == (4, 4)
+        real_line, real_pure = number._Engine._line_rays, number._Engine.pure_value
+        stack, faked = [], []
+
+        def line_rays(self, *args):
+            stack.append("line")
+            try:
+                return real_line(self, *args)
+            finally:
+                stack.pop()
+
+        def pure_value(self, st):
+            ray = stack == ["line"]  # asked by the root line itself, not by a nested call
+            stack.append("pure")
+            try:
+                res = real_pure(self, st)
+            finally:
+                stack.pop()
+            if ray and res.value_hi >= 2 and (not faked or faked[0] is st):
+                faked[:] = [st]
+                return dataclasses.replace(res, value_lo=1, exact=False)
+            return res
+
+        monkeypatch.setattr(number._Engine, "_line_rays", line_rays)
+        monkeypatch.setattr(number._Engine, "pure_value", pure_value)
+        res = ms.mixed_schmidt_number(rho)
+        assert faked
+        self._assert_sound(res, plain, rho, 2)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_an_ambiguous_plane_bounds_by_one(self, seed, monkeypatch):
+        # without the plane's rays its least value is only known to be >= 1:
+        # the composed bound is 2 + 1 at every party, so the walk proves at most 3
+        rho = plane_mixture(seed)
+        plain = ms.mixed_schmidt_number(rho)
+        assert (plain.value_lo, plain.value_hi) == (6, 6)
+        real = number._Engine._plane_bound
+        planes = []
+
+        def ambiguous_plane(self, profile, basis):
+            self._range_rays = lambda *args: None  # for this plane only
+            try:
+                planes.append(real(self, profile, basis))
+            finally:
+                del self._range_rays
+            return planes[-1]
+
+        monkeypatch.setattr(number._Engine, "_plane_bound", ambiguous_plane)
+        res = ms.mixed_schmidt_number(rho)
+        assert planes == [1]
+        self._assert_sound(res, plain, rho, 3)
+
+
 PLANTED_VALUE = {"product": 1, "biseparable": 2, "lu-ghz": 3, "slocc-w": 4}
 
 
